@@ -87,6 +87,7 @@ from .preprocess import (
 )
 from .spectrum import (
     SpectralDecomposition,
+    balanced_factors,
     default_tolerance,
     numerical_rank,
     singular_values,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import atomic_write_text, sha256_file
 from .matio import load_matrix, save_matrix
-from .matrices import Matrix, block_diagonal, hadamard, invert_permutations
+from .matrices import Matrix
 from .preprocess import BlockPlan, load_plan
 
 __all__ = [
@@ -192,19 +192,37 @@ def lora_update(adapter: LoraAdapter) -> Matrix:
     return adapter.b @ adapter.a
 
 
+def _pairs(adapter: Adapter) -> tuple[tuple[Matrix, Matrix], ...]:
+    """Factor pairs of either family; a global adapter is one pair."""
+    return ((adapter.a, adapter.b),) if isinstance(adapter, LoraAdapter) else adapter.factors
+
+
+def _stacked_factors(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh factor stacks ``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``."""
+    pairs = _pairs(adapter)
+    return np.stack([a.data for a, _ in pairs]), np.stack([b.data for _, b in pairs])
+
+
+def _block_index(plan: BlockPlan) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` such that ``w[rows, cols]`` is the (K, s_out, s_in)
+    stack of reordered diagonal blocks, addressed in original coordinates."""
+    s_out, s_in = plan.block_shape
+    return plan.p_out.indices.reshape(plan.k, s_out, 1), plan.p_in.indices.reshape(plan.k, 1, s_in)
+
+
 def smoa_update(adapter: SmoaAdapter) -> Matrix:
     """Block update carried back to original coordinates.
 
     Diagonal block k in reordered coordinates is
-    ``(b_k @ a_k) * anchor_k`` (entrywise); off-diagonal blocks are
-    exactly zero before the inverse permutations scatter entries back.
+    ``(b_k @ a_k) * anchor_k`` (entrywise), computed for all blocks in
+    one batched product; off-diagonal blocks are exactly zero, and the
+    blocks scatter straight to their original coordinates.
     """
     plan = adapter.plan
-    blocks = [
-        hadamard(b @ a, plan.anchors[g])
-        for g, (a, b) in enumerate(adapter.factors)
-    ]
-    return invert_permutations(block_diagonal(blocks), plan.p_out, plan.p_in)
+    a, b = _stacked_factors(adapter)
+    out = np.zeros((plan.d_out, plan.d_in))
+    out[_block_index(plan)] = (b @ a) * np.stack([anchor.data for anchor in plan.anchors])
+    return Matrix(out)
 
 
 def update(adapter: Adapter) -> Matrix:
@@ -253,15 +271,6 @@ def param_count(kind: str, d_in: int, d_out: int, r: int, k: int | None = None) 
     raise ConfigurationError(f"unknown adapter kind {kind!r}")
 
 
-def _factor_list(adapter: Adapter) -> list[Matrix]:
-    if isinstance(adapter, LoraAdapter):
-        return [adapter.a, adapter.b]
-    out: list[Matrix] = []
-    for a, b in adapter.factors:
-        out.extend((a, b))
-    return out
-
-
 def save_adapter(
     adapter: Adapter,
     path: str | os.PathLike,
@@ -279,7 +288,7 @@ def save_adapter(
     load. Returns the written paths, envelope first.
     """
     target = Path(path)
-    factors = _factor_list(adapter)
+    factors = [factor for pair in _pairs(adapter) for factor in pair]
     factor_names = [f"{target.stem}.f{i:02d}.mat" for i in range(len(factors))]
     if isinstance(adapter, SmoaAdapter):
         kind, r, k, rho = "smoa", adapter.r, adapter.plan.k, adapter.rho

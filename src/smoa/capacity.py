@@ -28,7 +28,7 @@ from .fileutil import atomic_write_text
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, block_diagonal, hadamard, invert_permutations
 from .preprocess import BlockPlan, load_plan, save_plan
-from .spectrum import default_tolerance, numerical_rank, singular_values, svd, tail_energy
+from .spectrum import balanced_factors, default_tolerance, numerical_rank, singular_values, tail_energy
 
 __all__ = [
     "BlockCeiling",
@@ -186,14 +186,8 @@ def smoa_exact_fit(witness: WitnessInstance):
     from .adapters import SmoaAdapter
 
     rho = max(witness.rho, 1)
-    factors = []
-    for c in witness.coefficients:
-        dec = svd(c)
-        root = np.sqrt(dec.singular_values[:rho])
-        b = Matrix(dec.left_vectors.data[:, :rho] * root)
-        a = Matrix((dec.right_vectors.data[:, :rho] * root).T)
-        factors.append((a, b))
-    return SmoaAdapter(witness.plan, rho, tuple(factors))
+    factors = tuple(balanced_factors(c, rho) for c in witness.coefficients)
+    return SmoaAdapter(witness.plan, rho, factors)
 
 
 def lora_gap(witness: WitnessInstance, r: int) -> float:

@@ -50,7 +50,7 @@ from .fileutil import atomic_write_text, sha256_file
 from .gen import diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
 from .matio import load_matrix, save_matrix
 from .preprocess import build_plan, load_plan, save_plan
-from .spectrum import default_tolerance, singular_values
+from .spectrum import _rank_from_values, singular_values
 from .trainer import FitConfig, FitProblem, fit, save_trace
 
 __all__ = ["main"]
@@ -202,13 +202,7 @@ def cmd_rank(args) -> dict:
     else:
         matrix = update(load_adapter(args.adapter))
         source = str(args.adapter)
-    values = singular_values(matrix)
-    epsilon = args.epsilon
-    if epsilon is None:
-        epsilon = default_tolerance(matrix.shape, values[0])
-    if epsilon < 0:
-        raise RangeError(f"epsilon must be nonnegative, got {epsilon}")
-    rank = int(np.count_nonzero(values > epsilon))
+    rank, epsilon = _rank_from_values(singular_values(matrix), matrix.shape, args.epsilon)
     payload = {
         "source": source,
         "rows": matrix.rows,
@@ -283,11 +277,7 @@ def cmd_fit(args) -> dict:
     plan = load_plan(args.plan) if args.plan is not None else None
     problem = FitProblem(target=target, kind=args.kind, r=args.r, plan=plan)
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
-    config = FitConfig(
-        step_size=args.step_size,
-        max_steps=args.max_steps,
-        grad_tol=args.grad_tol,
-    )
+    config = FitConfig(step_size=args.step_size, max_steps=args.max_steps, grad_tol=args.grad_tol)
     trace = fit(problem, init, config)
     out = _out_dir(args)
     trace_path = out / f"{args.prefix}.trace.csv"
@@ -309,6 +299,7 @@ def cmd_fit(args) -> dict:
         "relative_loss": trace.relative_loss,
         "floor": trace.floor,
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
         "steps": trace.step_count,
         "trace_path": str(trace_path),
         "summary_path": str(summary_path),

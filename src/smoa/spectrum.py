@@ -23,6 +23,7 @@ __all__ = [
     "numerical_rank",
     "truncated_svd",
     "tail_energy",
+    "balanced_factors",
 ]
 
 
@@ -102,12 +103,13 @@ def default_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * float(sigma_max) * np.finfo(np.float64).eps
 
 
-def _rank_from_values(s: np.ndarray, shape: tuple[int, int], epsilon: float | None) -> int:
+def _rank_from_values(s: np.ndarray, shape: tuple[int, int], epsilon: float | None) -> tuple[int, float]:
+    """Count of ``s`` strictly above the cutoff, and the cutoff used."""
     if epsilon is None:
         epsilon = default_tolerance(shape, s[0] if s.size else 0.0)
     if epsilon < 0:
         raise RangeError(f"epsilon must be nonnegative, got {epsilon}")
-    return int(np.count_nonzero(s > epsilon))
+    return int(np.count_nonzero(s > epsilon)), epsilon
 
 
 def numerical_rank(w: Matrix, epsilon: float | None = None) -> int:
@@ -115,7 +117,7 @@ def numerical_rank(w: Matrix, epsilon: float | None = None) -> int:
 
     ``epsilon=None`` selects :func:`default_tolerance` for ``w``.
     """
-    return _rank_from_values(singular_values(w), w.shape, epsilon)
+    return _rank_from_values(singular_values(w), w.shape, epsilon)[0]
 
 
 def truncated_svd(w: Matrix, r: int) -> Matrix:
@@ -146,3 +148,16 @@ def tail_energy(w: Matrix, r: int) -> float:
         raise RangeError(f"rank {r} out of range 0..{m} for shape {w.shape}")
     s = singular_values(w)
     return float(np.sum(s[r:] ** 2))
+
+
+def balanced_factors(c: Matrix, r: int) -> tuple[Matrix, Matrix]:
+    """Square-root split ``(a, b)`` of the rank-``r`` truncated SVD:
+    ``b = U_r sqrt(s_r)`` and ``a = (V_r sqrt(s_r))^T``, so ``b @ a`` is
+    the best rank-r approximation of ``c``."""
+    if not 1 <= r <= min(c.shape):
+        raise RangeError(f"rank {r} out of range 1..{min(c.shape)} for shape {c.shape}")
+    dec = svd(c)
+    root = np.sqrt(dec.singular_values[:r])
+    b = dec.left_vectors.data[:, :r] * root
+    a = (dec.right_vectors.data[:, :r] * root).T
+    return Matrix(a), Matrix(b)

@@ -1,16 +1,20 @@
 """Gradient descent on the matrix-approximation objective.
 
 The objective is L(theta) = 0.5 * ||Delta(theta) - T||_F^2 where Delta
-is the adapter update. For the global family the gradients are the
-classical bilinear ones; for the block family the permutation reduces
-the objective to independent per-block terms plus a constant carried by
-the off-diagonal part of the reordered target, and each block sees the
-anchor twice (once in the residual, once from the chain rule).
+is the adapter update. Both families share one stacked core: factors
+``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``, target blocks T and
+anchors M as ``(K, s_out, s_in)`` arrays in reordered coordinates. The
+batched residual is R = (B A) * M - T, the loss is a constant (the
+off-diagonal-block energy, which block updates cannot touch) plus the
+per-block sums 0.5 * ||R_k||^2, and the gradients are B^T (R * M) and
+(R * M) A^T. The global family is the K = 1 case with no anchor.
 
 Descent is full-batch with backtracking: a step that would increase the
 loss is halved up to ``max_halvings`` times, so accepted steps never
-increase the loss. Determinism comes from seeded initialization and a
-fixed iteration order; there is no stochasticity in the updates.
+increase the loss, and the accepted candidate's residual feeds the next
+gradient. Determinism comes from seeded initialization and a fixed
+iteration order (block sums are added in block order); there is no
+stochasticity in the updates.
 """
 from __future__ import annotations
 
@@ -23,11 +27,12 @@ from typing import Literal
 import numpy as np
 
 from .adapters import Adapter, AdapterInit, LoraAdapter, SmoaAdapter, init_lora, init_smoa
+from .adapters import _block_index, _stacked_factors
 from .errors import ConfigurationError, DimensionError, NumericalError
 from .fileutil import atomic_write_text
 from .matrices import Matrix, apply_permutations
 from .preprocess import BlockPlan
-from .spectrum import svd, tail_energy
+from .spectrum import balanced_factors, tail_energy
 
 __all__ = [
     "FitProblem",
@@ -101,15 +106,21 @@ class FitTrace:
     ``floor`` carries the spectral lower bound 0.5 * tail_energy(T, r)
     for global fits (None for block fits); accepted losses are
     monotonically nonincreasing and never drop below the floor.
+    ``stop_reason`` is ``grad_tol``, ``max_steps`` (budget spent) or
+    ``stalled`` (no halving of the step lowered the loss).
     """
 
     steps: tuple[TraceStep, ...]
     adapter: Adapter
-    converged: bool
     floor: float | None
     target_norm_sq: float
     init: AdapterInit
     config: FitConfig
+    stop_reason: Literal["grad_tol", "max_steps", "stalled"]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
 
     @property
     def final_loss(self) -> float:
@@ -128,90 +139,75 @@ class FitTrace:
 
 
 class _Objective:
-    """Raw-array evaluation core shared by loss, gradients, and descent."""
+    """Stacked evaluation core shared by loss, gradients, and descent.
+
+    ``t`` holds the K target blocks and ``anchors`` the K anchors, both
+    ``(K, s_out, s_in)``; the global family has K = 1 and no anchors.
+    """
 
     def __init__(self, problem: FitProblem):
-        self.kind = problem.kind
-        self.r = problem.r
-        self.plan = problem.plan
         if problem.kind == "lora":
-            self.t = problem.target.data
+            self.t = problem.target.data[np.newaxis]
+            self.anchors = None
             self.constant = 0.0
-        else:
-            plan = problem.plan
-            assert plan is not None
-            reordered = apply_permutations(problem.target, plan.p_out, plan.p_in).data
-            self.anchors = [anchor.data for anchor in plan.anchors]
-            self.t_blocks = []
-            in_block = 0.0
-            for g in range(plan.k):
-                (r0, r1), (c0, c1) = plan.row_intervals[g], plan.col_intervals[g]
-                block = reordered[r0:r1, c0:c1].copy()
-                self.t_blocks.append(block)
-                in_block += float(np.sum(block**2))
-            total = float(np.sum(reordered**2))
-            # off-diagonal-block energy is constant under block updates
-            self.constant = 0.5 * max(total - in_block, 0.0)
+            return
+        plan = problem.plan
+        self.t = problem.target.data[_block_index(plan)]
+        self.anchors = np.stack([anchor.data for anchor in plan.anchors])
+        in_block = 0.0
+        for energy in _block_sums(self.t):
+            in_block += energy
+        reordered = apply_permutations(problem.target, plan.p_out, plan.p_in).data
+        # off-diagonal-block energy is constant under block updates
+        self.constant = 0.5 * max(float(np.sum(reordered**2)) - in_block, 0.0)
 
-    def loss(self, factors: list[tuple[np.ndarray, np.ndarray]]) -> float:
-        # a candidate step may overflow; the caller detects non-finite
-        # losses, so the warning is suppressed rather than surfaced
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "lora":
-                a, b = factors[0]
-                return 0.5 * float(np.sum((b @ a - self.t) ** 2))
-            acc = self.constant
-            for (a, b), anchor, t_block in zip(factors, self.anchors, self.t_blocks):
-                acc += 0.5 * float(np.sum(((b @ a) * anchor - t_block) ** 2))
-            return acc
+    def evaluate(self, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss and residual ``R = (B A) * M - T`` at the stacked factors."""
+        residual = b @ a
+        if self.anchors is not None:
+            residual *= self.anchors
+        residual -= self.t
+        value = self.constant
+        for energy in _block_sums(residual):
+            value += 0.5 * energy
+        return value, residual
 
-    def gradients(
-        self, factors: list[tuple[np.ndarray, np.ndarray]]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self.kind == "lora":
-            a, b = factors[0]
-            residual = b @ a - self.t
-            return [(b.T @ residual, residual @ a.T)]
-        grads = []
-        for (a, b), anchor, t_block in zip(factors, self.anchors, self.t_blocks):
-            masked = ((b @ a) * anchor - t_block) * anchor
-            grads.append((b.T @ masked, masked @ a.T))
-        return grads
+    def gradients(self, a: np.ndarray, b: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(dA, dB)`` stacks from the residual that ``evaluate`` gave at (a, b)."""
+        masked = residual if self.anchors is None else residual * self.anchors
+        return b.transpose(0, 2, 1) @ masked, masked @ a.transpose(0, 2, 1)
 
 
-def _grad_norm(grads: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    return math.sqrt(sum(float(np.sum(da**2) + np.sum(db**2)) for da, db in grads))
+def _block_sums(x: np.ndarray) -> list[float]:
+    """Sum of squares of each block of a stack; each block is reduced on
+    its own, in the order ``np.sum`` uses on that block alone."""
+    return np.add.reduce((x * x).reshape(len(x), -1), axis=1).tolist()
 
 
-def _adapter_factors(adapter: Adapter) -> list[tuple[np.ndarray, np.ndarray]]:
-    if isinstance(adapter, LoraAdapter):
-        return [(adapter.a.data, adapter.b.data)]
-    return [(a.data, b.data) for a, b in adapter.factors]
+def _grad_norm(da: np.ndarray, db: np.ndarray) -> float:
+    return math.sqrt(sum(sa + sb for sa, sb in zip(_block_sums(da), _block_sums(db))))
 
 
 def _check_adapter(problem: FitProblem, adapter: Adapter) -> None:
-    if problem.kind == "lora":
-        if not isinstance(adapter, LoraAdapter):
-            raise ConfigurationError("problem kind is lora but adapter is not")
+    if not isinstance(adapter, LoraAdapter if problem.kind == "lora" else SmoaAdapter):
+        raise ConfigurationError(f"problem kind is {problem.kind} but adapter is not")
+    if isinstance(adapter, LoraAdapter):
         if (adapter.d_out, adapter.d_in) != problem.target.shape:
             raise DimensionError(
                 f"adapter {(adapter.d_out, adapter.d_in)} does not match "
                 f"target {problem.target.shape}"
             )
-    else:
-        if not isinstance(adapter, SmoaAdapter):
-            raise ConfigurationError("problem kind is smoa but adapter is not")
-        assert problem.plan is not None
-        if adapter.plan.k != problem.plan.k or not (
-            adapter.plan.p_out == problem.plan.p_out and adapter.plan.p_in == problem.plan.p_in
-        ):
-            raise ConfigurationError("adapter was built over a different plan")
+    elif (adapter.plan.k, adapter.plan.p_out, adapter.plan.p_in) != (
+        problem.plan.k, problem.plan.p_out, problem.plan.p_in
+    ):
+        raise ConfigurationError("adapter was built over a different plan")
 
 
 def loss(problem: FitProblem, adapter: Adapter) -> float:
     """Objective value 0.5 * ||Delta - T||_F^2 for this adapter."""
     _check_adapter(problem, adapter)
-    return _Objective(problem).loss(_adapter_factors(adapter))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Objective(problem).evaluate(*_stacked_factors(adapter))[0]
 
 
 def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matrix], ...]:
@@ -222,40 +218,31 @@ def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matri
     R_k = (B_k A_k) * M_k - T_k, products entrywise against anchors.
     """
     _check_adapter(problem, adapter)
-    grads = _Objective(problem).gradients(_adapter_factors(adapter))
-    return tuple((Matrix(da), Matrix(db)) for da, db in grads)
+    objective = _Objective(problem)
+    a, b = _stacked_factors(adapter)
+    da, db = objective.gradients(a, b, objective.evaluate(a, b)[1])
+    return tuple((Matrix(da_k), Matrix(db_k)) for da_k, db_k in zip(da, db))
 
 
-def _spectral_lora_factors(target: Matrix, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    m = min(target.shape)
-    if r > m:
-        raise ConfigurationError(f"spectral init needs r <= {m}, got {r}")
-    dec = svd(target)
-    root = np.sqrt(dec.singular_values[:r])
-    b = dec.left_vectors.data[:, :r] * root
-    a = (dec.right_vectors.data[:, :r] * root).T
-    return [(a.copy(), b.copy())]
-
-
-def _initial_factors(problem: FitProblem, init: AdapterInit) -> list[tuple[np.ndarray, np.ndarray]]:
+def _initial_factors(problem: FitProblem, init: AdapterInit) -> tuple[np.ndarray, np.ndarray]:
     if init.scheme == "spectral":
         if problem.kind != "lora":
             raise ConfigurationError("spectral init applies to lora fits only")
-        return _spectral_lora_factors(problem.target, problem.r)
-    if problem.kind == "lora":
-        adapter: Adapter = init_lora(problem.target.rows, problem.target.cols, problem.r, init)
+        m = min(problem.target.shape)
+        if problem.r > m:
+            raise ConfigurationError(f"spectral init needs r <= {m}, got {problem.r}")
+        adapter: Adapter = LoraAdapter(*balanced_factors(problem.target, problem.r))
+    elif problem.kind == "lora":
+        adapter = init_lora(problem.target.rows, problem.target.cols, problem.r, init)
     else:
-        assert problem.plan is not None
         adapter = init_smoa(problem.plan, problem.r, init)
-    return [(a.copy(), b.copy()) for a, b in _adapter_factors(adapter)]
+    return _stacked_factors(adapter)
 
 
-def _build_adapter(problem: FitProblem, factors: list[tuple[np.ndarray, np.ndarray]]) -> Adapter:
+def _build_adapter(problem: FitProblem, a: np.ndarray, b: np.ndarray) -> Adapter:
+    pairs = tuple((Matrix(a_k), Matrix(b_k)) for a_k, b_k in zip(a, b))
     if problem.kind == "lora":
-        a, b = factors[0]
-        return LoraAdapter(Matrix(a), Matrix(b))
-    assert problem.plan is not None
-    pairs = tuple((Matrix(a), Matrix(b)) for a, b in factors)
+        return LoraAdapter(*pairs[0])
     return SmoaAdapter(problem.plan, problem.r // problem.plan.k, pairs)
 
 
@@ -264,50 +251,53 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
 
     Stops when the gradient norm falls below ``grad_tol``, when
     ``max_steps`` is exhausted, or when no step (after halvings) makes
-    progress. Raises :class:`NumericalError` with the step index if the
-    loss leaves the finite range.
+    progress; ``FitTrace.stop_reason`` records which. Raises
+    :class:`NumericalError` with the step index if the loss leaves the
+    finite range.
     """
     objective = _Objective(problem)
-    factors = _initial_factors(problem, init)
-    current_loss = objective.loss(factors)
-    grads = objective.gradients(factors)
-    gnorm = _grad_norm(grads)
-    steps = [TraceStep(0, current_loss, gnorm)]
-    converged = gnorm < config.grad_tol
+    a, b = _initial_factors(problem, init)
+    stop_reason = "grad_tol"
     step = 0
-    while not converged and step < config.max_steps:
-        eta = config.step_size
-        accepted = None
-        candidate_loss = math.inf
-        for _ in range(config.max_halvings + 1):
-            candidate = [(a - eta * da, b - eta * db) for (a, b), (da, db) in zip(factors, grads)]
-            candidate_loss = objective.loss(candidate)
-            if math.isfinite(candidate_loss) and candidate_loss <= current_loss:
-                accepted = candidate
+    # a candidate step may overflow; the loop detects non-finite losses,
+    # so the warning is suppressed rather than surfaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        current_loss, residual = objective.evaluate(a, b)
+        da, db = objective.gradients(a, b, residual)
+        gnorm = _grad_norm(da, db)
+        steps = [TraceStep(0, current_loss, gnorm)]
+        while not gnorm < config.grad_tol:
+            if step == config.max_steps:
+                stop_reason = "max_steps"
                 break
-            eta /= 2
-        if accepted is None:
-            if not math.isfinite(candidate_loss):
-                raise NumericalError(f"loss diverged to non-finite at step {step + 1}")
-            break  # no progress at the smallest step; stop with converged=False
-        factors = accepted
-        current_loss = candidate_loss
-        grads = objective.gradients(factors)
-        gnorm = _grad_norm(grads)
-        step += 1
-        steps.append(TraceStep(step, current_loss, gnorm))
-        converged = gnorm < config.grad_tol
+            eta = config.step_size
+            for _ in range(config.max_halvings + 1):
+                candidate_a, candidate_b = a - eta * da, b - eta * db
+                candidate_loss, residual = objective.evaluate(candidate_a, candidate_b)
+                if math.isfinite(candidate_loss) and candidate_loss <= current_loss:
+                    break
+                eta /= 2
+            else:
+                if not math.isfinite(candidate_loss):
+                    raise NumericalError(f"loss diverged to non-finite at step {step + 1}")
+                stop_reason = "stalled"
+                break
+            a, b, current_loss = candidate_a, candidate_b, candidate_loss
+            da, db = objective.gradients(a, b, residual)
+            gnorm = _grad_norm(da, db)
+            step += 1
+            steps.append(TraceStep(step, current_loss, gnorm))
     floor = None
     if problem.kind == "lora":
         floor = 0.5 * tail_energy(problem.target, min(problem.r, min(problem.target.shape)))
     return FitTrace(
         steps=tuple(steps),
-        adapter=_build_adapter(problem, factors),
-        converged=converged,
+        adapter=_build_adapter(problem, a, b),
         floor=floor,
         target_norm_sq=float(np.sum(problem.target.data**2)),
         init=init,
         config=config,
+        stop_reason=stop_reason,
     )
 
 
@@ -322,22 +312,20 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
         raise ConfigurationError(f"step must be positive, got {step}")
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
-    factors = [(a.copy(), b.copy()) for a, b in _adapter_factors(adapter)]
-    analytic = objective.gradients(factors)
+    a, b = _stacked_factors(adapter)
+    analytic = objective.gradients(a, b, objective.evaluate(a, b)[1])
     worst = 0.0
-    for pair_index, (da, db) in enumerate(analytic):
-        for side, grad in ((0, da), (1, db)):
-            entries = factors[pair_index][side]
-            flat = entries.ravel()
-            for idx in range(flat.size):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor, grad in zip((a, b), analytic):
+            flat = factor.ravel()
+            for idx, reference in enumerate(grad.ravel()):
                 original = flat[idx]
                 flat[idx] = original + step
-                plus = objective.loss(factors)
+                plus = objective.evaluate(a, b)[0]
                 flat[idx] = original - step
-                minus = objective.loss(factors)
+                minus = objective.evaluate(a, b)[0]
                 flat[idx] = original
                 numeric = (plus - minus) / (2 * step)
-                reference = grad.ravel()[idx]
                 scale = max(abs(reference), abs(numeric), 1e-12)
                 worst = max(worst, abs(reference - numeric) / scale)
     return worst
@@ -354,6 +342,7 @@ def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str |
         "relative_loss": trace.relative_loss,
         "floor": trace.floor,
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
         "steps": trace.step_count,
         "seed": trace.init.seed,
         "config": {

@@ -206,6 +206,16 @@ class TestRankCeilingGap:
         assert lines[0] == "rank,epsilon,rows,cols"
         assert lines[1].split(",")[0] == "4"
 
+    def test_rank_epsilon_default_and_guard(self, workdir, seeded_matrix, capsys):
+        from smoa import default_tolerance, singular_values
+
+        matrix = load_matrix(seeded_matrix)
+        code, payload = run(capsys, "rank", "--matrix", seeded_matrix, "--quiet")
+        assert code == 0
+        assert payload["epsilon"] == default_tolerance(matrix.shape, singular_values(matrix)[0])
+        code, _ = run(capsys, "rank", "--matrix", seeded_matrix, "--epsilon", "-1", "--quiet")
+        assert code == 2
+
     def test_rank_requires_exactly_one_source(self, workdir, seeded_matrix, capsys):
         code, _ = run(capsys, "rank", "--quiet")
         assert code == 2
@@ -252,6 +262,8 @@ class TestFit:
         assert (workdir / "fit.trace.csv").exists()
         summary = json.loads((workdir / "fit.summary.json").read_text())
         assert summary["final_loss"] == payload["final_loss"]
+        assert payload["stop_reason"] == summary["stop_reason"]
+        assert payload["stop_reason"] in ("grad_tol", "max_steps", "stalled")
         adapter = load_adapter(workdir / "fit.adapter.json")
         assert adapter.r == 2
 

@@ -6,9 +6,13 @@ from numpy.testing import assert_allclose
 from smoa import (
     Matrix,
     RangeError,
+    balanced_factors,
+    build_plan,
     default_tolerance,
+    make_witness,
     numerical_rank,
     singular_values,
+    smoa_exact_fit,
     svd,
     tail_energy,
     truncated_svd,
@@ -149,3 +153,34 @@ class TestTailEnergy:
     def test_full_energy_is_squared_norm(self, rng):
         w = random_matrix(rng, 6, 3)
         assert tail_energy(w, 0) == pytest.approx(w.norm() ** 2, rel=1e-12)
+
+
+class TestBalancedFactors:
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4)])
+    def test_square_root_split_bits(self, rng, shape):
+        c = random_matrix(rng, *shape)
+        dec = svd(c)
+        root = np.sqrt(dec.singular_values[:3])
+        a, b = balanced_factors(c, 3)
+        assert np.array_equal(b.data, dec.left_vectors.data[:, :3] * root)
+        assert np.array_equal(a.data, (dec.right_vectors.data[:, :3] * root).T)
+
+    def test_product_is_truncation(self, rng):
+        c = random_matrix(rng, 7, 5)
+        a, b = balanced_factors(c, 2)
+        assert_allclose((b @ a).data, truncated_svd(c, 2).data, atol=1e-12)
+
+    def test_exact_fit_uses_the_split(self, rng):
+        plan = build_plan(random_matrix(rng, 8, 8), 2)
+        witness = make_witness(plan, rho=2, seed=4)
+        exact = smoa_exact_fit(witness)
+        for (a, b), c in zip(exact.factors, witness.coefficients):
+            ref_a, ref_b = balanced_factors(c, 2)
+            assert np.array_equal(a.data, ref_a.data) and np.array_equal(b.data, ref_b.data)
+
+    def test_rank_out_of_range(self, rng):
+        c = random_matrix(rng, 4, 3)
+        with pytest.raises(RangeError):
+            balanced_factors(c, 0)
+        with pytest.raises(RangeError):
+            balanced_factors(c, 4)

@@ -1,8 +1,11 @@
 """Descent on the approximation objective: gradients, floors, traces."""
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from smoa import (
@@ -13,6 +16,7 @@ from smoa import (
     FitProblem,
     Matrix,
     NumericalError,
+    apply_permutations,
     build_plan,
     finite_difference_check,
     fit,
@@ -25,6 +29,7 @@ from smoa import (
     make_witness,
     save_trace,
     smoa_update,
+    svd,
     tail_energy,
     update,
 )
@@ -280,3 +285,194 @@ class TestTraceFiles:
         assert summary["converged"] == trace.converged
         assert summary["seed"] == 6
         assert summary["config"]["step_size"] == 1e-2
+
+
+def _reference_objective(problem):
+    """Per-block loss and gradients, one Python pass per block.
+
+    This is the evaluation the stacked core replaced; it stays here as
+    the oracle the stacked core must reproduce bit for bit.
+    """
+    if problem.kind == "lora":
+        t = problem.target.data
+
+        def loss_fn(factors):
+            (a, b), = factors
+            return 0.5 * float(np.sum((b @ a - t) ** 2))
+
+        def grad_fn(factors):
+            (a, b), = factors
+            residual = b @ a - t
+            return [(b.T @ residual, residual @ a.T)]
+
+        return loss_fn, grad_fn
+    plan = problem.plan
+    reordered = apply_permutations(problem.target, plan.p_out, plan.p_in).data
+    anchors = [anchor.data for anchor in plan.anchors]
+    blocks = [
+        reordered[r0:r1, c0:c1].copy()
+        for (r0, r1), (c0, c1) in zip(plan.row_intervals, plan.col_intervals)
+    ]
+    in_block = 0.0
+    for block in blocks:
+        in_block += float(np.sum(block**2))
+    constant = 0.5 * max(float(np.sum(reordered**2)) - in_block, 0.0)
+
+    def loss_fn(factors):
+        acc = constant
+        for (a, b), anchor, block in zip(factors, anchors, blocks):
+            acc += 0.5 * float(np.sum(((b @ a) * anchor - block) ** 2))
+        return acc
+
+    def grad_fn(factors):
+        grads = []
+        for (a, b), anchor, block in zip(factors, anchors, blocks):
+            masked = ((b @ a) * anchor - block) * anchor
+            grads.append((b.T @ masked, masked @ a.T))
+        return grads
+
+    return loss_fn, grad_fn
+
+
+def _reference_descent(problem, factors, config):
+    """Per-block backtracking loop; returns the (step, loss, grad_norm) path."""
+    loss_fn, grad_fn = _reference_objective(problem)
+
+    def grad_norm(grads):
+        return math.sqrt(sum(float(np.sum(da**2) + np.sum(db**2)) for da, db in grads))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = loss_fn(factors)
+        grads = grad_fn(factors)
+        gnorm = grad_norm(grads)
+        path = [(0, current, gnorm)]
+        step = 0
+        while not gnorm < config.grad_tol and step < config.max_steps:
+            eta = config.step_size
+            accepted = None
+            for _ in range(config.max_halvings + 1):
+                candidate = [(a - eta * da, b - eta * db) for (a, b), (da, db) in zip(factors, grads)]
+                candidate_loss = loss_fn(candidate)
+                if math.isfinite(candidate_loss) and candidate_loss <= current:
+                    accepted = candidate
+                    break
+                eta /= 2
+            if accepted is None:
+                break
+            factors, current = accepted, candidate_loss
+            grads = grad_fn(factors)
+            gnorm = grad_norm(grads)
+            step += 1
+            path.append((step, current, gnorm))
+    return path, factors
+
+
+def _pairs(adapter):
+    if hasattr(adapter, "factors"):
+        return [(a.data, b.data) for a, b in adapter.factors]
+    return [(adapter.a.data, adapter.b.data)]
+
+
+def _assert_matches_reference(problem, init, config):
+    if init.scheme == "spectral":
+        dec = svd(problem.target)
+        root = np.sqrt(dec.singular_values[:problem.r])
+        start = [((dec.right_vectors.data[:, :problem.r] * root).T,
+                  dec.left_vectors.data[:, :problem.r] * root)]
+    elif problem.kind == "lora":
+        start = _pairs(init_lora(problem.target.rows, problem.target.cols, problem.r, init))
+    else:
+        start = _pairs(init_smoa(problem.plan, problem.r, init))
+    path, factors = _reference_descent(problem, start, config)
+    trace = fit(problem, init, config)
+    assert [(s.step, s.loss, s.grad_norm) for s in trace.steps] == path
+    for (a, b), (ref_a, ref_b) in zip(_pairs(trace.adapter), factors):
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+    return trace
+
+
+class TestStackedCoreMatchesPerBlockReference:
+    """The batched core reproduces the per-block trajectory exactly."""
+
+    def test_witness_8x8_k2_rho2(self, rng):
+        plan = build_plan(random_matrix(rng, 8, 8), 2)
+        witness = make_witness(plan, rho=2, seed=3)
+        problem = FitProblem(witness.target, "smoa", 4, plan)
+        config = FitConfig(step_size=0.05, max_steps=3000, grad_tol=1e-7, max_halvings=20)
+        trace = _assert_matches_reference(problem, AdapterInit("gaussian", seed=0, scale=0.5), config)
+        assert trace.step_count > 100
+
+    def test_64x64_k4_fixed_steps(self, rng):
+        plan = build_plan(random_matrix(rng, 64, 64), 4)
+        problem = FitProblem(random_matrix(rng, 64, 64), "smoa", 16, plan)
+        config = FitConfig(step_size=0.01, max_steps=300, grad_tol=0.0)
+        trace = _assert_matches_reference(problem, AdapterInit("gaussian", seed=3), config)
+        assert trace.step_count == 300
+
+    def test_rectangular_plan(self, rng):
+        plan = build_plan(random_matrix(rng, 12, 18), 3)
+        problem = FitProblem(random_matrix(rng, 12, 18), "smoa", 6, plan)
+        config = FitConfig(step_size=0.02, max_steps=400, grad_tol=0.0)
+        _assert_matches_reference(problem, AdapterInit("gaussian", seed=4), config)
+
+    @pytest.mark.parametrize("scheme", ["gaussian", "spectral"])
+    def test_lora(self, rng, scheme):
+        plan = build_plan(random_matrix(rng, 8, 8), 2)
+        witness = make_witness(plan, rho=2, seed=5)
+        problem = FitProblem(witness.target, "lora", 4)
+        config = FitConfig(step_size=0.05, max_steps=500, grad_tol=1e-9, max_halvings=20)
+        _assert_matches_reference(problem, AdapterInit(scheme, seed=6, scale=0.5), config)
+
+
+class TestLossAgreesWithUpdate:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_block_loss_is_half_squared_update_residual(self, k, s_out, s_in, seed):
+        rng = np.random.default_rng(seed)
+        rho = int(rng.integers(1, min(s_out, s_in) + 1))
+        plan = build_plan(random_matrix(rng, k * s_out, k * s_in), k)
+        target = random_matrix(rng, k * s_out, k * s_in)
+        adapter = init_smoa(plan, k * rho, AdapterInit("gaussian", seed=seed))
+        expected = 0.5 * float(np.sum((smoa_update(adapter).data - target.data) ** 2))
+        got = loss(FitProblem(target, "smoa", k * rho, plan), adapter)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestStopReason:
+    def test_grad_tol(self, rng):
+        problem = FitProblem(random_matrix(rng, 6, 6), "lora", 2)
+        trace = fit(problem, AdapterInit("gaussian", seed=1),
+                    FitConfig(step_size=0.05, max_steps=50000, grad_tol=1e-6))
+        assert trace.stop_reason == "grad_tol"
+        assert trace.converged
+        assert trace.steps[-1].grad_norm < 1e-6
+        assert trace.step_count < 50000
+
+    def test_max_steps(self, rng):
+        problem = FitProblem(random_matrix(rng, 6, 6), "lora", 2)
+        trace = fit(problem, AdapterInit("gaussian", seed=1), FitConfig(max_steps=5, grad_tol=0.0))
+        assert trace.stop_reason == "max_steps"
+        assert not trace.converged
+        assert trace.step_count == 5
+
+    def test_stalled(self, rng):
+        """An oversized step with no halvings raises the loss, so descent
+        stops at step zero without converging."""
+        problem = FitProblem(random_matrix(rng, 4, 4), "lora", 2)
+        trace = fit(problem, AdapterInit("gaussian", seed=3),
+                    FitConfig(step_size=10.0, max_steps=100, max_halvings=0))
+        assert trace.stop_reason == "stalled"
+        assert not trace.converged
+        assert trace.step_count == 0
+
+    def test_summary_records_reason(self, rng, tmp_path):
+        problem = FitProblem(random_matrix(rng, 4, 4), "lora", 2)
+        trace = fit(problem, AdapterInit("gaussian", seed=6), FitConfig(max_steps=3, grad_tol=0.0))
+        save_trace(trace, tmp_path / "trace.csv", tmp_path / "summary.json")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["stop_reason"] == "max_steps"
