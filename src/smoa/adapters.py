@@ -25,7 +25,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import atomic_write_text, sha256_file
+from .fileutil import atomic_write_text, envelope_fields, read_envelope, sha256_file
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix
 from .preprocess import BlockPlan, load_plan
@@ -332,43 +332,36 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
     match; a stale pairing raises :class:`ConfigurationError`.
     """
     target = Path(path)
-    with open(target, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"adapter file is not valid JSON: {exc}") from exc
-    if doc.get("format") != ADAPTER_FORMAT:
-        raise FormatError(f"not a {ADAPTER_FORMAT} file: {doc.get('format')!r}")
-    if doc.get("version") != ADAPTER_VERSION:
-        raise FormatError(f"unsupported adapter version {doc.get('version')!r}")
-    factors = [load_matrix(target.parent / name) for name in doc["factors"]]
-    kind = doc.get("kind")
-    if kind == "lora":
-        if len(factors) != 2:
-            raise FormatError(f"lora envelope lists {len(factors)} factors, expected 2")
-        adapter: Adapter = LoraAdapter(factors[0], factors[1])
-    elif kind == "smoa":
-        if doc.get("plan_path") is None:
-            raise FormatError("smoa envelope is missing plan_path")
-        plan_file = target.parent / doc["plan_path"]
-        if doc.get("plan_hash") is not None:
-            current = sha256_file(plan_file)
-            if current != doc["plan_hash"]:
-                raise ConfigurationError(
-                    f"stale pairing: plan {plan_file} hash {current[:12]}... does not "
-                    f"match adapter's recorded {doc['plan_hash'][:12]}..."
+    doc = read_envelope(target, ADAPTER_FORMAT, ADAPTER_VERSION, "adapter file")
+    with envelope_fields("adapter file"):
+        factors = [load_matrix(target.parent / name) for name in doc["factors"]]
+        kind = doc.get("kind")
+        if kind == "lora":
+            if len(factors) != 2:
+                raise FormatError(f"lora envelope lists {len(factors)} factors, expected 2")
+            adapter: Adapter = LoraAdapter(factors[0], factors[1])
+        elif kind == "smoa":
+            if doc.get("plan_path") is None:
+                raise FormatError("smoa envelope is missing plan_path")
+            plan_file = target.parent / doc["plan_path"]
+            if doc.get("plan_hash") is not None:
+                current = sha256_file(plan_file)
+                if current != doc["plan_hash"]:
+                    raise ConfigurationError(
+                        f"stale pairing: plan {plan_file} hash {current[:12]}... does not "
+                        f"match adapter's recorded {doc['plan_hash'][:12]}..."
+                    )
+            plan = load_plan(plan_file)
+            if len(factors) != 2 * plan.k:
+                raise FormatError(
+                    f"smoa envelope lists {len(factors)} factors for k={plan.k}"
                 )
-        plan = load_plan(plan_file)
-        if len(factors) != 2 * plan.k:
-            raise FormatError(
-                f"smoa envelope lists {len(factors)} factors for k={plan.k}"
+            pairs = tuple(
+                (factors[2 * g], factors[2 * g + 1]) for g in range(plan.k)
             )
-        pairs = tuple(
-            (factors[2 * g], factors[2 * g + 1]) for g in range(plan.k)
-        )
-        adapter = SmoaAdapter(plan, int(doc["rho"]), pairs)
-    else:
-        raise FormatError(f"unknown adapter kind {kind!r}")
-    if adapter.r != int(doc["r"]):
-        raise FormatError(f"envelope says r={doc['r']}, factors give r={adapter.r}")
-    return adapter
+            adapter = SmoaAdapter(plan, int(doc["rho"]), pairs)
+        else:
+            raise FormatError(f"unknown adapter kind {kind!r}")
+        if adapter.r != int(doc["r"]):
+            raise FormatError(f"envelope says r={doc['r']}, factors give r={adapter.r}")
+        return adapter

@@ -23,12 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, RangeError
-from .fileutil import atomic_write_text
+from .errors import ConfigurationError, RangeError
+from .fileutil import atomic_write_text, envelope_fields, read_envelope
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, block_diagonal, hadamard, invert_permutations
 from .preprocess import BlockPlan, load_plan, save_plan
-from .spectrum import balanced_factors, default_tolerance, numerical_rank, singular_values, tail_energy
+from .spectrum import (
+    _rank_from_values,
+    _tail_from_values,
+    balanced_factors,
+    default_tolerance,
+    numerical_rank,
+    singular_values,
+    tail_energy,
+)
 
 __all__ = [
     "BlockCeiling",
@@ -206,7 +214,8 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     """Write a witness bundle: plan, target, coefficients, manifest.
 
     The manifest records seed, rho, both rank readings, and the gap at
-    every budget r = 1..min(d_out, d_in).
+    every budget r = 1..min(d_out, d_in), all read off one singular-value
+    decomposition of the target; each gap equals ``lora_gap(witness, r)``.
     """
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
@@ -217,6 +226,7 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
         name = f"coeff_{i:02d}.mat"
         save_matrix(c, base / name)
         coeff_names.append(name)
+    values = singular_values(witness.target)
     m = min(witness.target.shape)
     manifest = {
         "format": WITNESS_FORMAT,
@@ -224,8 +234,8 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
         "seed": witness.seed,
         "rho": witness.rho,
         "reordered_target_rank": witness.reordered_target_rank,
-        "target_rank": numerical_rank(witness.target),
-        "gaps": {str(r): lora_gap(witness, r) for r in range(1, m + 1)},
+        "target_rank": _rank_from_values(values, witness.target.shape, None)[0],
+        "gaps": {str(r): _tail_from_values(values, r) for r in range(1, m + 1)},
         "plan": "plan.json",
         "target": "target.mat",
         "coefficients": coeff_names,
@@ -236,23 +246,18 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     base = Path(directory)
-    with open(base / "witness.json", "r", encoding="utf-8") as handle:
-        try:
-            manifest = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"witness manifest is not valid JSON: {exc}") from exc
-    if manifest.get("format") != WITNESS_FORMAT:
-        raise FormatError(f"not a {WITNESS_FORMAT} manifest: {manifest.get('format')!r}")
-    if manifest.get("version") != WITNESS_VERSION:
-        raise FormatError(f"unsupported witness version {manifest.get('version')!r}")
-    plan = load_plan(base / manifest["plan"])
-    target = load_matrix(base / manifest["target"])
-    coefficients = tuple(load_matrix(base / name) for name in manifest["coefficients"])
-    return WitnessInstance(
-        plan=plan,
-        coefficients=coefficients,
-        target=target,
-        reordered_target_rank=int(manifest["reordered_target_rank"]),
-        rho=int(manifest["rho"]),
-        seed=int(manifest["seed"]),
+    manifest = read_envelope(
+        base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, "witness manifest"
     )
+    with envelope_fields("witness manifest"):
+        plan = load_plan(base / manifest["plan"])
+        target = load_matrix(base / manifest["target"])
+        coefficients = tuple(load_matrix(base / name) for name in manifest["coefficients"])
+        return WitnessInstance(
+            plan=plan,
+            coefficients=coefficients,
+            target=target,
+            reordered_target_rank=int(manifest["reordered_target_rank"]),
+            rho=int(manifest["rho"]),
+            seed=int(manifest["seed"]),
+        )

@@ -347,7 +347,7 @@ def cmd_sweep(args) -> dict:
     with open(args.spec, "r", encoding="utf-8") as handle:
         try:
             spec = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise FormatError(f"sweep spec is not valid JSON: {exc}") from exc
     try:
         dims = [int(d) for d in spec["dims"]]

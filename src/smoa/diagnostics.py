@@ -35,7 +35,7 @@ import scipy.integrate
 from .errors import ConfigurationError, DimensionError, EstimationError, RangeError
 from .fileutil import atomic_write_text
 from .matrices import Matrix
-from .spectrum import default_tolerance, svd
+from .spectrum import SpectralDecomposition, _rank_from_values, svd
 
 __all__ = [
     "ActivationSample",
@@ -143,17 +143,14 @@ def normalized_spectrum(w: Matrix, noise_scale: float | None = None) -> np.ndarr
     return values / (noise_scale * math.sqrt(max(w.shape)))
 
 
-def mp_bulk_edge(rows: int, cols: int, noise_scale: float = 1.0) -> float:
+def mp_bulk_edge(rows: int, cols: int) -> float:
     """Upper bulk edge 1 + sqrt(lambda) in normalized units.
 
     The normalization already divides the noise scale out, so the edge
-    depends only on the aspect ratio; ``noise_scale`` is validated for
-    signature compatibility with the raw-spectrum call sites.
+    depends only on the aspect ratio.
     """
     if rows < 1 or cols < 1:
         raise RangeError(f"dimensions must be positive, got {rows}x{cols}")
-    if noise_scale <= 0:
-        raise ConfigurationError(f"noise scale must be positive, got {noise_scale}")
     return 1.0 + math.sqrt(_aspect_ratio(rows, cols))
 
 
@@ -200,17 +197,22 @@ class ActivationSample:
         return self._eigensystem[1]
 
 
-def overlap_scores(w: Matrix, activations: ActivationSample) -> list[tuple[int, float]]:
-    """Squared best alignment of each right singular vector of ``w``
-    against the activation eigenbasis; ``(k, score)`` with k 1-based."""
-    if activations.d_in != w.cols:
+def _overlaps(dec: SpectralDecomposition, activations: ActivationSample) -> list[tuple[int, float]]:
+    """Overlap scores from a decomposition the caller already holds."""
+    right = dec.right_vectors.data
+    if activations.d_in != right.shape[0]:
         raise DimensionError(
-            f"activations live in dimension {activations.d_in}, weight columns are {w.cols}"
+            f"activations live in dimension {activations.d_in}, weight columns are {right.shape[0]}"
         )
-    right = svd(w).right_vectors.data
     projections = (right.T @ activations.eigenvectors) ** 2
     best = np.minimum(projections.max(axis=1), 1.0)
     return [(k + 1, float(score)) for k, score in enumerate(best)]
+
+
+def overlap_scores(w: Matrix, activations: ActivationSample) -> list[tuple[int, float]]:
+    """Squared best alignment of each right singular vector of ``w``
+    against the activation eigenbasis; ``(k, score)`` with k 1-based."""
+    return _overlaps(svd(w), activations)
 
 
 def _bulk_band(
@@ -275,15 +277,11 @@ def full_report(
         raise ConfigurationError(f"noise scale must be positive, got {noise_scale}")
     nu = values / (noise_scale * math.sqrt(max(w.shape)))
     edge = mp_bulk_edge(w.rows, w.cols)
-    if epsilon is None:
-        epsilon = default_tolerance(w.shape, values[0] if values.size else 0.0)
-    if epsilon < 0:
-        raise RangeError(f"epsilon must be nonnegative, got {epsilon}")
-    rank = int(np.count_nonzero(values > epsilon))
+    rank, epsilon = _rank_from_values(values, w.shape, epsilon)
     tail = np.concatenate([np.cumsum((values**2)[::-1])[::-1], [0.0]])
     curve = tuple((r, float(tail[r])) for r in range(values.size + 1))
     if activations is not None:
-        pairs = overlap_scores(w, activations)
+        pairs = _overlaps(dec, activations)
         mean, sigma = _bulk_band(activations.eigenvectors, band_draws, seed)
     else:
         pairs, mean, sigma = [], None, None

@@ -1,10 +1,15 @@
-"""Atomic file writes and content hashing for artifact files."""
+"""Atomic file writes, content hashing and envelope reads for artifact files."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import FormatError
 
 
 def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
@@ -36,3 +41,32 @@ def sha256_bytes(payload: bytes) -> str:
 def sha256_file(path: str | os.PathLike) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) -> dict:
+    """Parse a JSON artifact envelope: an object whose ``format`` is
+    ``fmt`` and whose ``version`` is ``version``. ``what`` names the
+    artifact in error messages. Anything else raises :class:`FormatError`.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if doc.get("format") != fmt:
+        raise FormatError(f"{what} is not {fmt}: got format {doc.get('format')!r}")
+    if doc.get("version") != version:
+        raise FormatError(f"unsupported {what} version {doc.get('version')!r}")
+    return doc
+
+
+@contextmanager
+def envelope_fields(what: str) -> Iterator[None]:
+    """Report a missing or mistyped envelope field as :class:`FormatError`
+    (``KeyError``, ``TypeError`` and ``ValueError`` raised inside)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

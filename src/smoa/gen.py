@@ -22,8 +22,14 @@ __all__ = [
 ]
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise RangeError(f"dimensions must be positive, got {rows}x{cols}")
+
+
 def gaussian_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> Matrix:
     """i.i.d. N(0, scale^2) entries."""
+    _check_shape(rows, cols)
     if scale <= 0:
         raise ConfigurationError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
@@ -32,6 +38,7 @@ def gaussian_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> Matr
 
 def diagonal_matrix(rows: int, cols: int, values: Sequence[float]) -> Matrix:
     """Given values on the main diagonal, zero elsewhere."""
+    _check_shape(rows, cols)
     return Matrix.diagonal(values, rows=rows, cols=cols)
 
 
@@ -45,6 +52,7 @@ def spiked_matrix(
     the noise normalization, so a strength well above the bulk edge
     shows up as exactly that many spectral outliers.
     """
+    _check_shape(rows, cols)
     if spikes < 0 or spikes > min(rows, cols):
         raise RangeError(f"spikes={spikes} out of range 0..{min(rows, cols)}")
     if strength < 0:
@@ -67,6 +75,7 @@ def low_rank_plus_noise(
     The signal part is scaled by 1/sqrt(rank) so its entries stay O(1)
     regardless of rank. ``rank = 0`` gives pure noise.
     """
+    _check_shape(rows, cols)
     if rank < 0 or rank > min(rows, cols):
         raise RangeError(f"rank={rank} out of range 0..{min(rows, cols)}")
     if noise < 0:

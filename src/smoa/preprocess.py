@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import atomic_write_text
+from .fileutil import atomic_write_text, envelope_fields, read_envelope
 from .matio import load_matrix, matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, apply_permutations, block_extract
 from .spectrum import SpectralDecomposition, svd
@@ -187,29 +187,22 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None 
 def load_plan(path: str | os.PathLike) -> BlockPlan:
     """Read a SMOA-PLAN v1 file; anchor entries may be inline CSV blocks
     or paths to matrix files, resolved relative to the plan file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"plan file is not valid JSON: {exc}") from exc
-    if doc.get("format") != PLAN_FORMAT:
-        raise FormatError(f"not a {PLAN_FORMAT} file: {doc.get('format')!r}")
-    if doc.get("version") != PLAN_VERSION:
-        raise FormatError(f"unsupported plan version {doc.get('version')!r}")
+    doc = read_envelope(path, PLAN_FORMAT, PLAN_VERSION, "plan file")
     base = Path(path).parent
-    anchors = []
-    for entry in doc["anchors"]:
-        if isinstance(entry, str):
-            anchors.append(load_matrix(base / entry))
-        elif isinstance(entry, dict) and "csv" in entry:
-            anchors.append(matrix_from_csv(entry["csv"]))
-        else:
-            raise FormatError(f"anchor entry must be a path or a csv block, got {entry!r}")
-    return BlockPlan(
-        k=int(doc["k"]),
-        p_out=Permutation.from_one_based(doc["p_out"]),
-        p_in=Permutation.from_one_based(doc["p_in"]),
-        row_intervals=tuple(_interval_from_file(iv) for iv in doc["row_intervals"]),
-        col_intervals=tuple(_interval_from_file(iv) for iv in doc["col_intervals"]),
-        anchors=tuple(anchors),
-    )
+    with envelope_fields("plan file"):
+        anchors = []
+        for entry in doc["anchors"]:
+            if isinstance(entry, str):
+                anchors.append(load_matrix(base / entry))
+            elif isinstance(entry, dict) and "csv" in entry:
+                anchors.append(matrix_from_csv(entry["csv"]))
+            else:
+                raise FormatError(f"anchor entry must be a path or a csv block, got {entry!r}")
+        return BlockPlan(
+            k=int(doc["k"]),
+            p_out=Permutation.from_one_based(doc["p_out"]),
+            p_in=Permutation.from_one_based(doc["p_in"]),
+            row_intervals=tuple(_interval_from_file(iv) for iv in doc["row_intervals"]),
+            col_intervals=tuple(_interval_from_file(iv) for iv in doc["col_intervals"]),
+            anchors=tuple(anchors),
+        )

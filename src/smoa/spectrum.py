@@ -137,6 +137,12 @@ def truncated_svd(w: Matrix, r: int) -> Matrix:
     return Matrix((u * dec.singular_values[:r]) @ v.T)
 
 
+def _tail_from_values(s: np.ndarray, r: int) -> float:
+    """Sum of squares of ``s`` beyond index ``r``: the one tail formula,
+    shared by :func:`tail_energy` and the witness manifest."""
+    return float(np.sum(s[r:] ** 2))
+
+
 def tail_energy(w: Matrix, r: int) -> float:
     """Sum of squared singular values beyond index ``r``.
 
@@ -146,8 +152,7 @@ def tail_energy(w: Matrix, r: int) -> float:
     m = min(w.shape)
     if not 0 <= r <= m:
         raise RangeError(f"rank {r} out of range 0..{m} for shape {w.shape}")
-    s = singular_values(w)
-    return float(np.sum(s[r:] ** 2))
+    return _tail_from_values(singular_values(w), r)
 
 
 def balanced_factors(c: Matrix, r: int) -> tuple[Matrix, Matrix]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from smoa import Matrix
 
@@ -47,3 +48,25 @@ def rng():
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
     return Matrix(rng.standard_normal((rows, cols)))
+
+
+@pytest.fixture
+def count_decompositions(monkeypatch):
+    """``run(fn, *args)`` returns ``fn``'s result and how many times it
+    called ``scipy.linalg.svd`` and ``scipy.linalg.svdvals``, by name."""
+    counts: dict[str, int] = {}
+    for name in ("svd", "svdvals"):
+        real = getattr(scipy.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counting)
+
+    def run(fn, *args, **kwargs):
+        counts.clear()
+        result = fn(*args, **kwargs)
+        return result, dict(counts)
+
+    return run

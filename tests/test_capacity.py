@@ -290,6 +290,18 @@ class TestWitnessFiles:
         for r in range(1, 7):
             assert manifest["gaps"][str(r)] == pytest.approx(lora_gap(witness, r), rel=1e-12)
 
+    @pytest.mark.parametrize("rows,cols,k,rho", [(12, 12, 3, 2), (12, 8, 2, 1), (8, 8, 2, 0)])
+    def test_save_decomposes_target_once(
+        self, rng, tmp_path, count_decompositions, rows, cols, k, rho
+    ):
+        witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho=rho, seed=29)
+        _, calls = count_decompositions(save_witness, witness, tmp_path / "bundle")
+        assert calls == {"svdvals": 1}
+        manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
+        assert manifest["target_rank"] == numerical_rank(witness.target)
+        for r in range(1, min(rows, cols) + 1):
+            assert manifest["gaps"][str(r)] == lora_gap(witness, r)
+
     def test_bad_manifest_rejected(self, tmp_path):
         bundle = tmp_path / "bundle"
         bundle.mkdir()

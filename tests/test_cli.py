@@ -372,6 +372,90 @@ class TestSweep:
         assert code == 2
 
 
+def edit_json(path, edit):
+    """Rewrite the JSON file at ``path`` as ``edit(document)``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(edit(doc), handle)
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def with_field(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+class TestMalformedInput:
+    """Damaged artifacts and bad dimensions exit 2 with a one-line error."""
+
+    @staticmethod
+    def assert_rejected(capsys, *argv):
+        code = main([*argv, "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("edit", [
+        without("k"),
+        lambda doc: [doc],
+        with_field("k", "two"),
+        with_field("anchors", 3),
+    ], ids=["missing-k", "json-list", "k-not-a-number", "anchors-not-a-list"])
+    def test_plan(self, workdir, seeded_plan, capsys, edit):
+        edit_json(seeded_plan, edit)
+        self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{", b'{"format": "SMOA-PLAN"'],
+                             ids=["not-utf8", "truncated"])
+    def test_plan_bytes(self, workdir, seeded_plan, capsys, payload):
+        with open(seeded_plan, "wb") as handle:
+            handle.write(payload)
+        self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
+
+    @pytest.mark.parametrize("edit", [
+        without("rho"),
+        lambda doc: [doc],
+        with_field("rho", [2]),
+        without("coefficients"),
+    ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients"])
+    def test_witness(self, workdir, seeded_plan, capsys, edit):
+        _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        edit_json(payload["manifest"], edit)
+        self.assert_rejected(capsys, "gap", "--witness", payload["dir"], "--r", "2")
+
+    @pytest.mark.parametrize("edit", [
+        without("r"),
+        lambda doc: [doc],
+        with_field("factors", 4),
+        with_field("rho", None),
+    ], ids=["missing-r", "json-list", "factors-not-a-list", "rho-null"])
+    def test_adapter(self, workdir, seeded_plan, capsys, edit):
+        _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        edit_json(payload["path"], edit)
+        self.assert_rejected(capsys, "update", "--adapter", payload["path"])
+
+    def test_sweep_spec_not_utf8(self, workdir, capsys):
+        (workdir / "spec.json").write_bytes(b"\xff\xfe{")
+        self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
+    @pytest.mark.parametrize("rows,cols", [(-3, 4), (4, -3), (0, 4), (4, 0)])
+    @pytest.mark.parametrize("kind", [
+        ["gaussian"],
+        ["diagonal", "--values", "1"],
+        ["spiked", "--spikes", "1"],
+        ["low-rank-plus-noise"],
+    ], ids=lambda kind: kind[0])
+    def test_gen_dimensions(self, workdir, capsys, rows, cols, kind):
+        self.assert_rejected(
+            capsys, "gen", "--rows", str(rows), "--cols", str(cols), "--kind", *kind,
+        )
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, workdir, capsys):
         assert main(["gen", "--rows", "4"]) == 1  # missing required args

@@ -94,8 +94,8 @@ class TestBulkEdge:
     def test_guards(self):
         with pytest.raises(RangeError):
             mp_bulk_edge(0, 4)
-        with pytest.raises(ConfigurationError):
-            mp_bulk_edge(4, 4, noise_scale=-1.0)
+        with pytest.raises(RangeError):
+            mp_bulk_edge(4, 0)
 
 
 class TestNoiseEstimate:
@@ -234,6 +234,18 @@ class TestOverlapScores:
 
 
 class TestFullReport:
+    def test_one_svd_with_activations(self, rng, count_decompositions):
+        w = random_matrix(rng, 10, 6)
+        sample = ActivationSample(random_matrix(rng, 6, 40))
+        report, calls = count_decompositions(full_report, w, sample)
+        assert calls == {"svd": 1}
+        assert report.overlaps == tuple(overlap_scores(w, sample))
+
+    def test_mismatched_activations_rejected(self, rng):
+        sample = ActivationSample(random_matrix(rng, 5, 40))
+        with pytest.raises(DimensionError):
+            full_report(random_matrix(rng, 10, 6), sample)
+
     def test_consistency_with_parts(self):
         w = spiked_matrix(96, 128, spikes=3, strength=9.0, seed=31)
         report = full_report(w, noise_scale=1.0)
