@@ -73,8 +73,6 @@ from .matrices import (
     Permutation,
     apply_permutations,
     block_diagonal,
-    block_extract,
-    hadamard,
     invert_permutations,
 )
 from .preprocess import (

@@ -24,11 +24,11 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, DimensionError, FormatError, RangeError
 from .fileutil import atomic_write_text, envelope_fields, read_envelope, sha256_file
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix
-from .preprocess import BlockPlan, load_plan
+from .preprocess import BlockPlan, _anchor_stack, _scatter_blocks, load_plan
 
 __all__ = [
     "LoraAdapter",
@@ -142,6 +142,8 @@ class AdapterInit:
             raise ConfigurationError(f"unknown init scheme {self.scheme!r}")
         if not self.scale > 0:
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _draw(rng: np.random.Generator, rows: int, cols: int, scale: float) -> Matrix:
@@ -203,13 +205,6 @@ def _stacked_factors(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([a.data for a, _ in pairs]), np.stack([b.data for _, b in pairs])
 
 
-def _block_index(plan: BlockPlan) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` such that ``w[rows, cols]`` is the (K, s_out, s_in)
-    stack of reordered diagonal blocks, addressed in original coordinates."""
-    s_out, s_in = plan.block_shape
-    return plan.p_out.indices.reshape(plan.k, s_out, 1), plan.p_in.indices.reshape(plan.k, 1, s_in)
-
-
 def smoa_update(adapter: SmoaAdapter) -> Matrix:
     """Block update carried back to original coordinates.
 
@@ -220,9 +215,7 @@ def smoa_update(adapter: SmoaAdapter) -> Matrix:
     """
     plan = adapter.plan
     a, b = _stacked_factors(adapter)
-    out = np.zeros((plan.d_out, plan.d_in))
-    out[_block_index(plan)] = (b @ a) * np.stack([anchor.data for anchor in plan.anchors])
-    return Matrix(out)
+    return Matrix(_scatter_blocks((b @ a) * _anchor_stack(plan), plan.p_out, plan.p_in))
 
 
 def update(adapter: Adapter) -> Matrix:
@@ -321,6 +314,11 @@ def save_adapter(
         save_matrix(factor, factor_path)
         written.append(factor_path)
     atomic_write_text(target, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    # factor files a previous save under this name wrote beyond the new count
+    stale = len(factors)
+    while (orphan := target.parent / f"{target.stem}.f{stale:02d}.mat").exists():
+        orphan.unlink()
+        stale += 1
     return written
 
 

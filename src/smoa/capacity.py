@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ConfigurationError, RangeError
 from .fileutil import atomic_write_text, envelope_fields, read_envelope
 from .matio import load_matrix, save_matrix
-from .matrices import Matrix, block_diagonal, hadamard, invert_permutations
-from .preprocess import BlockPlan, load_plan, save_plan
+from .matrices import Matrix, apply_permutations
+from .preprocess import BlockPlan, _anchor_stack, _scatter_blocks, load_plan, save_plan
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -162,23 +162,20 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
     s_out, s_in = plan.block_shape
     if rho < 0 or rho > min(s_out, s_in):
         raise RangeError(f"rho={rho} out of range 0..{min(s_out, s_in)}")
+    if seed < 0:
+        raise RangeError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    coefficients = []
-    blocks = []
-    for anchor in plan.anchors:
-        if rho == 0:
-            c = Matrix.zeros(s_out, s_in)
-        else:
-            c = Matrix(rng.standard_normal((s_out, rho)) @ rng.standard_normal((rho, s_in)))
-        coefficients.append(c)
-        blocks.append(hadamard(c, anchor))
-    reordered = block_diagonal(blocks)
-    target = invert_permutations(reordered, plan.p_out, plan.p_in)
+    # one draw pair per block, in block order; rho = 0 is the empty product
+    coefficients = np.stack([
+        rng.standard_normal((s_out, rho)) @ rng.standard_normal((rho, s_in))
+        for _ in range(plan.k)
+    ])
+    target = Matrix(_scatter_blocks(coefficients * _anchor_stack(plan), plan.p_out, plan.p_in))
     return WitnessInstance(
         plan=plan,
-        coefficients=tuple(coefficients),
+        coefficients=tuple(Matrix(c) for c in coefficients),
         target=target,
-        reordered_target_rank=numerical_rank(reordered),
+        reordered_target_rank=numerical_rank(apply_permutations(target, plan.p_out, plan.p_in)),
         rho=rho,
         seed=seed,
     )

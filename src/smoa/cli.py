@@ -357,8 +357,10 @@ def cmd_sweep(args) -> dict:
         master = int(spec["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"sweep spec needs dims/ks/rs/trials/seed: {exc}") from exc
-    if trials < 1:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
+    if min([trials, *dims, *ks, *rs]) < 1:
+        raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
+    if master < 0:
+        raise RangeError(f"seed must be nonnegative, got {master}")
     for d in dims:
         for k in ks:
             if d % k:

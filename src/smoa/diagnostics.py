@@ -269,6 +269,8 @@ def full_report(
     """
     if band_draws < 1:
         raise ConfigurationError(f"band_draws must be positive, got {band_draws}")
+    if seed < 0:
+        raise RangeError(f"seed must be nonnegative, got {seed}")
     dec = svd(w)
     values = dec.singular_values
     if noise_scale is None:
@@ -316,6 +318,8 @@ def save_report(
     prediction at the bin center; ``overlaps.csv`` holds one row per
     singular direction with the Monte Carlo band repeated alongside.
     """
+    if histogram_path is not None and bins < 1:
+        raise ConfigurationError(f"bins must be positive, got {bins}")
     doc = {
         "normalized_values": list(report.normalized_values),
         "bulk_edge": report.bulk_edge,
@@ -336,8 +340,6 @@ def save_report(
     }
     atomic_write_text(json_path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     if histogram_path is not None:
-        if bins < 1:
-            raise ConfigurationError(f"bins must be positive, got {bins}")
         nu = np.asarray(report.normalized_values)
         top = max(float(nu.max()) if nu.size else 0.0, report.bulk_edge) * 1.02
         edges = np.linspace(0.0, top, bins + 1)

@@ -27,12 +27,18 @@ def _check_shape(rows: int, cols: int) -> None:
         raise RangeError(f"dimensions must be positive, got {rows}x{cols}")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise RangeError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gaussian_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> Matrix:
     """i.i.d. N(0, scale^2) entries."""
     _check_shape(rows, cols)
     if scale <= 0:
         raise ConfigurationError(f"scale must be positive, got {scale}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return Matrix(rng.standard_normal((rows, cols)) * scale)
 
 
@@ -57,7 +63,7 @@ def spiked_matrix(
         raise RangeError(f"spikes={spikes} out of range 0..{min(rows, cols)}")
     if strength < 0:
         raise ConfigurationError(f"strength must be nonnegative, got {strength}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     noise = rng.standard_normal((rows, cols))
     if spikes == 0:
         return Matrix(noise)
@@ -80,7 +86,7 @@ def low_rank_plus_noise(
         raise RangeError(f"rank={rank} out of range 0..{min(rows, cols)}")
     if noise < 0:
         raise ConfigurationError(f"noise must be nonnegative, got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if rank == 0:
         signal = np.zeros((rows, cols))
     else:

@@ -7,10 +7,9 @@ a bijection on coordinate indices. Operations are pure functions; values
 never mutate after construction, so they are safe to share across
 threads.
 
-Indices in this API are 0-based and intervals are half-open ``(start,
-stop)``, the native Python convention. File formats convert to 1-based
-closed intervals at the serialization boundary (see :mod:`smoa.matio`
-and the per-module savers).
+Indices in this API are 0-based, the native Python convention. File
+formats convert to 1-based indices at the serialization boundary (see
+:mod:`smoa.matio` and the per-module savers).
 """
 from __future__ import annotations
 
@@ -24,10 +23,8 @@ from .errors import ConfigurationError, DimensionError, NumericalError, RangeErr
 __all__ = [
     "Matrix",
     "Permutation",
-    "hadamard",
     "apply_permutations",
     "invert_permutations",
-    "block_extract",
     "block_diagonal",
 ]
 
@@ -209,13 +206,6 @@ class Permutation:
         return f"Permutation(size={self.size})"
 
 
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise product. Shapes must match exactly."""
-    if a.shape != b.shape:
-        raise DimensionError(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return Matrix(a.data * b.data)
-
-
 def apply_permutations(w: Matrix, p_out: Permutation, p_in: Permutation) -> Matrix:
     """Reorder rows by ``p_out`` and columns by ``p_in``.
 
@@ -238,20 +228,6 @@ def invert_permutations(w: Matrix, p_out: Permutation, p_in: Permutation) -> Mat
     out = np.empty_like(w.data)
     out[np.ix_(p_out.indices, p_in.indices)] = w.data
     return Matrix(out)
-
-
-def block_extract(w: Matrix, rows: tuple[int, int], cols: tuple[int, int]) -> Matrix:
-    """Copy the contiguous submatrix ``w[rows[0]:rows[1], cols[0]:cols[1]]``.
-
-    Intervals are 0-based half-open and must be nonempty and in bounds.
-    """
-    r0, r1 = rows
-    c0, c1 = cols
-    if not (0 <= r0 < r1 <= w.rows) or not (0 <= c0 < c1 <= w.cols):
-        raise RangeError(
-            f"intervals rows={rows}, cols={cols} out of range for {w.shape}"
-        )
-    return Matrix(w.data[r0:r1, c0:c1])
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import atomic_write_text, envelope_fields, read_envelope
 from .matio import load_matrix, matrix_from_csv, matrix_to_csv
-from .matrices import Matrix, Permutation, apply_permutations, block_extract
+from .matrices import Matrix, Permutation, apply_permutations
 from .spectrum import SpectralDecomposition, svd
 
 __all__ = [
@@ -45,45 +45,28 @@ PLAN_VERSION = 1
 class BlockPlan:
     """Deterministic reordering and blocking of one weight matrix.
 
-    ``row_intervals`` and ``col_intervals`` are 0-based half-open
-    ``(start, stop)`` pairs covering the reordered axes in K consecutive
-    equal-length runs. ``anchors[k]`` is a deep copy of diagonal block k
-    of the reordered weight.
+    Diagonal block k of the reordered weight is made of the original rows
+    ``p_out[k*s_out:(k+1)*s_out]`` and columns ``p_in[k*s_in:(k+1)*s_in]``
+    with ``(s_out, s_in) = block_shape``. ``anchors[k]`` is a deep copy of
+    that block. ``row_intervals`` and ``col_intervals`` state the same
+    layout as 0-based half-open ``(start, stop)`` pairs on the reordered
+    axes.
     """
 
     k: int
     p_out: Permutation
     p_in: Permutation
-    row_intervals: tuple[tuple[int, int], ...]
-    col_intervals: tuple[tuple[int, int], ...]
     anchors: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "row_intervals", tuple(tuple(iv) for iv in self.row_intervals))
-        object.__setattr__(self, "col_intervals", tuple(tuple(iv) for iv in self.col_intervals))
         object.__setattr__(self, "anchors", tuple(self.anchors))
-        k = self.k
-        if k < 1:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        d_out, d_in = self.p_out.size, self.p_in.size
-        if d_out % k or d_in % k:
-            raise ConfigurationError(
-                f"k={k} must divide both dimensions, got {d_out}x{d_in}"
-            )
-        if len(self.row_intervals) != k or len(self.col_intervals) != k or len(self.anchors) != k:
-            raise ConfigurationError(f"expected {k} intervals and anchors")
-        for intervals, size in ((self.row_intervals, d_out), (self.col_intervals, d_in)):
-            step = size // k
-            for g, (a, b) in enumerate(intervals):
-                if (a, b) != (g * step, (g + 1) * step):
-                    raise ConfigurationError(
-                        f"interval {g} is {(a, b)}, expected {(g * step, (g + 1) * step)}"
-                    )
+        _check_split(self.k, self.d_out, self.d_in)
+        if len(self.anchors) != self.k:
+            raise ConfigurationError(f"expected {self.k} anchors, got {len(self.anchors)}")
         for g, anchor in enumerate(self.anchors):
-            expected = (d_out // k, d_in // k)
-            if anchor.shape != expected:
+            if anchor.shape != self.block_shape:
                 raise DimensionError(
-                    f"anchor {g} has shape {anchor.shape}, expected {expected}"
+                    f"anchor {g} has shape {anchor.shape}, expected {self.block_shape}"
                 )
 
     @property
@@ -97,6 +80,47 @@ class BlockPlan:
     @property
     def block_shape(self) -> tuple[int, int]:
         return (self.d_out // self.k, self.d_in // self.k)
+
+    @property
+    def row_intervals(self) -> tuple[tuple[int, int], ...]:
+        s = self.block_shape[0]
+        return tuple((g * s, (g + 1) * s) for g in range(self.k))
+
+    @property
+    def col_intervals(self) -> tuple[tuple[int, int], ...]:
+        s = self.block_shape[1]
+        return tuple((g * s, (g + 1) * s) for g in range(self.k))
+
+
+def _check_split(k: int, d_out: int, d_in: int) -> None:
+    if k < 1:
+        raise ConfigurationError(f"k must be positive, got {k}")
+    if d_out % k or d_in % k:
+        raise ConfigurationError(f"k={k} must divide both dimensions, got {d_out}x{d_in}")
+
+
+def _block_index(k: int, p_out: Permutation, p_in: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` such that ``w[rows, cols]`` is the (K, s_out, s_in)
+    stack of reordered diagonal blocks, addressed in original coordinates."""
+    return p_out.indices.reshape(k, -1, 1), p_in.indices.reshape(k, 1, -1)
+
+
+def _gather_blocks(w: np.ndarray, k: int, p_out: Permutation, p_in: Permutation) -> np.ndarray:
+    """Fresh (K, s_out, s_in) stack of the K diagonal blocks of ``w``."""
+    return w[_block_index(k, p_out, p_in)]
+
+
+def _scatter_blocks(blocks: np.ndarray, p_out: Permutation, p_in: Permutation) -> np.ndarray:
+    """Inverse of :func:`_gather_blocks`: a (d_out, d_in) array holding
+    ``blocks`` at their original coordinates and exact zeros elsewhere."""
+    out = np.zeros((p_out.size, p_in.size))
+    out[_block_index(len(blocks), p_out, p_in)] = blocks
+    return out
+
+
+def _anchor_stack(plan: BlockPlan) -> np.ndarray:
+    """The plan's anchors as one fresh (K, s_out, s_in) array."""
+    return np.stack([anchor.data for anchor in plan.anchors])
 
 
 def coordinate_scores(decomposition: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -127,23 +151,12 @@ def build_plan(w0: Matrix, k: int) -> BlockPlan:
     Deterministic: identical inputs give identical permutations and
     anchors bit for bit. ``k`` must divide both dimensions.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be positive, got {k}")
-    if w0.rows % k or w0.cols % k:
-        raise ConfigurationError(
-            f"k={k} must divide both dimensions of {w0.shape}"
-        )
+    _check_split(k, w0.rows, w0.cols)
     out_scores, in_scores = coordinate_scores(svd(w0))
     p_out = Permutation(np.argsort(out_scores, kind="stable"))
     p_in = Permutation(np.argsort(in_scores, kind="stable"))
-    reordered = apply_permutations(w0, p_out, p_in)
-    row_step, col_step = w0.rows // k, w0.cols // k
-    row_intervals = tuple((g * row_step, (g + 1) * row_step) for g in range(k))
-    col_intervals = tuple((g * col_step, (g + 1) * col_step) for g in range(k))
-    anchors = tuple(
-        block_extract(reordered, row_intervals[g], col_intervals[g]) for g in range(k)
-    )
-    return BlockPlan(k, p_out, p_in, row_intervals, col_intervals, anchors)
+    blocks = _gather_blocks(w0.data, k, p_out, p_in)
+    return BlockPlan(k, p_out, p_in, tuple(Matrix(block) for block in blocks))
 
 
 def reordered_weight(plan: BlockPlan, w0: Matrix) -> Matrix:
@@ -155,13 +168,9 @@ def reordered_weight(plan: BlockPlan, w0: Matrix) -> Matrix:
     return apply_permutations(w0, plan.p_out, plan.p_in)
 
 
-def _interval_to_file(iv: tuple[int, int]) -> list[int]:
+def _intervals_to_file(intervals: tuple[tuple[int, int], ...]) -> list[list[int]]:
     # 0-based half-open in memory, 1-based closed on disk.
-    return [iv[0] + 1, iv[1]]
-
-
-def _interval_from_file(iv) -> tuple[int, int]:
-    return (int(iv[0]) - 1, int(iv[1]))
+    return [[start + 1, stop] for start, stop in intervals]
 
 
 def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None = None) -> None:
@@ -176,8 +185,8 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None 
         "k": plan.k,
         "p_out": plan.p_out.to_one_based(),
         "p_in": plan.p_in.to_one_based(),
-        "row_intervals": [_interval_to_file(iv) for iv in plan.row_intervals],
-        "col_intervals": [_interval_to_file(iv) for iv in plan.col_intervals],
+        "row_intervals": _intervals_to_file(plan.row_intervals),
+        "col_intervals": _intervals_to_file(plan.col_intervals),
         "anchors": [{"csv": matrix_to_csv(anchor)} for anchor in plan.anchors],
         "source_hash": source_hash,
     }
@@ -198,11 +207,13 @@ def load_plan(path: str | os.PathLike) -> BlockPlan:
                 anchors.append(matrix_from_csv(entry["csv"]))
             else:
                 raise FormatError(f"anchor entry must be a path or a csv block, got {entry!r}")
-        return BlockPlan(
+        plan = BlockPlan(
             k=int(doc["k"]),
             p_out=Permutation.from_one_based(doc["p_out"]),
             p_in=Permutation.from_one_based(doc["p_in"]),
-            row_intervals=tuple(_interval_from_file(iv) for iv in doc["row_intervals"]),
-            col_intervals=tuple(_interval_from_file(iv) for iv in doc["col_intervals"]),
             anchors=tuple(anchors),
         )
+        for key in ("row_intervals", "col_intervals"):
+            if doc[key] != _intervals_to_file(getattr(plan, key)):
+                raise FormatError(f"plan {key} {doc[key]!r} are not the equal split for k={plan.k}")
+        return plan

@@ -27,11 +27,11 @@ from typing import Literal
 import numpy as np
 
 from .adapters import Adapter, AdapterInit, LoraAdapter, SmoaAdapter, init_lora, init_smoa
-from .adapters import _block_index, _stacked_factors
+from .adapters import _stacked_factors
 from .errors import ConfigurationError, DimensionError, NumericalError
 from .fileutil import atomic_write_text
 from .matrices import Matrix, apply_permutations
-from .preprocess import BlockPlan
+from .preprocess import BlockPlan, _anchor_stack, _gather_blocks
 from .spectrum import balanced_factors, tail_energy
 
 __all__ = [
@@ -152,8 +152,8 @@ class _Objective:
             self.constant = 0.0
             return
         plan = problem.plan
-        self.t = problem.target.data[_block_index(plan)]
-        self.anchors = np.stack([anchor.data for anchor in plan.anchors])
+        self.t = _gather_blocks(problem.target.data, plan.k, plan.p_out, plan.p_in)
+        self.anchors = _anchor_stack(plan)
         in_block = 0.0
         for energy in _block_sums(self.t):
             in_block += energy

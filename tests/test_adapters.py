@@ -12,6 +12,7 @@ from smoa import (
     FormatError,
     LoraAdapter,
     Matrix,
+    RangeError,
     SmoaAdapter,
     apply_forward,
     build_plan,
@@ -89,10 +90,7 @@ class TestUpdates:
             data[rng.random(data.shape) < 0.5] = 0.0
             data[0, 0] = 0.0  # guarantee at least one zero
             sparse_anchors.append(Matrix(data))
-        plan = BlockPlan(
-            base.k, base.p_out, base.p_in,
-            base.row_intervals, base.col_intervals, tuple(sparse_anchors),
-        )
+        plan = BlockPlan(base.k, base.p_out, base.p_in, tuple(sparse_anchors))
         adapter = init_smoa(plan, 2, AdapterInit("gaussian", seed=7))
         reordered = apply_permutations(smoa_update(adapter), plan.p_out, plan.p_in)
         for g in range(2):
@@ -181,6 +179,10 @@ class TestInit:
             AdapterInit("fancy")
         with pytest.raises(ConfigurationError):
             AdapterInit("gaussian", scale=0.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(RangeError):
+            AdapterInit("gaussian", seed=-1)
 
 
 class TestBudget:
@@ -307,6 +309,20 @@ class TestAdapterFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_adapter(path)
+
+    def test_resave_with_fewer_factors_leaves_no_orphans(self, rng, tmp_path):
+        plan = build_plan(random_matrix(rng, 8, 8), 4)
+        plan_path = tmp_path / "plan.json"
+        save_plan(plan, plan_path)
+        path = tmp_path / "adapter.json"
+        save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path, plan_path=plan_path)
+        assert len(list(tmp_path.glob("adapter.f*.mat"))) == 8
+        lora = init_lora(8, 8, 2, AdapterInit("gaussian"))
+        save_adapter(lora, path)
+        assert sorted(p.name for p in tmp_path.glob("adapter.f*.mat")) == [
+            "adapter.f00.mat", "adapter.f01.mat",
+        ]
+        assert isinstance(load_adapter(path), LoraAdapter)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "adapter.json"

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import (
@@ -68,10 +69,7 @@ class TestRankCeiling:
 
         base = build_plan(random_matrix(rng, 8, 8), 2)
         anchors = tuple(exact_rank_matrix(rng, 4, 4, 1) for _ in range(2))
-        plan = BlockPlan(
-            base.k, base.p_out, base.p_in,
-            base.row_intervals, base.col_intervals, anchors,
-        )
+        plan = BlockPlan(base.k, base.p_out, base.p_in, anchors)
         report = rank_ceiling(plan, 2)  # rho = 1
         for block in report.per_block:
             assert block.anchor_rank == 1
@@ -79,11 +77,7 @@ class TestRankCeiling:
         assert report.total_ceiling == 2
         assert report.separated is False
         # one healthy anchor restores some headroom
-        mixed = BlockPlan(
-            base.k, base.p_out, base.p_in,
-            base.row_intervals, base.col_intervals,
-            (anchors[0], base.anchors[1]),
-        )
+        mixed = BlockPlan(base.k, base.p_out, base.p_in, (anchors[0], base.anchors[1]))
         mixed_report = rank_ceiling(mixed, 2)
         assert mixed_report.per_block[0].block_ceiling == 1
         assert mixed_report.per_block[1].block_ceiling == 4
@@ -159,15 +153,15 @@ class TestWitness:
 
     def test_target_structure(self, witness):
         """Reordering the target exposes exactly the modulated blocks."""
-        from smoa import apply_permutations, hadamard
+        from smoa import apply_permutations
 
         plan = witness.plan
         reordered = apply_permutations(witness.target, plan.p_out, plan.p_in)
         for g in range(plan.k):
             r0, r1 = plan.row_intervals[g]
             c0, c1 = plan.col_intervals[g]
-            expected = hadamard(witness.coefficients[g], plan.anchors[g])
-            assert_array_equal(reordered.data[r0:r1, c0:c1], expected.data)
+            expected = witness.coefficients[g].data * plan.anchors[g].data
+            assert_array_equal(reordered.data[r0:r1, c0:c1], expected)
 
     def test_coefficients_have_rank_rho(self, witness):
         for c in witness.coefficients:
@@ -194,6 +188,35 @@ class TestWitness:
             make_witness(plan, rho=3, seed=1)
         with pytest.raises(RangeError):
             make_witness(plan, rho=-1, seed=1)
+
+    def test_negative_seed_rejected(self, rng):
+        plan = build_plan(random_matrix(rng, 4, 4), 2)
+        with pytest.raises(RangeError):
+            make_witness(plan, rho=1, seed=-1)
+
+    @pytest.mark.parametrize("rows,cols,k,rho", [(12, 18, 3, 2), (8, 8, 2, 0)],
+                             ids=["rectangular-k3", "rho-zero"])
+    def test_matches_block_diagonal_reference(self, rng, rows, cols, k, rho):
+        """Per-block draws, ``block_diag`` and the inverse permutations
+        give the same bytes as the stacked construction."""
+        plan = build_plan(random_matrix(rng, rows, cols), k)
+        s_out, s_in = plan.block_shape
+        draws = np.random.default_rng(31)
+        coefficients, blocks = [], []
+        for anchor in plan.anchors:
+            if rho:
+                c = draws.standard_normal((s_out, rho)) @ draws.standard_normal((rho, s_in))
+            else:
+                c = np.zeros((s_out, s_in))
+            coefficients.append(c)
+            blocks.append(c * anchor.data)
+        reordered = Matrix(scipy.linalg.block_diag(*blocks))
+        expected = invert_permutations(reordered, plan.p_out, plan.p_in)
+
+        witness = make_witness(plan, rho, seed=31)
+        assert witness.target.data.tobytes() == expected.data.tobytes()
+        assert [c.data.tobytes() for c in witness.coefficients] == [c.tobytes() for c in coefficients]
+        assert witness.reordered_target_rank == numerical_rank(reordered)
 
 
 class TestSeparation:

@@ -308,6 +308,12 @@ class TestDiagnose:
         overlaps = (workdir / "overlaps.csv").read_text().strip().splitlines()
         assert overlaps == ["k,nu_k,score,bulk_mean,bulk_lo,bulk_hi"]
 
+    def test_zero_bins_writes_nothing(self, workdir, capsys):
+        _, gen = run(capsys, "gen", "--rows", "8", "--cols", "8", "--kind", "gaussian", "--quiet")
+        code, _ = run(capsys, "diagnose", "--matrix", gen["path"], "--bins", "0", "--quiet")
+        assert code == 2
+        assert not (workdir / "report.json").exists()
+
     def test_with_activations(self, workdir, capsys):
         _, w = run(
             capsys, "gen", "--rows", "16", "--cols", "16", "--kind", "gaussian",
@@ -405,7 +411,10 @@ class TestMalformedInput:
         lambda doc: [doc],
         with_field("k", "two"),
         with_field("anchors", 3),
-    ], ids=["missing-k", "json-list", "k-not-a-number", "anchors-not-a-list"])
+        with_field("row_intervals", [[1, 3], [4, 8]]),
+        without("col_intervals"),
+    ], ids=["missing-k", "json-list", "k-not-a-number", "anchors-not-a-list",
+            "intervals-not-equal-split", "missing-col-intervals"])
     def test_plan(self, workdir, seeded_plan, capsys, edit):
         edit_json(seeded_plan, edit)
         self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
@@ -442,6 +451,28 @@ class TestMalformedInput:
     def test_sweep_spec_not_utf8(self, workdir, capsys):
         (workdir / "spec.json").write_bytes(b"\xff\xfe{")
         self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
+    @pytest.mark.parametrize("field,value", [
+        ("ks", [0]), ("dims", [0]), ("rs", [-2]), ("seed", -1),
+    ], ids=["ks-zero", "dims-zero", "rs-negative", "seed-negative"])
+    def test_sweep_spec_values(self, workdir, capsys, field, value):
+        spec = {"dims": [8], "ks": [2], "rs": [2], "trials": 1, "seed": 1, field: value}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "gaussian"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "spiked", "--spikes", "1"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "low-rank-plus-noise"],
+        ["adapter", "--plan", "{plan}", "--r", "2"],
+        ["witness", "--plan", "{plan}", "--rho", "1"],
+        ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2"],
+        ["diagnose", "--matrix", "{matrix}", "--activations", "{matrix}"],
+    ], ids=["gen-gaussian", "gen-spiked", "gen-low-rank", "adapter", "witness", "fit",
+            "diagnose"])
+    def test_negative_seed(self, workdir, seeded_matrix, seeded_plan, capsys, command):
+        argv = [a.format(plan=seeded_plan, matrix=seeded_matrix) for a in command]
+        self.assert_rejected(capsys, *argv, "--seed", "-1")
 
     @pytest.mark.parametrize("rows,cols", [(-3, 4), (4, -3), (0, 4), (4, 0)])
     @pytest.mark.parametrize("kind", [

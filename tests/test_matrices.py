@@ -14,8 +14,6 @@ from smoa import (
     RangeError,
     apply_permutations,
     block_diagonal,
-    block_extract,
-    hadamard,
     invert_permutations,
 )
 
@@ -79,29 +77,6 @@ class TestMatrixAlgebra:
         assert m.norm() == pytest.approx(np.linalg.norm(m.data))
 
 
-class TestHadamard:
-    def test_worked_example(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix([[5.0, 6.0], [7.0, 8.0]])
-        assert_array_equal(hadamard(a, b).data, [[5.0, 12.0], [21.0, 32.0]])
-
-    def test_ones_is_identity_element(self, rng):
-        m = random_matrix(rng, 4, 6)
-        assert_array_equal(hadamard(m, Matrix.ones(4, 6)).data, m.data)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError) as err:
-            hadamard(Matrix.ones(2, 3), Matrix.ones(3, 2))
-        assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
-
-    @settings(deadline=None)
-    @given(st.lists(st.integers(-100, 100), min_size=6, max_size=6))
-    def test_commutative_exactly(self, entries):
-        a = Matrix(np.array(entries, dtype=float).reshape(2, 3))
-        b = Matrix(np.arange(6, dtype=float).reshape(2, 3))
-        assert_array_equal(hadamard(a, b).data, hadamard(b, a).data)
-
-
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ConfigurationError):
@@ -158,22 +133,6 @@ class TestPermutation:
 
 
 class TestBlockOps:
-    def test_extract_identity_corner_is_zero(self):
-        m = Matrix.identity(4)
-        block = block_extract(m, (0, 2), (2, 4))
-        assert_array_equal(block.data, np.zeros((2, 2)))
-
-    def test_extract_copies(self):
-        m = Matrix.identity(4)
-        block = block_extract(m, (0, 2), (0, 2))
-        assert block.data.base is None or not np.shares_memory(block.data, m.data)
-
-    def test_extract_out_of_range(self):
-        with pytest.raises(RangeError):
-            block_extract(Matrix.identity(4), (0, 5), (0, 2))
-        with pytest.raises(RangeError):
-            block_extract(Matrix.identity(4), (2, 2), (0, 2))
-
     def test_block_diagonal_placement(self, rng):
         a = random_matrix(rng, 2, 3)
         b = random_matrix(rng, 3, 2)
