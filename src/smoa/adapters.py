@@ -140,8 +140,8 @@ class AdapterInit:
     def __post_init__(self) -> None:
         if self.scheme not in ("zero-update", "gaussian", "spectral"):
             raise ConfigurationError(f"unknown init scheme {self.scheme!r}")
-        if not self.scale > 0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ConfigurationError(f"scale must be positive and finite, got {self.scale}")
         if self.seed < 0:
             raise RangeError(f"seed must be nonnegative, got {self.seed}")
 

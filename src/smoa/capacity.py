@@ -97,8 +97,8 @@ def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankC
     if epsilon is None:
         # one shared cutoff across anchors keeps block ranks comparable
         epsilon = default_tolerance(plan.block_shape, max(v[0] for v in values))
-    if epsilon < 0:
-        raise RangeError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise RangeError(f"epsilon must be nonnegative and finite, got {epsilon}")
     blocks = []
     for v in values:
         anchor_rank = int(np.count_nonzero(v > epsilon))

@@ -158,14 +158,9 @@ def cmd_adapter(args) -> dict:
     else:
         adapter = init_lora(plan.d_out, plan.d_in, args.r, init)
         k, rho = None, None
+    plan_hash = sha256_file(args.plan)
     path = _out_dir(args) / args.name
-    written = save_adapter(
-        adapter,
-        path,
-        init=init,
-        plan_path=args.plan,
-        plan_hash=sha256_file(args.plan),
-    )
+    written = save_adapter(adapter, path, init=init, plan_path=args.plan, plan_hash=plan_hash)
     _note(args, f"wrote {len(written)} files under {path.parent}")
     return {
         "path": str(path),
@@ -174,7 +169,7 @@ def cmd_adapter(args) -> dict:
         "k": k,
         "rho": rho,
         "params": adapter.trainable_parameters,
-        "plan_hash": sha256_file(args.plan),
+        "plan_hash": plan_hash,
     }
 
 
@@ -355,7 +350,7 @@ def cmd_sweep(args) -> dict:
         rs = [int(r) for r in spec["rs"]]
         trials = int(spec["trials"])
         master = int(spec["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"sweep spec needs dims/ks/rs/trials/seed: {exc}") from exc
     if min([trials, *dims, *ks, *rs]) < 1:
         raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
@@ -414,10 +409,11 @@ def cmd_sweep(args) -> dict:
     }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, report: bool = False) -> None:
     parser.add_argument("--out", help="output directory (default: $SMOA_OUT or .)")
-    parser.add_argument("--format", choices=["json", "csv"], default="json",
-                        help="format for small report artifacts")
+    if report:
+        parser.add_argument("--format", choices=["json", "csv"], default="json",
+                            help="format of the small report artifact")
     parser.add_argument("--quiet", action="store_true", help="suppress stderr notes")
 
 
@@ -472,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--adapter")
     p.add_argument("--epsilon", type=float, default=None)
-    _add_common(p)
+    _add_common(p, report=True)
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("ceiling", help="rank ceiling of a plan at budget r")
     p.add_argument("--plan", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=None)
-    _add_common(p)
+    _add_common(p, report=True)
     p.set_defaults(handler=cmd_ceiling)
 
     p = sub.add_parser("witness", help="build a separation witness bundle")
@@ -493,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="best rank-r approximation gap of a witness")
     p.add_argument("--witness", required=True, help="witness bundle directory")
     p.add_argument("--r", type=int, required=True)
-    _add_common(p)
+    _add_common(p, report=True)
     p.set_defaults(handler=cmd_gap)
 
     p = sub.add_parser("fit", help="gradient-descent fit of a target")

@@ -11,8 +11,9 @@ adapter could latch onto.
 When no noise scale is supplied, it is estimated from the spectrum
 median: sigma_hat = median(sigma) / sqrt(n * m_med) where m_med is the
 median of the Marchenko-Pastur eigenvalue law at the same aspect ratio,
-found by inverting its CDF numerically. The median is robust to a small
-number of planted spikes.
+found by bisecting its closed-form CDF (Bai & Silverstein, Spectral
+Analysis of Large Dimensional Random Matrices). The median is robust to
+a small number of planted spikes.
 
 Overlap scores locate singular directions against the eigenbasis of an
 activation second-moment matrix: score_k is the squared best alignment
@@ -22,7 +23,6 @@ calibrates that baseline.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
 
 from .errors import ConfigurationError, DimensionError, EstimationError, RangeError
 from .fileutil import atomic_write_text
 from .matrices import Matrix
-from .spectrum import SpectralDecomposition, _rank_from_values, svd
+from .spectrum import SpectralDecomposition, _rank_from_values, singular_values, svd
 
 __all__ = [
     "ActivationSample",
@@ -77,20 +76,21 @@ def mp_singular_density(nu, ratio: float):
 
 
 def _mp_sv_cdf(x: float, ratio: float) -> float:
-    """CDF of the normalized singular-value law at ``x``."""
+    """CDF of the normalized singular-value law at ``x``: the closed-form
+    integral of the eigenvalue density over [lo^2, x^2]."""
     lo = 1 - math.sqrt(ratio)
     hi = 1 + math.sqrt(ratio)
     if x <= lo:
         return 0.0
     if x >= hi:
         return 1.0
-    value, _ = scipy.integrate.quad(
-        mp_singular_density, lo, x, args=(ratio,), epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    return float(value)
+    t, c, h = x * x, 1 + ratio, 2 * math.sqrt(ratio)
+    root = math.sqrt(max((hi * hi - t) * (t - lo * lo), 0.0))
+    inner = math.asin(min(max((t - c) / h, -1.0), 1.0)) + math.pi / 2
+    outer = math.asin(min(max((c * t - (1 - ratio) ** 2) / (h * t), -1.0), 1.0)) + math.pi / 2
+    return (root + c * inner - (1 - ratio) * outer) / (2 * math.pi * ratio)
 
 
-@functools.lru_cache(maxsize=None)
 def mp_median(ratio: float) -> float:
     """Median of the Marchenko-Pastur eigenvalue law at ``ratio``.
 
@@ -123,9 +123,17 @@ def _estimate_from_values(values: np.ndarray, shape: tuple[int, int]) -> float:
 
 def estimate_noise_scale(w: Matrix) -> float:
     """Median-based noise-scale estimate; robust to a few spikes."""
-    from .spectrum import singular_values
-
     return _estimate_from_values(singular_values(w), w.shape)
+
+
+def _normalize(values: np.ndarray, shape: tuple[int, int], noise_scale: float | None) -> tuple[np.ndarray, float]:
+    """``(nu, noise_scale)`` with nu = values / (noise_scale * sqrt(max
+    dimension)); ``noise_scale=None`` triggers the median estimator."""
+    if noise_scale is None:
+        noise_scale = _estimate_from_values(values, shape)
+    elif not 0 < noise_scale < math.inf:
+        raise ConfigurationError(f"noise scale must be positive and finite, got {noise_scale}")
+    return values / (noise_scale * math.sqrt(max(shape))), noise_scale
 
 
 def normalized_spectrum(w: Matrix, noise_scale: float | None = None) -> np.ndarray:
@@ -133,14 +141,7 @@ def normalized_spectrum(w: Matrix, noise_scale: float | None = None) -> np.ndarr
 
     ``noise_scale=None`` triggers the median estimator.
     """
-    from .spectrum import singular_values
-
-    values = singular_values(w)
-    if noise_scale is None:
-        noise_scale = _estimate_from_values(values, w.shape)
-    elif noise_scale <= 0:
-        raise ConfigurationError(f"noise scale must be positive, got {noise_scale}")
-    return values / (noise_scale * math.sqrt(max(w.shape)))
+    return _normalize(singular_values(w), w.shape, noise_scale)[0]
 
 
 def mp_bulk_edge(rows: int, cols: int) -> float:
@@ -273,11 +274,7 @@ def full_report(
         raise RangeError(f"seed must be nonnegative, got {seed}")
     dec = svd(w)
     values = dec.singular_values
-    if noise_scale is None:
-        noise_scale = _estimate_from_values(values, w.shape)
-    elif noise_scale <= 0:
-        raise ConfigurationError(f"noise scale must be positive, got {noise_scale}")
-    nu = values / (noise_scale * math.sqrt(max(w.shape)))
+    nu, noise_scale = _normalize(values, w.shape, noise_scale)
     edge = mp_bulk_edge(w.rows, w.cols)
     rank, epsilon = _rank_from_values(values, w.shape, epsilon)
     tail = np.concatenate([np.cumsum((values**2)[::-1])[::-1], [0.0]])

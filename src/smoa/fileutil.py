@@ -64,9 +64,10 @@ def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) ->
 
 @contextmanager
 def envelope_fields(what: str) -> Iterator[None]:
-    """Report a missing or mistyped envelope field as :class:`FormatError`
-    (``KeyError``, ``TypeError`` and ``ValueError`` raised inside)."""
+    """Report a missing, mistyped or out-of-range envelope field as
+    :class:`FormatError` (``KeyError``, ``TypeError``, ``ValueError`` and
+    ``OverflowError`` raised inside)."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

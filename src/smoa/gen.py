@@ -36,8 +36,8 @@ def _rng(seed: int) -> np.random.Generator:
 def gaussian_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> Matrix:
     """i.i.d. N(0, scale^2) entries."""
     _check_shape(rows, cols)
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    if not 0 < scale < np.inf:
+        raise ConfigurationError(f"scale must be positive and finite, got {scale}")
     rng = _rng(seed)
     return Matrix(rng.standard_normal((rows, cols)) * scale)
 
@@ -61,8 +61,8 @@ def spiked_matrix(
     _check_shape(rows, cols)
     if spikes < 0 or spikes > min(rows, cols):
         raise RangeError(f"spikes={spikes} out of range 0..{min(rows, cols)}")
-    if strength < 0:
-        raise ConfigurationError(f"strength must be nonnegative, got {strength}")
+    if not 0 <= strength < np.inf:
+        raise ConfigurationError(f"strength must be nonnegative and finite, got {strength}")
     rng = _rng(seed)
     noise = rng.standard_normal((rows, cols))
     if spikes == 0:
@@ -84,8 +84,8 @@ def low_rank_plus_noise(
     _check_shape(rows, cols)
     if rank < 0 or rank > min(rows, cols):
         raise RangeError(f"rank={rank} out of range 0..{min(rows, cols)}")
-    if noise < 0:
-        raise ConfigurationError(f"noise must be nonnegative, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise ConfigurationError(f"noise must be nonnegative and finite, got {noise}")
     rng = _rng(seed)
     if rank == 0:
         signal = np.zeros((rows, cols))

@@ -107,8 +107,8 @@ def _rank_from_values(s: np.ndarray, shape: tuple[int, int], epsilon: float | No
     """Count of ``s`` strictly above the cutoff, and the cutoff used."""
     if epsilon is None:
         epsilon = default_tolerance(shape, s[0] if s.size else 0.0)
-    if epsilon < 0:
-        raise RangeError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise RangeError(f"epsilon must be nonnegative and finite, got {epsilon}")
     return int(np.count_nonzero(s > epsilon)), epsilon
 
 

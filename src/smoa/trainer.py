@@ -88,7 +88,8 @@ class FitConfig:
     max_halvings: int = 10
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0 or self.max_steps < 0 or self.grad_tol < 0 or self.max_halvings < 0:
+        finite = 0 < self.step_size < math.inf and 0 <= self.grad_tol < math.inf
+        if not finite or self.max_steps < 0 or self.max_halvings < 0:
             raise ConfigurationError(f"invalid fit configuration {self}")
 
 

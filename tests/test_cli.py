@@ -153,6 +153,21 @@ class TestPlanAndAdapter:
         assert code == 0
         assert lora_payload["params"] == 2 * smoa_payload["params"]
 
+    def test_adapter_hashes_plan_once(self, workdir, seeded_plan, capsys, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr("smoa.cli.sha256_file", counting)
+        code, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        assert code == 0
+        assert calls == [seeded_plan]
+        assert payload["plan_hash"] == sha256_file(seeded_plan)
+        with open(payload["path"], encoding="utf-8") as handle:
+            assert json.load(handle)["plan_hash"] == payload["plan_hash"]
+
     def test_update_artifact(self, workdir, seeded_plan, capsys):
         _, adapter_payload = run(
             capsys, "adapter", "--plan", seeded_plan, "--r", "4",
@@ -386,6 +401,9 @@ def edit_json(path, edit):
         json.dump(edit(doc), handle)
 
 
+HUGE = float("inf")  # what json reads for a literal such as 1e400
+
+
 def without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
@@ -448,6 +466,24 @@ class TestMalformedInput:
         edit_json(payload["path"], edit)
         self.assert_rejected(capsys, "update", "--adapter", payload["path"])
 
+    @pytest.mark.parametrize("edit", [
+        with_field("k", HUGE),
+        lambda doc: {**doc, "p_out": [10**20, *doc["p_out"][1:]]},
+    ], ids=["k-overflows", "p-out-entry-overflows"])
+    def test_plan_overflow(self, workdir, seeded_plan, capsys, edit):
+        edit_json(seeded_plan, edit)
+        self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
+
+    def test_adapter_rho_overflows(self, workdir, seeded_plan, capsys):
+        _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        edit_json(payload["path"], with_field("rho", HUGE))
+        self.assert_rejected(capsys, "update", "--adapter", payload["path"])
+
+    def test_sweep_spec_dims_overflow(self, workdir, capsys):
+        spec = {"dims": [HUGE], "ks": [2], "rs": [2], "trials": 1, "seed": 1}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
     def test_sweep_spec_not_utf8(self, workdir, capsys):
         (workdir / "spec.json").write_bytes(b"\xff\xfe{")
         self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
@@ -473,6 +509,30 @@ class TestMalformedInput:
     def test_negative_seed(self, workdir, seeded_matrix, seeded_plan, capsys, command):
         argv = [a.format(plan=seeded_plan, matrix=seeded_matrix) for a in command]
         self.assert_rejected(capsys, *argv, "--seed", "-1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["diagnose", "--matrix", "{matrix}", "--noise-scale"],
+        ["diagnose", "--matrix", "{matrix}", "--epsilon"],
+        ["rank", "--matrix", "{matrix}", "--epsilon"],
+        ["update", "--adapter", "{adapter}", "--epsilon"],
+        ["ceiling", "--plan", "{plan}", "--r", "2", "--epsilon"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "gaussian", "--scale"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "spiked", "--spikes", "1",
+         "--strength"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "low-rank-plus-noise", "--noise"],
+        ["adapter", "--plan", "{plan}", "--r", "2", "--scale"],
+        ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2", "--scale"],
+        ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2", "--step-size"],
+        ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2", "--grad-tol"],
+    ], ids=["diagnose-noise-scale", "diagnose-epsilon", "rank-epsilon", "update-epsilon",
+            "ceiling-epsilon", "gen-scale", "gen-strength", "gen-noise", "adapter-scale",
+            "fit-scale", "fit-step-size", "fit-grad-tol"])
+    def test_non_finite_flag(self, workdir, seeded_matrix, seeded_plan, capsys, command, value):
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        argv = [a.format(plan=seeded_plan, matrix=seeded_matrix, adapter=adapter["path"])
+                for a in command]
+        self.assert_rejected(capsys, *argv, value)
 
     @pytest.mark.parametrize("rows,cols", [(-3, 4), (4, -3), (0, 4), (4, 0)])
     @pytest.mark.parametrize("kind", [
@@ -501,6 +561,14 @@ class TestExitCodes:
     def test_validation_is_two(self, workdir, seeded_plan, capsys):
         code, _ = run(capsys, "ceiling", "--plan", seeded_plan, "--r", "3", "--quiet")
         assert code == 2
+
+    def test_format_only_on_report_commands(self, workdir, capsys):
+        code = main(["gen", "--rows", "4", "--cols", "4", "--kind", "gaussian",
+                     "--format", "csv", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "unrecognized arguments: --format csv" in captured.err
+        assert not (workdir / "matrix.mat").exists()
 
     def test_quiet_silences_stderr(self, workdir, capsys):
         main(["gen", "--rows", "2", "--cols", "2", "--kind", "gaussian", "--quiet"])

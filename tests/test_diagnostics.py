@@ -1,6 +1,10 @@
 """Spectral diagnostics: bulk law oracles, outliers, overlap scores."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ from smoa import (
     save_report,
     spiked_matrix,
 )
+
+import smoa
+from smoa.diagnostics import _mp_sv_cdf
 
 from conftest import random_matrix
 
@@ -83,6 +90,46 @@ class TestBulkLaw:
     def test_median_monotone_in_ratio(self):
         medians = [mp_median(r) for r in (0.1, 0.4, 0.7, 1.0)]
         assert all(a > b for a, b in zip(medians, medians[1:]))
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.25, 0.5, 2 / 3, 0.75, 0.999, 1.0])
+    def test_cdf_matches_quadrature(self, ratio):
+        """The closed-form CDF against numerical integration of the
+        density, across the bulk and just outside both edges."""
+        lo, hi = 1 - math.sqrt(ratio), 1 + math.sqrt(ratio)
+        for x in np.linspace(lo - 0.01, hi + 0.01, 41):
+            x = float(x)
+            if x <= lo:
+                expected = 0.0
+            elif x >= hi:
+                expected = 1.0
+            else:
+                expected, _ = scipy.integrate.quad(
+                    mp_singular_density, lo, x, args=(ratio,),
+                    epsabs=1e-12, epsrel=1e-12, limit=200,
+                )
+            assert _mp_sv_cdf(x, ratio) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("ratio,expected", [
+        (0.1, "0x1.eee1a0836797ep-1"),
+        (0.25, "0x1.d4fe7c4cd8a8dp-1"),
+        (0.5, "0x1.a932d2f428bf0p-1"),
+        (0.75, "0x1.7c63be7cc1f66p-1"),
+        (1.0, "0x1.4e38a5f220e9ep-1"),
+        (48 / 72, "0x1.8b74dd2da2d10p-1"),
+        (256 / 512, "0x1.a932d2f428bf0p-1"),
+    ])
+    def test_median_bits_pinned(self, ratio, expected):
+        """Bit-exact medians, recorded when the CDF was still integrated
+        numerically; noise-scale estimates and reports depend on them."""
+        assert mp_median(ratio).hex() == expected
+
+    def test_cli_import_skips_numerical_integration(self):
+        code = "import sys, smoa.cli; print('scipy.integrate' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(smoa.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestBulkEdge:
