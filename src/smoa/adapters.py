@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, FormatError, RangeError
 from .fileutil import atomic_write_text, envelope_fields, read_envelope, sha256_file
 from .matio import load_matrix, save_matrix
-from .matrices import Matrix
-from .preprocess import BlockPlan, _anchor_stack, _scatter_blocks, load_plan
+from .matrices import Matrix, _frozen_stack
+from .preprocess import BlockPlan, _scatter_blocks, load_plan
 
 __all__ = [
     "LoraAdapter",
@@ -82,33 +82,29 @@ class LoraAdapter:
         return self.a.rows * self.a.cols + self.b.rows * self.b.cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoaAdapter:
     """K local factor pairs of rank ``rho`` over a block plan.
 
-    ``factors[k]`` is the pair ``(a_k, b_k)`` with a_k: rho x (d_in/K)
-    and b_k: (d_out/K) x rho.
+    Read-only stacks ``a: (K, rho, d_in/K)`` and ``b: (K, d_out/K, rho)``
+    hold the pairs; ``factors[k]`` views pair k as ``(a_k, b_k)`` matrices.
     """
 
     plan: BlockPlan
     rho: int
-    factors: tuple[tuple[Matrix, Matrix], ...]
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(tuple(pair) for pair in self.factors))
         if self.rho < 1:
             raise ConfigurationError(f"rho must be a positive integer, got {self.rho}")
-        if len(self.factors) != self.plan.k:
-            raise ConfigurationError(
-                f"{len(self.factors)} factor pairs for a {self.plan.k}-block plan"
-            )
-        s_out, s_in = self.plan.block_shape
-        for g, (a, b) in enumerate(self.factors):
-            if a.shape != (self.rho, s_in) or b.shape != (s_out, self.rho):
-                raise DimensionError(
-                    f"block {g} factors {b.shape} @ {a.shape} do not match "
-                    f"rho={self.rho} over blocks of {s_out}x{s_in}"
-                )
+        k, (s_out, s_in) = self.plan.k, self.plan.block_shape
+        object.__setattr__(self, "a", _frozen_stack(self.a, (k, self.rho, s_in), "factor stack a"))
+        object.__setattr__(self, "b", _frozen_stack(self.b, (k, s_out, self.rho), "factor stack b"))
+
+    @property
+    def factors(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        return tuple((Matrix(a), Matrix(b)) for a, b in zip(self.a, self.b))
 
     @property
     def r(self) -> int:
@@ -117,7 +113,7 @@ class SmoaAdapter:
 
     @property
     def trainable_parameters(self) -> int:
-        return sum(a.rows * a.cols + b.rows * b.cols for a, b in self.factors)
+        return self.a.size + self.b.size
 
 
 Adapter = Union[LoraAdapter, SmoaAdapter]
@@ -178,15 +174,12 @@ def init_smoa(plan: BlockPlan, r: int, init: AdapterInit) -> SmoaAdapter:
             f"rho={rho} exceeds block dimensions {s_out}x{s_in}"
         )
     rng = np.random.default_rng(init.seed)
-    factors = []
+    a, b = [], []
     for _ in range(plan.k):
-        a = _draw(rng, rho, s_in, init.scale)
-        if init.scheme == "zero-update":
-            b = Matrix.zeros(s_out, rho)
-        else:
-            b = _draw(rng, s_out, rho, init.scale)
-        factors.append((a, b))
-    return SmoaAdapter(plan, rho, tuple(factors))
+        a.append(_draw(rng, rho, s_in, init.scale))
+        if init.scheme == "gaussian":
+            b.append(_draw(rng, s_out, rho, init.scale))
+    return SmoaAdapter(plan, rho, a, b or np.zeros((plan.k, s_out, rho)))  # zero-update
 
 
 def lora_update(adapter: LoraAdapter) -> Matrix:
@@ -194,15 +187,12 @@ def lora_update(adapter: LoraAdapter) -> Matrix:
     return adapter.b @ adapter.a
 
 
-def _pairs(adapter: Adapter) -> tuple[tuple[Matrix, Matrix], ...]:
-    """Factor pairs of either family; a global adapter is one pair."""
-    return ((adapter.a, adapter.b),) if isinstance(adapter, LoraAdapter) else adapter.factors
-
-
-def _stacked_factors(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh factor stacks ``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``."""
-    pairs = _pairs(adapter)
-    return np.stack([a.data for a, _ in pairs]), np.stack([b.data for _, b in pairs])
+def _factor_stacks(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only factor stacks ``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``
+    of either family; a global adapter is the K = 1 stack."""
+    if isinstance(adapter, LoraAdapter):
+        return adapter.a.data[np.newaxis], adapter.b.data[np.newaxis]
+    return adapter.a, adapter.b
 
 
 def smoa_update(adapter: SmoaAdapter) -> Matrix:
@@ -214,8 +204,7 @@ def smoa_update(adapter: SmoaAdapter) -> Matrix:
     blocks scatter straight to their original coordinates.
     """
     plan = adapter.plan
-    a, b = _stacked_factors(adapter)
-    return Matrix(_scatter_blocks((b @ a) * _anchor_stack(plan), plan.p_out, plan.p_in))
+    return Matrix(_scatter_blocks((adapter.b @ adapter.a) * plan.anchor_stack, plan.p_out, plan.p_in))
 
 
 def update(adapter: Adapter) -> Matrix:
@@ -281,7 +270,7 @@ def save_adapter(
     load. Returns the written paths, envelope first.
     """
     target = Path(path)
-    factors = [factor for pair in _pairs(adapter) for factor in pair]
+    factors = [Matrix(factor) for pair in zip(*_factor_stacks(adapter)) for factor in pair]
     factor_names = [f"{target.stem}.f{i:02d}.mat" for i in range(len(factors))]
     if isinstance(adapter, SmoaAdapter):
         kind, r, k, rho = "smoa", adapter.r, adapter.plan.k, adapter.rho
@@ -354,10 +343,7 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
                 raise FormatError(
                     f"smoa envelope lists {len(factors)} factors for k={plan.k}"
                 )
-            pairs = tuple(
-                (factors[2 * g], factors[2 * g + 1]) for g in range(plan.k)
-            )
-            adapter = SmoaAdapter(plan, int(doc["rho"]), pairs)
+            adapter = SmoaAdapter(plan, int(doc["rho"]), factors[0::2], factors[1::2])
         else:
             raise FormatError(f"unknown adapter kind {kind!r}")
         if adapter.r != int(doc["r"]):

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ConfigurationError, RangeError
 from .fileutil import atomic_write_text, envelope_fields, read_envelope
 from .matio import load_matrix, save_matrix
-from .matrices import Matrix, apply_permutations
-from .preprocess import BlockPlan, _anchor_stack, _scatter_blocks, load_plan, save_plan
+from .matrices import Matrix, _frozen_stack, apply_permutations
+from .preprocess import BlockPlan, _scatter_blocks, load_plan, save_plan
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -93,19 +93,17 @@ def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankC
     rho = r // plan.k
     s_out, s_in = plan.block_shape
     s_k = min(s_out, s_in)
-    values = [singular_values(anchor) for anchor in plan.anchors]
+    values = singular_values(plan.anchor_stack)  # (K, s_k), one row per anchor
     if epsilon is None:
         # one shared cutoff across anchors keeps block ranks comparable
-        epsilon = default_tolerance(plan.block_shape, max(v[0] for v in values))
+        epsilon = default_tolerance(plan.block_shape, values[:, 0].max())
     if not 0 <= epsilon < np.inf:
         raise RangeError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    blocks = []
-    for v in values:
-        anchor_rank = int(np.count_nonzero(v > epsilon))
-        blocks.append(BlockCeiling(s_k, anchor_rank, min(s_k, rho * anchor_rank)))
+    ranks = np.count_nonzero(values > epsilon, axis=1).tolist()
+    blocks = tuple(BlockCeiling(s_k, rank, min(s_k, rho * rank)) for rank in ranks)
     total = sum(b.block_ceiling for b in blocks)
     return RankCeilingReport(
-        per_block=tuple(blocks),
+        per_block=blocks,
         total_ceiling=total,
         lora_ceiling=r,
         separated=total > r,
@@ -134,23 +132,32 @@ def achieved_rank(delta: Matrix, epsilon: float | None = None) -> int:
     return numerical_rank(delta, epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessInstance:
     """A target the block family fits exactly at rank budget rho * K.
 
-    ``coefficients[k]`` is the rank-rho coefficient C_k; the target in
-    reordered coordinates is blkdiag(C_k * anchor_k) (entrywise
-    products), carried back through the plan's inverse permutations.
-    ``reordered_target_rank`` is the numerical rank of that block
-    diagonal, which permutations preserve.
+    The read-only (K, s_out, s_in) ``coefficient_stack`` holds the rank-rho
+    coefficients C_k; ``coefficients`` views them as matrices. The target
+    in reordered coordinates is blkdiag(C_k * anchor_k) (entrywise), carried
+    back through the plan's inverse permutations. ``reordered_target_rank``
+    is the numerical rank of that block diagonal, which permutations preserve.
     """
 
     plan: BlockPlan
-    coefficients: tuple[Matrix, ...]
+    coefficient_stack: np.ndarray
     target: Matrix
     reordered_target_rank: int
     rho: int
     seed: int
+
+    def __post_init__(self) -> None:
+        stack = _frozen_stack(self.coefficient_stack, (self.plan.k, *self.plan.block_shape),
+                              "coefficient stack")
+        object.__setattr__(self, "coefficient_stack", stack)
+
+    @property
+    def coefficients(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix(c) for c in self.coefficient_stack)
 
 
 def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
@@ -170,10 +177,10 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
         rng.standard_normal((s_out, rho)) @ rng.standard_normal((rho, s_in))
         for _ in range(plan.k)
     ])
-    target = Matrix(_scatter_blocks(coefficients * _anchor_stack(plan), plan.p_out, plan.p_in))
+    target = Matrix(_scatter_blocks(coefficients * plan.anchor_stack, plan.p_out, plan.p_in))
     return WitnessInstance(
         plan=plan,
-        coefficients=tuple(Matrix(c) for c in coefficients),
+        coefficient_stack=coefficients,
         target=target,
         reordered_target_rank=numerical_rank(apply_permutations(target, plan.p_out, plan.p_in)),
         rho=rho,
@@ -191,8 +198,8 @@ def smoa_exact_fit(witness: WitnessInstance):
     from .adapters import SmoaAdapter
 
     rho = max(witness.rho, 1)
-    factors = tuple(balanced_factors(c, rho) for c in witness.coefficients)
-    return SmoaAdapter(witness.plan, rho, factors)
+    a, b = zip(*(balanced_factors(c, rho) for c in witness.coefficients))
+    return SmoaAdapter(witness.plan, rho, a, b)
 
 
 def lora_gap(witness: WitnessInstance, r: int) -> float:
@@ -218,11 +225,9 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     base.mkdir(parents=True, exist_ok=True)
     save_plan(witness.plan, base / "plan.json")
     save_matrix(witness.target, base / "target.mat")
-    coeff_names = []
-    for i, c in enumerate(witness.coefficients, start=1):
-        name = f"coeff_{i:02d}.mat"
+    coeff_names = [f"coeff_{i:02d}.mat" for i in range(1, witness.plan.k + 1)]
+    for name, c in zip(coeff_names, witness.coefficients):
         save_matrix(c, base / name)
-        coeff_names.append(name)
     values = singular_values(witness.target)
     m = min(witness.target.shape)
     manifest = {
@@ -249,10 +254,9 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     with envelope_fields("witness manifest"):
         plan = load_plan(base / manifest["plan"])
         target = load_matrix(base / manifest["target"])
-        coefficients = tuple(load_matrix(base / name) for name in manifest["coefficients"])
         return WitnessInstance(
             plan=plan,
-            coefficients=coefficients,
+            coefficient_stack=[load_matrix(base / name) for name in manifest["coefficients"]],
             target=target,
             reordered_target_rank=int(manifest["reordered_target_rank"]),
             rho=int(manifest["rho"]),

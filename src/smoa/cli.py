@@ -83,9 +83,12 @@ def _out_dir(args) -> Path:
 
 def _parse_values(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"bad --values list {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"--values must be finite, got {text!r}")
+    return values
 
 
 def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
@@ -176,6 +179,7 @@ def cmd_adapter(args) -> dict:
 def cmd_update(args) -> dict:
     adapter = load_adapter(args.adapter)
     delta = update(adapter)
+    rank = achieved_rank(delta, args.epsilon)
     path = _out_dir(args) / args.name
     save_matrix(delta, path)
     _note(args, f"wrote {path}")
@@ -183,7 +187,7 @@ def cmd_update(args) -> dict:
         "path": str(path),
         "rows": delta.rows,
         "cols": delta.cols,
-        "achieved_rank": achieved_rank(delta, args.epsilon),
+        "achieved_rank": rank,
         "hash": sha256_file(path),
     }
 

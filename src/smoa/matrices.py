@@ -149,6 +149,22 @@ def _check_same_shape(op: str, a: Matrix, b: Matrix) -> None:
         raise DimensionError(f"cannot {op} {a.shape} and {b.shape}")
 
 
+def _frozen_stack(entries, shape: tuple[int, int, int], what: str) -> np.ndarray:
+    """Read-only float64 copy of ``entries``, a stack or a sequence of
+    matrices, checked as :class:`Matrix` checks: a shape other than
+    ``shape`` or ragged input is a DimensionError, NaN or Inf a NumericalError."""
+    try:
+        data = np.array(entries, dtype=np.float64, order="C")
+    except ValueError as exc:
+        raise DimensionError(f"{what} is not a {shape} stack: {exc}") from exc
+    if data.shape != shape:
+        raise DimensionError(f"{what} has shape {data.shape}, expected {shape}")
+    if not np.isfinite(data).all():
+        raise NumericalError(f"{what} entries must be finite, got NaN or Inf")
+    data.setflags(write=False)
+    return data
+
+
 class Permutation:
     """Bijection on ``{0, ..., size - 1}``.
 

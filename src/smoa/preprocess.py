@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import atomic_write_text, envelope_fields, read_envelope
 from .matio import load_matrix, matrix_from_csv, matrix_to_csv
-from .matrices import Matrix, Permutation, apply_permutations
+from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
 from .spectrum import SpectralDecomposition, svd
 
 __all__ = [
@@ -41,33 +41,31 @@ PLAN_FORMAT = "SMOA-PLAN"
 PLAN_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPlan:
     """Deterministic reordering and blocking of one weight matrix.
 
     Diagonal block k of the reordered weight is made of the original rows
     ``p_out[k*s_out:(k+1)*s_out]`` and columns ``p_in[k*s_in:(k+1)*s_in]``
-    with ``(s_out, s_in) = block_shape``. ``anchors[k]`` is a deep copy of
-    that block. ``row_intervals`` and ``col_intervals`` state the same
-    layout as 0-based half-open ``(start, stop)`` pairs on the reordered
-    axes.
+    with ``(s_out, s_in) = block_shape``. The read-only ``(K, s_out, s_in)``
+    ``anchor_stack`` holds a copy of each block; ``anchors`` views it as
+    matrices. ``row_intervals`` and ``col_intervals`` state the layout as
+    0-based half-open ``(start, stop)`` pairs on the reordered axes.
     """
 
     k: int
     p_out: Permutation
     p_in: Permutation
-    anchors: tuple[Matrix, ...]
+    anchor_stack: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "anchors", tuple(self.anchors))
         _check_split(self.k, self.d_out, self.d_in)
-        if len(self.anchors) != self.k:
-            raise ConfigurationError(f"expected {self.k} anchors, got {len(self.anchors)}")
-        for g, anchor in enumerate(self.anchors):
-            if anchor.shape != self.block_shape:
-                raise DimensionError(
-                    f"anchor {g} has shape {anchor.shape}, expected {self.block_shape}"
-                )
+        stack = _frozen_stack(self.anchor_stack, (self.k, *self.block_shape), "anchor stack")
+        object.__setattr__(self, "anchor_stack", stack)
+
+    @property
+    def anchors(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix(anchor) for anchor in self.anchor_stack)
 
     @property
     def d_out(self) -> int:
@@ -118,11 +116,6 @@ def _scatter_blocks(blocks: np.ndarray, p_out: Permutation, p_in: Permutation) -
     return out
 
 
-def _anchor_stack(plan: BlockPlan) -> np.ndarray:
-    """The plan's anchors as one fresh (K, s_out, s_in) array."""
-    return np.stack([anchor.data for anchor in plan.anchors])
-
-
 def coordinate_scores(decomposition: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Spectral centroid score per output and input coordinate.
 
@@ -155,8 +148,7 @@ def build_plan(w0: Matrix, k: int) -> BlockPlan:
     out_scores, in_scores = coordinate_scores(svd(w0))
     p_out = Permutation(np.argsort(out_scores, kind="stable"))
     p_in = Permutation(np.argsort(in_scores, kind="stable"))
-    blocks = _gather_blocks(w0.data, k, p_out, p_in)
-    return BlockPlan(k, p_out, p_in, tuple(Matrix(block) for block in blocks))
+    return BlockPlan(k, p_out, p_in, _gather_blocks(w0.data, k, p_out, p_in))
 
 
 def reordered_weight(plan: BlockPlan, w0: Matrix) -> Matrix:
@@ -211,7 +203,7 @@ def load_plan(path: str | os.PathLike) -> BlockPlan:
             k=int(doc["k"]),
             p_out=Permutation.from_one_based(doc["p_out"]),
             p_in=Permutation.from_one_based(doc["p_in"]),
-            anchors=tuple(anchors),
+            anchor_stack=anchors,
         )
         for key in ("row_intervals", "col_intervals"):
             if doc[key] != _intervals_to_file(getattr(plan, key)):

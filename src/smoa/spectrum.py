@@ -89,10 +89,11 @@ def svd(w: Matrix) -> SpectralDecomposition:
     return SpectralDecomposition(Matrix(u), s, Matrix(vt.T))
 
 
-def singular_values(w: Matrix) -> np.ndarray:
-    """Descending singular values only (no vectors)."""
+def singular_values(w: Matrix | np.ndarray) -> np.ndarray:
+    """Descending singular values only (no vectors). A ``(K, m, n)``
+    stack gives a ``(K, min(m, n))`` array, one row per matrix."""
     try:
-        return scipy.linalg.svdvals(w.data)
+        return scipy.linalg.svdvals(np.asarray(w))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"SVD did not converge for shape {w.shape}") from exc
 

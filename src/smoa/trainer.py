@@ -27,11 +27,11 @@ from typing import Literal
 import numpy as np
 
 from .adapters import Adapter, AdapterInit, LoraAdapter, SmoaAdapter, init_lora, init_smoa
-from .adapters import _stacked_factors
+from .adapters import _factor_stacks
 from .errors import ConfigurationError, DimensionError, NumericalError
 from .fileutil import atomic_write_text
-from .matrices import Matrix, apply_permutations
-from .preprocess import BlockPlan, _anchor_stack, _gather_blocks
+from .matrices import Matrix
+from .preprocess import BlockPlan, _gather_blocks
 from .spectrum import balanced_factors, tail_energy
 
 __all__ = [
@@ -154,11 +154,11 @@ class _Objective:
             return
         plan = problem.plan
         self.t = _gather_blocks(problem.target.data, plan.k, plan.p_out, plan.p_in)
-        self.anchors = _anchor_stack(plan)
+        self.anchors = plan.anchor_stack
         in_block = 0.0
         for energy in _block_sums(self.t):
             in_block += energy
-        reordered = apply_permutations(problem.target, plan.p_out, plan.p_in).data
+        reordered = problem.target.data[np.ix_(plan.p_out.indices, plan.p_in.indices)]
         # off-diagonal-block energy is constant under block updates
         self.constant = 0.5 * max(float(np.sum(reordered**2)) - in_block, 0.0)
 
@@ -208,7 +208,7 @@ def loss(problem: FitProblem, adapter: Adapter) -> float:
     """Objective value 0.5 * ||Delta - T||_F^2 for this adapter."""
     _check_adapter(problem, adapter)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _Objective(problem).evaluate(*_stacked_factors(adapter))[0]
+        return _Objective(problem).evaluate(*_factor_stacks(adapter))[0]
 
 
 def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matrix], ...]:
@@ -220,7 +220,7 @@ def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matri
     """
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
-    a, b = _stacked_factors(adapter)
+    a, b = _factor_stacks(adapter)
     da, db = objective.gradients(a, b, objective.evaluate(a, b)[1])
     return tuple((Matrix(da_k), Matrix(db_k)) for da_k, db_k in zip(da, db))
 
@@ -237,14 +237,7 @@ def _initial_factors(problem: FitProblem, init: AdapterInit) -> tuple[np.ndarray
         adapter = init_lora(problem.target.rows, problem.target.cols, problem.r, init)
     else:
         adapter = init_smoa(problem.plan, problem.r, init)
-    return _stacked_factors(adapter)
-
-
-def _build_adapter(problem: FitProblem, a: np.ndarray, b: np.ndarray) -> Adapter:
-    pairs = tuple((Matrix(a_k), Matrix(b_k)) for a_k, b_k in zip(a, b))
-    if problem.kind == "lora":
-        return LoraAdapter(*pairs[0])
-    return SmoaAdapter(problem.plan, problem.r // problem.plan.k, pairs)
+    return _factor_stacks(adapter)
 
 
 def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig()) -> FitTrace:
@@ -288,12 +281,14 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
             gnorm = _grad_norm(da, db)
             step += 1
             steps.append(TraceStep(step, current_loss, gnorm))
-    floor = None
     if problem.kind == "lora":
         floor = 0.5 * tail_energy(problem.target, min(problem.r, min(problem.target.shape)))
+        adapter: Adapter = LoraAdapter(Matrix(a[0]), Matrix(b[0]))
+    else:
+        floor, adapter = None, SmoaAdapter(problem.plan, problem.r // problem.plan.k, a, b)
     return FitTrace(
         steps=tuple(steps),
-        adapter=_build_adapter(problem, a, b),
+        adapter=adapter,
         floor=floor,
         target_norm_sq=float(np.sum(problem.target.data**2)),
         init=init,
@@ -313,7 +308,7 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
         raise ConfigurationError(f"step must be positive, got {step}")
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
-    a, b = _stacked_factors(adapter)
+    a, b = (factor.copy() for factor in _factor_stacks(adapter))
     analytic = objective.gradients(a, b, objective.evaluate(a, b)[1])
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -110,7 +110,7 @@ class TestUpdates:
         assert_array_equal(plan.anchors[0].data, np.ones((5, 7)))
         a = random_matrix(rng, 2, 7)
         b = random_matrix(rng, 5, 2)
-        block = SmoaAdapter(plan, 2, ((a, b),))
+        block = SmoaAdapter(plan, 2, a.data[np.newaxis], b.data[np.newaxis])
         moved = apply_permutations(smoa_update(block), plan.p_out, plan.p_in)
         assert_array_equal(moved.data, lora_update(LoraAdapter(a, b)).data)
 

@@ -7,14 +7,21 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import (
+    AdapterInit,
+    BlockPlan,
     ConfigurationError,
+    DimensionError,
     FormatError,
     Matrix,
+    NumericalError,
     RangeError,
+    SmoaAdapter,
+    WitnessInstance,
     achieved_rank,
     block_diagonal,
     build_plan,
     full_rank_ceiling,
+    init_smoa,
     invert_permutations,
     load_witness,
     lora_gap,
@@ -50,6 +57,14 @@ class TestRankCeiling:
         assert report.total_ceiling == 16
         assert report.lora_ceiling == 8
         assert report.separated is True
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_one_batched_decomposition(self, rng, count_decompositions, k):
+        plan = build_plan(random_matrix(rng, 16, 32), k)
+        report, calls = count_decompositions(rank_ceiling, plan, k)
+        assert calls == {"svdvals": 1}
+        for block, anchor in zip(report.per_block, plan.anchors):
+            assert block.anchor_rank == numerical_rank(anchor, report.epsilon)
 
     def test_matches_integer_formula_on_random_grids(self, rng):
         for _ in range(10):
@@ -288,6 +303,105 @@ class TestAchievedRank:
         witness = make_witness(plan, rho=2, seed=7)
         adapter = smoa_exact_fit(witness)
         assert achieved_rank(smoa_update(adapter)) == witness.reordered_target_rank
+
+
+def _stores(rng):
+    """One of each stacked store over an 8x12 plan with K = 2. Each comes
+    with a constructor taking the stacks as keywords, its valid stacks,
+    and its tuple view as a list of ``(field, index, matrix)``."""
+    plan = build_plan(random_matrix(rng, 8, 12), 2)
+    adapter = init_smoa(plan, 4, AdapterInit("gaussian", seed=3))
+    witness = make_witness(plan, rho=2, seed=5)
+    return [
+        (plan,
+         lambda **s: BlockPlan(plan.k, plan.p_out, plan.p_in, **s),
+         {"anchor_stack": plan.anchor_stack},
+         lambda p: [("anchor_stack", g, m) for g, m in enumerate(p.anchors)]),
+        (adapter,
+         lambda **s: SmoaAdapter(plan, 2, **s),
+         {"a": adapter.a, "b": adapter.b},
+         lambda ad: [(f, g, m) for g, pair in enumerate(ad.factors)
+                     for f, m in zip("ab", pair)]),
+        (witness,
+         lambda **s: WitnessInstance(plan, target=witness.target, reordered_target_rank=4,
+                                     rho=2, seed=5, **s),
+         {"coefficient_stack": witness.coefficient_stack},
+         lambda w: [("coefficient_stack", g, m) for g, m in enumerate(w.coefficients)]),
+    ]
+
+
+STORES = ["plan", "adapter", "witness"]
+
+
+class TestStackedStores:
+    """BlockPlan, SmoaAdapter and WitnessInstance hold their K blocks as
+    read-only (K, ., .) arrays and view them as tuples of matrices."""
+
+    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    def test_views_equal_stack_slices(self, rng, which):
+        _, make, stacks, view = _stores(rng)[which]
+        store = make(**stacks)
+        entries = view(store)
+        assert len(entries) == 2 * len(stacks)
+        for field, g, matrix in entries:
+            assert isinstance(matrix, Matrix)
+            assert_array_equal(matrix.data, getattr(store, field)[g])
+            assert_array_equal(matrix.data, stacks[field][g])
+
+    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    def test_stacks_are_read_only_copies(self, rng, which):
+        _, make, stacks, _ = _stores(rng)[which]
+        writable = {field: np.array(stack) for field, stack in stacks.items()}
+        store = make(**writable)
+        for field, stack in writable.items():
+            held = getattr(store, field)
+            assert held.dtype == np.float64 and held.flags.c_contiguous
+            with pytest.raises(ValueError):
+                held[0, 0, 0] = 1.0
+            stack[0, 0, 0] += 1.0
+            assert held[0, 0, 0] != stack[0, 0, 0]
+
+    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    def test_sequence_of_matrices_accepted(self, rng, which):
+        _, make, stacks, _ = _stores(rng)[which]
+        store = make(**{f: [Matrix(m) for m in stack] for f, stack in stacks.items()})
+        for field, stack in stacks.items():
+            assert_array_equal(getattr(store, field), stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    def test_non_finite_stack_rejected(self, rng, which, bad):
+        _, make, stacks, _ = _stores(rng)[which]
+        for field in stacks:
+            poisoned = np.array(stacks[field])
+            poisoned[-1, -1, -1] = bad
+            with pytest.raises(NumericalError):
+                make(**{**stacks, field: poisoned})
+
+    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    def test_wrong_k_rejected(self, rng, which):
+        _, make, stacks, _ = _stores(rng)[which]
+        for field, stack in stacks.items():
+            for wrong in (stack[:1], np.concatenate([stack, stack[:1]])):
+                with pytest.raises(DimensionError):
+                    make(**{**stacks, field: wrong})
+
+    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    def test_wrong_block_shape_rejected(self, rng, which):
+        _, make, stacks, _ = _stores(rng)[which]
+        for field, stack in stacks.items():
+            ragged = [Matrix(stack[0]), Matrix(stack[1][:, :-1])]
+            for wrong in (stack[:, :, :-1], stack[0], ragged):
+                with pytest.raises(DimensionError):
+                    make(**{**stacks, field: wrong})
+
+    def test_equality_is_identity(self, rng):
+        for store, make, stacks, _ in _stores(rng):
+            twin = make(**stacks)
+            assert store == store and not store != store
+            assert store != twin
+            assert hash(store) == hash(store)
+            assert len({store, twin}) == 2
 
 
 class TestWitnessFiles:

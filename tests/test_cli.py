@@ -525,14 +525,28 @@ class TestMalformedInput:
         ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2", "--scale"],
         ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2", "--step-size"],
         ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "2", "--grad-tol"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "diagonal", "--values"],
     ], ids=["diagnose-noise-scale", "diagnose-epsilon", "rank-epsilon", "update-epsilon",
             "ceiling-epsilon", "gen-scale", "gen-strength", "gen-noise", "adapter-scale",
-            "fit-scale", "fit-step-size", "fit-grad-tol"])
+            "fit-scale", "fit-step-size", "fit-grad-tol", "gen-values"])
     def test_non_finite_flag(self, workdir, seeded_matrix, seeded_plan, capsys, command, value):
         _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         argv = [a.format(plan=seeded_plan, matrix=seeded_matrix, adapter=adapter["path"])
                 for a in command]
         self.assert_rejected(capsys, *argv, value)
+
+    @pytest.mark.parametrize("values", ["nan,1", "1e400", "1,-inf"])
+    def test_non_finite_values_list(self, workdir, capsys, values):
+        self.assert_rejected(
+            capsys, "gen", "--rows", "4", "--cols", "4", "--kind", "diagonal", "--values", values,
+        )
+        assert not (workdir / "matrix.mat").exists()
+
+    def test_rejected_update_writes_nothing(self, workdir, seeded_plan, capsys):
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        self.assert_rejected(capsys, "update", "--adapter", adapter["path"], "--epsilon", "nan",
+                             "--out", "updates")
+        assert not (workdir / "updates" / "update.mat").exists()
 
     @pytest.mark.parametrize("rows,cols", [(-3, 4), (4, -3), (0, 4), (4, 0)])
     @pytest.mark.parametrize("kind", [

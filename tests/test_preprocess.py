@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from smoa import (
     BlockPlan,
     ConfigurationError,
+    DimensionError,
     FormatError,
     Matrix,
     Permutation,
@@ -166,12 +167,12 @@ class TestPlanValidation:
 
     def test_wrong_anchor_shape_rejected(self, rng):
         good = build_plan(random_matrix(rng, 4, 4), 2)
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionError):
             BlockPlan(
                 k=2,
                 p_out=good.p_out,
                 p_in=good.p_in,
-                anchors=(good.anchors[0], Matrix.ones(3, 3)),
+                anchor_stack=(good.anchors[0], Matrix.ones(3, 3)),
             )
 
 

@@ -96,6 +96,16 @@ class TestNumericalRank:
             assert numerical_rank(w) == np.linalg.matrix_rank(w.data)
 
 
+class TestSingularValues:
+    @pytest.mark.parametrize("shape", [(4, 64, 64), (8, 16, 32), (2, 48, 24), (3, 5, 7)])
+    def test_stack_rows_match_each_matrix_bitwise(self, rng, shape):
+        stack = rng.standard_normal(shape)
+        values = singular_values(stack)
+        assert values.shape == (shape[0], min(shape[1:]))
+        for row, block in zip(values, stack):
+            assert row.tobytes() == singular_values(Matrix(block)).tobytes()
+
+
 class TestTruncation:
     def test_rank_zero_gives_zeros(self, rng):
         w = random_matrix(rng, 4, 6)
