@@ -16,7 +16,6 @@ not something the adapter works around.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError, RangeError
-from .fileutil import atomic_write_text, envelope_fields, read_envelope, sha256_file
+from .fileutil import envelope_fields, read_envelope, sha256_file, write_json
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
 from .preprocess import BlockPlan, _scatter_blocks, load_plan
@@ -302,7 +301,7 @@ def save_adapter(
         factor_path = target.parent / name
         save_matrix(factor, factor_path)
         written.append(factor_path)
-    atomic_write_text(target, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(target, doc)
     # factor files a previous save under this name wrote beyond the new count
     stale = len(factors)
     while (orphan := target.parent / f"{target.stem}.f{stale:02d}.mat").exists():

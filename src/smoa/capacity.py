@@ -16,7 +16,6 @@ spectrally; no training is involved here.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, RangeError
-from .fileutil import atomic_write_text, envelope_fields, read_envelope
+from .fileutil import envelope_fields, read_envelope, write_json
+from .gen import _rng
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack, apply_permutations
 from .preprocess import BlockPlan, _scatter_blocks, load_plan, save_plan
@@ -169,9 +169,7 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
     s_out, s_in = plan.block_shape
     if rho < 0 or rho > min(s_out, s_in):
         raise RangeError(f"rho={rho} out of range 0..{min(s_out, s_in)}")
-    if seed < 0:
-        raise RangeError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     # one draw pair per block, in block order; rho = 0 is the empty product
     coefficients = np.stack([
         rng.standard_normal((s_out, rho)) @ rng.standard_normal((rho, s_in))
@@ -220,15 +218,11 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     The manifest records seed, rho, both rank readings, and the gap at
     every budget r = 1..min(d_out, d_in), all read off one singular-value
     decomposition of the target; each gap equals ``lora_gap(witness, r)``.
+    Nothing is written until the manifest is complete, so a numerical
+    failure leaves no partial bundle.
     """
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    save_plan(witness.plan, base / "plan.json")
-    save_matrix(witness.target, base / "target.mat")
-    coeff_names = [f"coeff_{i:02d}.mat" for i in range(1, witness.plan.k + 1)]
-    for name, c in zip(coeff_names, witness.coefficients):
-        save_matrix(c, base / name)
     values = singular_values(witness.target)
+    coeff_names = [f"coeff_{i:02d}.mat" for i in range(1, witness.plan.k + 1)]
     m = min(witness.target.shape)
     manifest = {
         "format": WITNESS_FORMAT,
@@ -242,7 +236,12 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
         "target": "target.mat",
         "coefficients": coeff_names,
     }
-    atomic_write_text(base / "witness.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    base = Path(directory)
+    save_plan(witness.plan, base / "plan.json")
+    save_matrix(witness.target, base / "target.mat")
+    for name, c in zip(coeff_names, witness.coefficients):
+        save_matrix(c, base / name)
+    write_json(base / "witness.json", manifest)
     return base / "witness.json"
 
 

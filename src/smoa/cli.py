@@ -46,7 +46,7 @@ from .errors import (
     NumericalError,
     RangeError,
 )
-from .fileutil import atomic_write_text, sha256_file
+from .fileutil import envelope_fields, read_json, sha256_file, write_csv, write_json
 from .gen import diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
 from .matio import load_matrix, save_matrix
 from .preprocess import build_plan, load_plan, save_plan
@@ -91,21 +91,14 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def _write_report_artifact(args, name: str, payload: dict, csv_header: list[str], csv_rows: list[list]) -> str:
     out = _out_dir(args)
     if args.format == "csv":
         path = out / f"{name}.csv"
-        _write_table(path, csv_header, csv_rows)
+        write_csv(path, csv_header, csv_rows)
     else:
         path = out / f"{name}.json"
-        atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        write_json(path, payload)
     return str(path)
 
 
@@ -266,7 +259,7 @@ def cmd_gap(args) -> dict:
         "reordered_target_rank": witness.reordered_target_rank,
     }
     payload["report_path"] = _write_report_artifact(
-        args, "gap", payload, ["r", "gap"], [[args.r, float(value)]]
+        args, "gap", payload, ["r", "gap"], [[args.r, value]]
     )
     return payload
 
@@ -282,14 +275,9 @@ def cmd_fit(args) -> dict:
     trace_path = out / f"{args.prefix}.trace.csv"
     summary_path = out / f"{args.prefix}.summary.json"
     adapter_path = out / f"{args.prefix}.adapter.json"
+    plan_hash = sha256_file(args.plan) if args.plan is not None else None
     save_trace(trace, trace_path, summary_path)
-    save_adapter(
-        trace.adapter,
-        adapter_path,
-        init=init,
-        plan_path=args.plan,
-        plan_hash=sha256_file(args.plan) if args.plan is not None else None,
-    )
+    save_adapter(trace.adapter, adapter_path, init=init, plan_path=args.plan, plan_hash=plan_hash)
     _note(args, f"fit finished after {trace.step_count} steps")
     return {
         "kind": args.kind,
@@ -343,19 +331,13 @@ def _sweep_seeds(master: int, cell: int, trial: int) -> list[int]:
 
 
 def cmd_sweep(args) -> dict:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        try:
-            spec = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise FormatError(f"sweep spec is not valid JSON: {exc}") from exc
-    try:
+    spec = read_json(args.spec, "sweep spec")
+    with envelope_fields("sweep spec"):
         dims = [int(d) for d in spec["dims"]]
         ks = [int(k) for k in spec["ks"]]
         rs = [int(r) for r in spec["rs"]]
         trials = int(spec["trials"])
         master = int(spec["seed"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"sweep spec needs dims/ks/rs/trials/seed: {exc}") from exc
     if min([trials, *dims, *ks, *rs]) < 1:
         raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
     if master < 0:
@@ -387,23 +369,20 @@ def cmd_sweep(args) -> dict:
                         lora.trainable_parameters,
                         achieved_rank(lora_update(lora), args.epsilon),
                         r,
-                        float(lora_gap(witness, r)),
+                        lora_gap(witness, r),
                     ])
                     rows.append([
                         "smoa", d, k, r, trial,
                         smoa.trainable_parameters,
                         achieved_rank(smoa_update(smoa), args.epsilon),
                         ceiling.total_ceiling,
-                        float(smoa_residual),
+                        smoa_residual,
                     ])
                 cell += 1
                 _note(args, f"cell d={d} k={k} r={r} done")
     path = _out_dir(args) / args.name
-    _write_table(
-        path,
-        ["method", "d", "k", "r", "trial", "params", "achieved_rank", "ceiling", "gap"],
-        rows,
-    )
+    write_csv(path, ["method", "d", "k", "r", "trial", "params", "achieved_rank", "ceiling", "gap"],
+              rows)
     return {
         "path": str(path),
         "rows": len(rows),

@@ -23,7 +23,6 @@ calibrates that baseline.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, EstimationError, RangeError
-from .fileutil import atomic_write_text
+from .fileutil import write_csv, write_json
+from .gen import _rng
 from .matrices import Matrix
 from .spectrum import SpectralDecomposition, _rank_from_values, singular_values, svd
 
@@ -216,12 +216,11 @@ def overlap_scores(w: Matrix, activations: ActivationSample) -> list[tuple[int, 
     return _overlaps(svd(w), activations)
 
 
-def _bulk_band(
-    eigenvectors: np.ndarray, draws: int, seed: int
-) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
-    d = eigenvectors.shape[0]
-    g = rng.standard_normal((draws, d))
+_BAND_DRAWS = 200  # random unit vectors behind the Monte Carlo overlap band
+
+
+def _bulk_band(eigenvectors: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    g = rng.standard_normal((_BAND_DRAWS, eigenvectors.shape[0]))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     scores = ((g @ eigenvectors) ** 2).max(axis=1)
     return float(scores.mean()), float(scores.std())
@@ -261,17 +260,13 @@ def full_report(
     epsilon: float | None = None,
     noise_scale: float | None = None,
     seed: int = 0,
-    band_draws: int = 200,
 ) -> SpectralReport:
     """Assemble every diagnostic in one pass over one decomposition.
 
     Deterministic for fixed inputs and seed; the seed feeds only the
-    Monte Carlo bulk band (``band_draws`` random unit vectors).
+    Monte Carlo bulk band (200 random unit vectors).
     """
-    if band_draws < 1:
-        raise ConfigurationError(f"band_draws must be positive, got {band_draws}")
-    if seed < 0:
-        raise RangeError(f"seed must be nonnegative, got {seed}")
+    rng = _rng(seed)
     dec = svd(w)
     values = dec.singular_values
     nu, noise_scale = _normalize(values, w.shape, noise_scale)
@@ -281,7 +276,7 @@ def full_report(
     curve = tuple((r, float(tail[r])) for r in range(values.size + 1))
     if activations is not None:
         pairs = _overlaps(dec, activations)
-        mean, sigma = _bulk_band(activations.eigenvectors, band_draws, seed)
+        mean, sigma = _bulk_band(activations.eigenvectors, rng)
     else:
         pairs, mean, sigma = [], None, None
     return SpectralReport(
@@ -298,7 +293,7 @@ def full_report(
         epsilon=float(epsilon),
         noise_scale=float(noise_scale),
         seed=seed,
-        band_draws=band_draws,
+        band_draws=_BAND_DRAWS,
     )
 
 
@@ -335,7 +330,7 @@ def save_report(
             "band_draws": report.band_draws,
         },
     }
-    atomic_write_text(json_path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(json_path, doc)
     if histogram_path is not None:
         nu = np.asarray(report.normalized_values)
         top = max(float(nu.max()) if nu.size else 0.0, report.bulk_edge) * 1.02
@@ -343,20 +338,14 @@ def save_report(
         counts, _ = np.histogram(nu, bins=edges)
         centers = (edges[:-1] + edges[1:]) / 2
         density = mp_singular_density(centers, _aspect_ratio(report.rows, report.cols))
-        lines = ["bin_left,bin_right,count,mp_density"]
-        for left, right, count, dens in zip(edges[:-1], edges[1:], counts, density):
-            lines.append(f"{repr(float(left))},{repr(float(right))},{int(count)},{repr(float(dens))}")
-        atomic_write_text(histogram_path, "\n".join(lines) + "\n")
+        write_csv(histogram_path, ["bin_left", "bin_right", "count", "mp_density"],
+                  zip(edges[:-1], edges[1:], counts, density))
     if overlaps_path is not None:
-        lines = ["k,nu_k,score,bulk_mean,bulk_lo,bulk_hi"]
+        rows = []
         if report.overlaps and report.bulk_overlap_mean is not None:
             mean = report.bulk_overlap_mean
             sigma = report.bulk_overlap_sigma or 0.0
             lo, hi = mean - 3 * sigma, mean + 3 * sigma
-            for k, score in report.overlaps:
-                nu_k = report.normalized_values[k - 1]
-                lines.append(
-                    f"{k},{repr(float(nu_k))},{repr(float(score))},"
-                    f"{repr(float(mean))},{repr(float(lo))},{repr(float(hi))}"
-                )
-        atomic_write_text(overlaps_path, "\n".join(lines) + "\n")
+            rows = [[k, report.normalized_values[k - 1], score, mean, lo, hi]
+                    for k, score in report.overlaps]
+        write_csv(overlaps_path, ["k", "nu_k", "score", "bulk_mean", "bulk_lo", "bulk_hi"], rows)

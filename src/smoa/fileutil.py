@@ -1,4 +1,9 @@
-"""Atomic file writes, content hashing and envelope reads for artifact files."""
+"""Atomic file writes, content hashing and the text codec for artifact files.
+
+Every JSON artifact is written with indent 1 and sorted keys, and every
+CSV float cell is the shortest decimal that parses back to the same
+double.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -8,6 +13,8 @@ import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -34,6 +41,24 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def write_json(path: str | os.PathLike, doc) -> None:
+    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def csv_text(rows) -> str:
+    """One comma-joined line per row; floats (numpy scalars included)
+    render as ``repr(float(x))``, anything else as ``str(x)``."""
+    return "".join(
+        ",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+                 for x in row) + "\n"
+        for row in rows
+    )
+
+
+def write_csv(path: str | os.PathLike, header, rows) -> None:
+    atomic_write_text(path, csv_text([header, *rows]))
+
+
 def sha256_bytes(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
@@ -43,11 +68,9 @@ def sha256_file(path: str | os.PathLike) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) -> dict:
-    """Parse a JSON artifact envelope: an object whose ``format`` is
-    ``fmt`` and whose ``version`` is ``version``. ``what`` names the
-    artifact in error messages. Anything else raises :class:`FormatError`.
-    """
+def read_json(path: str | os.PathLike, what: str) -> dict:
+    """Parse a file holding one JSON object; ``what`` names it in error
+    messages. Anything else raises :class:`FormatError`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -55,6 +78,15 @@ def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) ->
             raise FormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) -> dict:
+    """Parse a JSON artifact envelope: an object whose ``format`` is
+    ``fmt`` and whose ``version`` is ``version``. Anything else raises
+    :class:`FormatError`.
+    """
+    doc = read_json(path, what)
     if doc.get("format") != fmt:
         raise FormatError(f"{what} is not {fmt}: got format {doc.get('format')!r}")
     if doc.get("version") != version:

@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .fileutil import atomic_write_bytes, atomic_write_text, sha256_bytes
+from .fileutil import atomic_write_bytes, atomic_write_text, csv_text, sha256_bytes
 from .matrices import Matrix
 
 __all__ = [
@@ -70,17 +70,8 @@ def load_matrix(path: str | os.PathLike) -> Matrix:
         return decode_matrix(handle.read())
 
 
-def _render(x: float) -> str:
-    # repr of a Python float is the shortest string that parses back
-    # to the same bits; numpy scalars must be unwrapped first.
-    return repr(float(x))
-
-
 def matrix_to_csv(m: Matrix) -> str:
-    lines = [f"{m.rows},{m.cols}"]
-    for row in m.data:
-        lines.append(",".join(_render(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return csv_text([m.shape, *m.data.tolist()])
 
 
 def matrix_from_csv(text: str) -> Matrix:

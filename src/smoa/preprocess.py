@@ -15,7 +15,6 @@ coordinate with no spectral energy scores m + 1 and sorts last.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import atomic_write_text, envelope_fields, read_envelope
+from .fileutil import envelope_fields, read_envelope, write_json
 from .matio import load_matrix, matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
 from .spectrum import SpectralDecomposition, svd
@@ -182,7 +181,7 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None 
         "anchors": [{"csv": matrix_to_csv(anchor)} for anchor in plan.anchors],
         "source_hash": source_hash,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_plan(path: str | os.PathLike) -> BlockPlan:

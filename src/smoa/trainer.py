@@ -18,7 +18,6 @@ stochasticity in the updates.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 from .adapters import Adapter, AdapterInit, LoraAdapter, SmoaAdapter, init_lora, init_smoa
 from .adapters import _factor_stacks
 from .errors import ConfigurationError, DimensionError, NumericalError
-from .fileutil import atomic_write_text
+from .fileutil import write_csv, write_json
 from .matrices import Matrix
 from .preprocess import BlockPlan, _gather_blocks
 from .spectrum import balanced_factors, tail_energy
@@ -329,10 +328,8 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
 
 def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str | os.PathLike) -> None:
     """Write the per-step CSV and the JSON summary for one fit."""
-    lines = ["step,loss,grad_norm"]
-    for entry in trace.steps:
-        lines.append(f"{entry.step},{repr(entry.loss)},{repr(entry.grad_norm)}")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    write_csv(csv_path, ["step", "loss", "grad_norm"],
+              [[entry.step, entry.loss, entry.grad_norm] for entry in trace.steps])
     summary = {
         "final_loss": trace.final_loss,
         "relative_loss": trace.relative_loss,
@@ -350,4 +347,4 @@ def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str |
             "init_scale": trace.init.scale,
         },
     }
-    atomic_write_text(summary_path, json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    write_json(summary_path, summary)

@@ -35,6 +35,8 @@ from smoa import (
     truncated_svd,
 )
 
+import smoa.capacity
+
 from conftest import random_matrix
 
 
@@ -438,6 +440,17 @@ class TestWitnessFiles:
         assert manifest["target_rank"] == numerical_rank(witness.target)
         for r in range(1, min(rows, cols) + 1):
             assert manifest["gaps"][str(r)] == lora_gap(witness, r)
+
+    def test_numerical_failure_writes_nothing(self, rng, tmp_path, monkeypatch):
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=31)
+
+        def fail(_):
+            raise NumericalError("no convergence")
+
+        monkeypatch.setattr(smoa.capacity, "singular_values", fail)
+        with pytest.raises(NumericalError):
+            save_witness(witness, tmp_path / "bundle")
+        assert not (tmp_path / "bundle").exists() or not any((tmp_path / "bundle").iterdir())
 
     def test_bad_manifest_rejected(self, tmp_path):
         bundle = tmp_path / "bundle"

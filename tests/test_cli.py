@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from smoa import load_adapter, load_matrix, load_plan, load_witness
+import smoa.capacity
+from smoa import NumericalError, load_adapter, load_matrix, load_plan, load_witness
 from smoa.cli import main
 from smoa.fileutil import sha256_file
 
@@ -488,6 +489,19 @@ class TestMalformedInput:
         (workdir / "spec.json").write_bytes(b"\xff\xfe{")
         self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
 
+    @pytest.mark.parametrize("spec", [
+        [{"dims": [8], "ks": [2], "rs": [2], "trials": 1, "seed": 1}],
+        {"dims": [8], "ks": [2], "rs": [2], "seed": 1},
+    ], ids=["json-list", "missing-trials"])
+    def test_sweep_spec_shape(self, workdir, capsys, spec):
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
+    def test_negative_seed_diagnose_without_activations(self, workdir, seeded_matrix, capsys):
+        self.assert_rejected(capsys, "diagnose", "--matrix", seeded_matrix, "--seed", "-1",
+                             "--out", "diag")
+        assert not (workdir / "diag" / "report.json").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("ks", [0]), ("dims", [0]), ("rs", [-2]), ("seed", -1),
     ], ids=["ks-zero", "dims-zero", "rs-negative", "seed-negative"])
@@ -562,6 +576,18 @@ class TestMalformedInput:
 
 
 class TestExitCodes:
+    def test_witness_numerical_failure_is_four(self, workdir, seeded_plan, capsys, monkeypatch):
+        def fail(_):
+            raise NumericalError("no convergence")
+
+        monkeypatch.setattr(smoa.capacity, "singular_values", fail)
+        code = main(["witness", "--plan", seeded_plan, "--rho", "1", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert not (workdir / "witness").exists() or not any((workdir / "witness").iterdir())
+
     def test_usage_error_is_one(self, workdir, capsys):
         assert main(["gen", "--rows", "4"]) == 1  # missing required args
         capsys.readouterr()

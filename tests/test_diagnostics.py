@@ -343,8 +343,21 @@ class TestFullReport:
         w = random_matrix(rng, 4, 4)
         with pytest.raises(RangeError):
             full_report(w, noise_scale=1.0, epsilon=-1.0)
-        with pytest.raises(ConfigurationError):
-            full_report(w, noise_scale=1.0, band_draws=0)
+
+    def test_band_uses_200_draws(self, tmp_path):
+        w = spiked_matrix(16, 16, spikes=1, strength=6.0, seed=2)
+        sample = ActivationSample(Matrix(np.random.default_rng(5).standard_normal((16, 64))))
+        report = full_report(w, sample, noise_scale=1.0, seed=7)
+        assert report.band_draws == 200
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((200, 16))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        scores = ((g @ sample.eigenvectors) ** 2).max(axis=1)
+        assert report.bulk_overlap_mean == float(scores.mean())
+        assert report.bulk_overlap_sigma == float(scores.std())
+        save_report(report, tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["metadata"]["band_draws"] == 200
 
 
 class TestReportFiles:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from smoa import FormatError, Matrix
+from smoa.fileutil import csv_text, read_json, write_csv, write_json
 from smoa.matio import (
     decode_matrix,
     encode_matrix,
@@ -122,3 +123,44 @@ class TestCsvFormat:
     def test_roundtrip_property(self, entries):
         m = Matrix(np.array(entries).reshape(3, 2))
         assert np.array_equal(matrix_from_csv(matrix_to_csv(m)).data, m.data)
+
+
+class TestTextCodec:
+    @settings(deadline=None, max_examples=200)
+    @given(finite_floats, st.booleans())
+    def test_float_cells_roundtrip_bitwise(self, x, as_numpy):
+        cell = np.float64(x) if as_numpy else x
+        text = csv_text([[cell]])
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert struct.pack("<d", float(text[:-1])) == struct.pack("<d", x)
+
+    def test_non_float_cells_render_as_str(self):
+        row = [np.int64(7), True, False, 3, "lora", None]
+        assert csv_text([row]) == "7,True,False,3,lora,None\n"
+
+    def test_numpy_cells_through_write_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [[np.float64(0.1), np.int64(3)], [np.float64(1 / 3), np.int64(-2)]]
+        write_csv(path, ["x", "n"], rows)
+        assert path.read_text() == "x,n\n0.1,3\n0.3333333333333333,-2\n"
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [])
+        assert path.read_text() == "a,b\n"
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json(path, {"b": [1, 0.1], "a": {"y": None, "x": True}})
+        assert path.read_text() == (
+            '{\n "a": {\n  "x": true,\n  "y": null\n },\n "b": [\n  1,\n  0.1\n ]\n}\n'
+        )
+        assert read_json(path, "doc") == {"a": {"x": True, "y": None}, "b": [1, 0.1]}
+
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b"{", b"\xff\xfe{"],
+                             ids=["json-list", "truncated", "not-utf8"])
+    def test_read_json_rejects(self, tmp_path, payload):
+        path = tmp_path / "d.json"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError, match="^doc "):
+            read_json(path, "doc")

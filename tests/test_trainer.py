@@ -278,6 +278,11 @@ class TestTraceFiles:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == trace.steps[0].loss
+        for line, entry in zip(lines[1:], trace.steps):
+            step, loss, grad_norm = line.split(",")
+            assert int(step) == entry.step
+            assert float(loss) == entry.loss
+            assert float(grad_norm) == entry.grad_norm
         summary = json.loads(summary_path.read_text())
         assert summary["final_loss"] == trace.final_loss
         assert summary["relative_loss"] == trace.relative_loss
