@@ -23,8 +23,9 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, FormatError, RangeError
+from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import envelope_fields, read_envelope, sha256_file, write_json
+from .gen import _check_seed
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
 from .preprocess import BlockPlan, _scatter_blocks, load_plan
@@ -137,8 +138,7 @@ class AdapterInit:
             raise ConfigurationError(f"unknown init scheme {self.scheme!r}")
         if not 0 < self.scale < np.inf:
             raise ConfigurationError(f"scale must be positive and finite, got {self.scale}")
-        if self.seed < 0:
-            raise RangeError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def _draw(rng: np.random.Generator, rows: int, cols: int, scale: float) -> Matrix:

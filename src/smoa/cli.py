@@ -47,7 +47,7 @@ from .errors import (
     RangeError,
 )
 from .fileutil import envelope_fields, read_json, sha256_file, write_csv, write_json
-from .gen import diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
+from .gen import _check_seed, diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
 from .matio import load_matrix, save_matrix
 from .preprocess import build_plan, load_plan, save_plan
 from .spectrum import _rank_from_values, singular_values
@@ -340,8 +340,7 @@ def cmd_sweep(args) -> dict:
         master = int(spec["seed"])
     if min([trials, *dims, *ks, *rs]) < 1:
         raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
-    if master < 0:
-        raise RangeError(f"seed must be nonnegative, got {master}")
+    _check_seed(master)
     for d in dims:
         for k in ks:
             if d % k:

@@ -27,9 +27,13 @@ def _check_shape(rows: int, cols: int) -> None:
         raise RangeError(f"dimensions must be positive, got {rows}x{cols}")
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise RangeError(f"seed must be nonnegative, got {seed}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 

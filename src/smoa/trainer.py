@@ -9,10 +9,12 @@ off-diagonal-block energy, which block updates cannot touch) plus the
 per-block sums 0.5 * ||R_k||^2, and the gradients are B^T (R * M) and
 (R * M) A^T. The global family is the K = 1 case with no anchor.
 
-Descent is full-batch with backtracking: a step that would increase the
-loss is halved up to ``max_halvings`` times, so accepted steps never
-increase the loss, and the accepted candidate's residual feeds the next
-gradient. Determinism comes from seeded initialization and a fixed
+Descent is full-batch with backtracking: a candidate that would
+increase the loss is rejected and its step halved, so accepted steps
+never increase the loss. The step size carries from one step to the
+next (see ``fit``), and the accepted candidate's residual feeds the
+next gradient.
+Determinism comes from seeded initialization and a fixed
 iteration order (block sums are added in block order); there is no
 stochasticity in the updates.
 """
@@ -77,9 +79,19 @@ class FitProblem:
                 raise ConfigurationError(f"k={self.plan.k} must divide r={self.r}")
 
 
+# an accepted step multiplies eta by this, up to the cap
+_STEP_GROWTH = 1.5
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Descent hyperparameters; defaults match the reference runs."""
+    """Descent hyperparameters; defaults match the reference runs.
+
+    ``step_size`` is the first step's eta. ``max_halvings`` bounds eta on
+    both sides: it never grows past ``step_size * 2**max_halvings``, and a
+    step search that halves it below ``step_size * 2**-max_halvings``
+    stalls. Both bounds must be positive and finite floats.
+    """
 
     step_size: float = 1e-2
     max_steps: int = 50000
@@ -90,13 +102,34 @@ class FitConfig:
         finite = 0 < self.step_size < math.inf and 0 <= self.grad_tol < math.inf
         if not finite or self.max_steps < 0 or self.max_halvings < 0:
             raise ConfigurationError(f"invalid fit configuration {self}")
+        _step_bounds(self)
+
+
+def _step_bounds(config: FitConfig) -> tuple[float, float]:
+    """``(step_size * 2**-max_halvings, step_size * 2**max_halvings)``."""
+    try:
+        low = math.ldexp(config.step_size, -config.max_halvings)
+        high = math.ldexp(config.step_size, config.max_halvings)
+    except OverflowError:
+        low = high = math.inf
+    if not (0 < low and high < math.inf):
+        raise ConfigurationError(
+            f"step_size * 2**(+-max_halvings) leaves the float range in {config}"
+        )
+    return low, high
 
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One point of the descent path: ``step_size`` is the eta that
+    reached it and ``halvings`` the candidates rejected before; step 0,
+    the start, records ``config.step_size`` and 0."""
+
     step: int
     loss: float
     grad_norm: float
+    step_size: float
+    halvings: int
 
 
 @dataclass(frozen=True)
@@ -242,14 +275,21 @@ def _initial_factors(problem: FitProblem, init: AdapterInit) -> tuple[np.ndarray
 def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig()) -> FitTrace:
     """Run backtracking gradient descent from a seeded initialization.
 
-    Stops when the gradient norm falls below ``grad_tol``, when
-    ``max_steps`` is exhausted, or when no step (after halvings) makes
-    progress; ``FitTrace.stop_reason`` records which. Raises
+    eta starts at ``config.step_size``, halves after each rejected
+    candidate and grows 1.5-fold after each accepted step, never past
+    ``step_size * 2**max_halvings``. The first step thus tries exactly
+    the candidates of a fixed-step search, and a step tries at most
+    ``2 * max_halvings + 1``. Stops when the gradient norm falls
+    below ``grad_tol``, when ``max_steps`` is exhausted, or when no eta
+    down to ``step_size * 2**-max_halvings`` lowers the loss;
+    ``FitTrace.stop_reason`` records which. Raises
     :class:`NumericalError` with the step index if the loss leaves the
     finite range.
     """
     objective = _Objective(problem)
     a, b = _initial_factors(problem, init)
+    eta_min, eta_max = _step_bounds(config)
+    eta = config.step_size
     stop_reason = "grad_tol"
     step = 0
     # a candidate step may overflow; the loop detects non-finite losses,
@@ -258,18 +298,19 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
         current_loss, residual = objective.evaluate(a, b)
         da, db = objective.gradients(a, b, residual)
         gnorm = _grad_norm(da, db)
-        steps = [TraceStep(0, current_loss, gnorm)]
+        steps = [TraceStep(0, current_loss, gnorm, eta, 0)]
         while not gnorm < config.grad_tol:
             if step == config.max_steps:
                 stop_reason = "max_steps"
                 break
-            eta = config.step_size
-            for _ in range(config.max_halvings + 1):
+            halvings = 0
+            while eta >= eta_min:
                 candidate_a, candidate_b = a - eta * da, b - eta * db
                 candidate_loss, residual = objective.evaluate(candidate_a, candidate_b)
                 if math.isfinite(candidate_loss) and candidate_loss <= current_loss:
                     break
                 eta /= 2
+                halvings += 1
             else:
                 if not math.isfinite(candidate_loss):
                     raise NumericalError(f"loss diverged to non-finite at step {step + 1}")
@@ -279,7 +320,8 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
             da, db = objective.gradients(a, b, residual)
             gnorm = _grad_norm(da, db)
             step += 1
-            steps.append(TraceStep(step, current_loss, gnorm))
+            steps.append(TraceStep(step, current_loss, gnorm, eta, halvings))
+            eta = min(_STEP_GROWTH * eta, eta_max)
     if problem.kind == "lora":
         floor = 0.5 * tail_energy(problem.target, min(problem.r, min(problem.target.shape)))
         adapter: Adapter = LoraAdapter(Matrix(a[0]), Matrix(b[0]))
@@ -328,8 +370,9 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
 
 def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str | os.PathLike) -> None:
     """Write the per-step CSV and the JSON summary for one fit."""
-    write_csv(csv_path, ["step", "loss", "grad_norm"],
-              [[entry.step, entry.loss, entry.grad_norm] for entry in trace.steps])
+    write_csv(csv_path, ["step", "loss", "grad_norm", "step_size", "halvings"],
+              [[entry.step, entry.loss, entry.grad_norm, entry.step_size, entry.halvings]
+               for entry in trace.steps])
     summary = {
         "final_loss": trace.final_loss,
         "relative_loss": trace.relative_loss,
@@ -337,6 +380,7 @@ def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str |
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
         "steps": trace.step_count,
+        "halvings": sum(entry.halvings for entry in trace.steps),
         "seed": trace.init.seed,
         "config": {
             "step_size": trace.config.step_size,

@@ -549,6 +549,13 @@ class TestMalformedInput:
                 for a in command]
         self.assert_rejected(capsys, *argv, value)
 
+    def test_fit_step_size_past_float_range(self, workdir, seeded_matrix, capsys):
+        """step_size * 2**max_halvings caps the grown step; 1e306 * 2**10
+        is no float, so the fit is refused before it starts."""
+        self.assert_rejected(capsys, "fit", "--target", seeded_matrix, "--kind", "lora",
+                             "--r", "2", "--step-size", "1e306")
+        assert not (workdir / "fit.trace.csv").exists()
+
     @pytest.mark.parametrize("values", ["nan,1", "1e400", "1,-inf"])
     def test_non_finite_values_list(self, workdir, capsys, values):
         self.assert_rejected(

@@ -1,6 +1,7 @@
 """Descent on the approximation objective: gradients, floors, traces."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import smoa.trainer
 from smoa import (
     AdapterInit,
     ConfigurationError,
@@ -61,6 +63,13 @@ class TestProblemValidation:
             FitConfig(step_size=0.0)
         with pytest.raises(ConfigurationError):
             FitConfig(grad_tol=-1.0)
+
+    @pytest.mark.parametrize("step_size,max_halvings", [(1e306, 10), (1.0, 1100), (5e-324, 1)])
+    def test_step_bounds_must_be_floats(self, step_size, max_halvings):
+        """eta lives in step_size * 2**[-max_halvings, max_halvings]; a
+        range that overflows or underflows cannot bound the search."""
+        with pytest.raises(ConfigurationError):
+            FitConfig(step_size=step_size, max_halvings=max_halvings)
 
 
 class TestLossAndGradient:
@@ -246,6 +255,64 @@ class TestFit:
         assert trace.floor is None
 
 
+def _count_evaluations(monkeypatch, budget):
+    """Spy on the objective: returns the list of candidate losses
+    evaluated, and fails once more than ``budget`` are asked for, so a
+    search that never ends fails instead of hanging."""
+    losses = []
+    real = smoa.trainer._Objective.evaluate
+
+    def spy(self, a, b):
+        value, residual = real(self, a, b)
+        losses.append(value)
+        assert len(losses) <= budget, "step search exceeded its candidate budget"
+        return value, residual
+
+    monkeypatch.setattr(smoa.trainer._Objective, "evaluate", spy)
+    return losses
+
+
+class TestStepSize:
+    """eta carries between steps within step_size * 2**[-max_halvings, max_halvings]."""
+
+    def test_zero_gradient_fit_ends(self, monkeypatch):
+        """Every step of a zero-gradient fit is accepted, so eta grows at
+        each one; the cap keeps it finite and the fit ends at max_steps."""
+        config = FitConfig(max_steps=5000, grad_tol=0.0)
+        problem = FitProblem(Matrix.zeros(6, 6), "lora", 2)
+        budget = 1 + config.max_steps * (2 * config.max_halvings + 1)
+        losses = _count_evaluations(monkeypatch, budget)
+        start = time.perf_counter()
+        trace = fit(problem, AdapterInit("zero-update", seed=1), config)
+        assert time.perf_counter() - start < 10
+        assert trace.stop_reason == "max_steps"
+        assert trace.step_count == 5000
+        low = config.step_size * 2.0**-config.max_halvings
+        high = config.step_size * 2.0**config.max_halvings
+        assert all(low <= s.step_size <= high for s in trace.steps)
+        assert trace.steps[-1].step_size == high
+        assert len(losses) == 1 + config.max_steps
+
+    def test_stall_searches_down_to_the_floor(self, monkeypatch):
+        """After eta grew to its cap, a stalled search still halves it
+        below 2 * step_size * 2**-max_halvings before giving up."""
+        target = Matrix(np.random.default_rng(4).standard_normal((2, 2)) * 10)
+        config = FitConfig(step_size=0.1, max_steps=2000, grad_tol=0.0, max_halvings=1)
+        losses = _count_evaluations(monkeypatch, 1 + config.max_steps * 3)
+        trace = fit(FitProblem(target, "lora", 1), AdapterInit("gaussian", seed=4, scale=0.1),
+                    config)
+        assert trace.stop_reason == "stalled"
+        last = trace.steps[-1]
+        assert last.step_size >= 2 * config.step_size
+        accepted = sum(s.halvings + 1 for s in trace.steps[1:])
+        tried = len(losses) - 1 - accepted
+        assert all(not value <= last.loss for value in losses[-tried:])
+        eta_min = config.step_size * 2.0**-config.max_halvings
+        first = min(1.5 * last.step_size, config.step_size * 2.0**config.max_halvings)
+        final = first / 2 ** (tried - 1)
+        assert eta_min <= final < 2 * eta_min
+
+
 class TestFiniteDifference:
     def test_over_random_instances(self, rng):
         worst = 0.0
@@ -273,17 +340,21 @@ class TestTraceFiles:
         summary_path = tmp_path / "summary.json"
         save_trace(trace, csv_path, summary_path)
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "step,loss,grad_norm"
+        assert lines[0] == "step,loss,grad_norm,step_size,halvings"
         assert len(lines) == len(trace.steps) + 1
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == trace.steps[0].loss
+        assert (float(first[3]), int(first[4])) == (1e-2, 0)
         for line, entry in zip(lines[1:], trace.steps):
-            step, loss, grad_norm = line.split(",")
+            step, loss, grad_norm, step_size, halvings = line.split(",")
             assert int(step) == entry.step
             assert float(loss) == entry.loss
             assert float(grad_norm) == entry.grad_norm
+            assert float(step_size) == entry.step_size
+            assert int(halvings) == entry.halvings
         summary = json.loads(summary_path.read_text())
+        assert summary["halvings"] == sum(entry.halvings for entry in trace.steps)
         assert summary["final_loss"] == trace.final_loss
         assert summary["relative_loss"] == trace.relative_loss
         assert summary["steps"] == trace.step_count
@@ -340,8 +411,14 @@ def _reference_objective(problem):
 
 
 def _reference_descent(problem, factors, config):
-    """Per-block backtracking loop; returns the (step, loss, grad_norm) path."""
+    """Per-block backtracking loop with the carried step size: eta halves
+    on a rejected candidate and grows 1.5-fold, capped at
+    step_size * 2**max_halvings, on an accepted step; the search stalls
+    below step_size * 2**-max_halvings. Returns the
+    (step, loss, grad_norm, step_size, halvings) path and the factors."""
     loss_fn, grad_fn = _reference_objective(problem)
+    eta_min = config.step_size * 2.0**-config.max_halvings
+    eta_max = config.step_size * 2.0**config.max_halvings
 
     def grad_norm(grads):
         return math.sqrt(sum(float(np.sum(da**2) + np.sum(db**2)) for da, db in grads))
@@ -350,25 +427,28 @@ def _reference_descent(problem, factors, config):
         current = loss_fn(factors)
         grads = grad_fn(factors)
         gnorm = grad_norm(grads)
-        path = [(0, current, gnorm)]
+        eta = config.step_size
+        path = [(0, current, gnorm, eta, 0)]
         step = 0
         while not gnorm < config.grad_tol and step < config.max_steps:
-            eta = config.step_size
             accepted = None
-            for _ in range(config.max_halvings + 1):
+            halvings = 0
+            while eta >= eta_min:
                 candidate = [(a - eta * da, b - eta * db) for (a, b), (da, db) in zip(factors, grads)]
                 candidate_loss = loss_fn(candidate)
                 if math.isfinite(candidate_loss) and candidate_loss <= current:
                     accepted = candidate
                     break
                 eta /= 2
+                halvings += 1
             if accepted is None:
                 break
             factors, current = accepted, candidate_loss
             grads = grad_fn(factors)
             gnorm = grad_norm(grads)
             step += 1
-            path.append((step, current, gnorm))
+            path.append((step, current, gnorm, eta, halvings))
+            eta = min(1.5 * eta, eta_max)
     return path, factors
 
 
@@ -390,7 +470,7 @@ def _assert_matches_reference(problem, init, config):
         start = _pairs(init_smoa(problem.plan, problem.r, init))
     path, factors = _reference_descent(problem, start, config)
     trace = fit(problem, init, config)
-    assert [(s.step, s.loss, s.grad_norm) for s in trace.steps] == path
+    assert [(s.step, s.loss, s.grad_norm, s.step_size, s.halvings) for s in trace.steps] == path
     for (a, b), (ref_a, ref_b) in zip(_pairs(trace.adapter), factors):
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
     return trace
@@ -406,6 +486,19 @@ class TestStackedCoreMatchesPerBlockReference:
         config = FitConfig(step_size=0.05, max_steps=3000, grad_tol=1e-7, max_halvings=20)
         trace = _assert_matches_reference(problem, AdapterInit("gaussian", seed=0, scale=0.5), config)
         assert trace.step_count > 100
+
+    def test_oversized_step_halves_then_regrows(self, rng):
+        """From step_size 1.0 the first step halves; eta then grows back
+        and halves again along the path."""
+        plan = build_plan(random_matrix(rng, 8, 8), 2)
+        witness = make_witness(plan, rho=2, seed=3)
+        problem = FitProblem(witness.target, "smoa", 4, plan)
+        config = FitConfig(step_size=1.0, max_steps=400, grad_tol=1e-7, max_halvings=20)
+        trace = _assert_matches_reference(problem, AdapterInit("gaussian", seed=0, scale=0.5), config)
+        assert trace.steps[1].halvings > 0
+        regrown = [s for s in trace.steps[2:] if s.step_size > trace.steps[1].step_size]
+        assert regrown
+        assert any(s.halvings > 0 for s in trace.steps if s.step > regrown[0].step)
 
     def test_64x64_k4_fixed_steps(self, rng):
         plan = build_plan(random_matrix(rng, 64, 64), 4)
