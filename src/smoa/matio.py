@@ -8,7 +8,8 @@ Text format: first line ``rows,cols``, then one comma-separated line per
 matrix row using the shortest decimal rendering that round-trips the
 double exactly.
 
-Both formats round-trip finite doubles bit for bit.
+Both formats round-trip finite doubles bit for bit; a file holding a NaN
+or infinite entry is a :class:`FormatError`.
 """
 from __future__ import annotations
 
@@ -38,6 +39,12 @@ VERSION = 1
 _HEADER = struct.Struct("<8sBQQ")
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """A stored NaN or infinity is a damaged file, not a failed computation."""
+    if not np.isfinite(data).all():
+        raise FormatError("matrix entries must be finite")
+
+
 def encode_matrix(m: Matrix) -> bytes:
     header = _HEADER.pack(MAGIC, VERSION, m.rows, m.cols)
     return header + m.data.astype("<f8", copy=False).tobytes(order="C")
@@ -58,6 +65,7 @@ def decode_matrix(payload: bytes) -> Matrix:
             f"payload holds {len(body)} bytes, expected {expected} for {rows}x{cols}"
         )
     data = np.frombuffer(body, dtype="<f8").reshape(rows, cols)
+    _check_finite(data)
     return Matrix(data)
 
 
@@ -93,6 +101,7 @@ def matrix_from_csv(text: str) -> Matrix:
             data[i] = [float(tok) for tok in toks]
         except ValueError as exc:
             raise FormatError(f"row {i} holds a non-numeric entry") from exc
+    _check_finite(data)
     return Matrix(data)
 
 

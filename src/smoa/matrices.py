@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, NumericalError, RangeError
 
@@ -253,4 +252,10 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     """
     if len(blocks) == 0:
         raise ConfigurationError("block_diagonal needs at least one block")
-    return Matrix(scipy.linalg.block_diag(*[b.data for b in blocks]))
+    out = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.rows, col:col + b.cols] = b.data
+        row += b.rows
+        col += b.cols
+    return Matrix(out)

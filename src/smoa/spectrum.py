@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, RangeError
 from .matrices import Matrix
@@ -81,9 +80,11 @@ def svd(w: Matrix) -> SpectralDecomposition:
         If the factorization does not converge; the message carries the
         matrix shape.
     """
+    import scipy.linalg  # numpy offers no gesvd driver; loaded on first full SVD only
+
     try:
         u, s, vt = scipy.linalg.svd(w.data, full_matrices=False, lapack_driver="gesvd")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge for shape {w.shape}") from exc
     _normalize_signs(u, vt)
     return SpectralDecomposition(Matrix(u), s, Matrix(vt.T))
@@ -93,8 +94,8 @@ def singular_values(w: Matrix | np.ndarray) -> np.ndarray:
     """Descending singular values only (no vectors). A ``(K, m, n)``
     stack gives a ``(K, min(m, n))`` array, one row per matrix."""
     try:
-        return scipy.linalg.svdvals(np.asarray(w))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        return np.linalg.svd(np.asarray(w), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge for shape {w.shape}") from exc
 
 

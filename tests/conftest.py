@@ -6,6 +6,8 @@ the gate can be read at a glance.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -52,17 +54,24 @@ def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
 
 @pytest.fixture
 def count_decompositions(monkeypatch):
-    """``run(fn, *args)`` returns ``fn``'s result and how many times it
-    called ``scipy.linalg.svd`` and ``scipy.linalg.svdvals``, by name."""
-    counts: dict[str, int] = {}
-    for name in ("svd", "svdvals"):
-        real = getattr(scipy.linalg, name)
+    """``run(fn, *args)`` returns ``fn``'s result and how many full and
+    values-only decompositions it ran, by name: ``scipy.linalg.svd``
+    counts as ``"svd"`` and ``numpy.linalg.svd(..., compute_uv=False)``
+    as ``"svdvals"``."""
+    counts: Counter[str] = Counter()
+    real_svd, real_np_svd = scipy.linalg.svd, np.linalg.svd
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args, **kwargs)
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return real_svd(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counting)
+    def counting_np_svd(*args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            counts["svdvals"] += 1
+        return real_np_svd(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting_np_svd)
 
     def run(fn, *args, **kwargs):
         counts.clear()

@@ -1,5 +1,9 @@
 """Command line behavior: payloads, artifacts, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +573,28 @@ class TestMalformedInput:
                              "--out", "updates")
         assert not (workdir / "updates" / "update.mat").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["rank", "--matrix", "{matrix}"],
+        ["plan", "--w0", "{matrix}", "--k", "2"],
+        ["diagnose", "--matrix", "{matrix}"],
+    ], ids=["rank", "plan", "diagnose"])
+    def test_non_finite_matrix_file(self, workdir, seeded_matrix, capsys, command):
+        with open(seeded_matrix, "r+b") as handle:
+            handle.seek(-8, os.SEEK_END)
+            handle.write(np.array([np.nan], dtype="<f8").tobytes())
+        self.assert_rejected(capsys, *[a.format(matrix=seeded_matrix) for a in command])
+
+    @pytest.mark.parametrize("token", ["nan", "1e999"])
+    def test_non_finite_anchor_csv(self, workdir, seeded_plan, capsys, token):
+        def damage(doc):
+            header, first, *rest = doc["anchors"][0]["csv"].splitlines()
+            first = ",".join([token, *first.split(",")[1:]])
+            doc["anchors"][0]["csv"] = "\n".join([header, first, *rest])
+            return doc
+
+        edit_json(seeded_plan, damage)
+        self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
+
     @pytest.mark.parametrize("rows,cols", [(-3, 4), (4, -3), (0, 4), (4, 0)])
     @pytest.mark.parametrize("kind", [
         ["gaussian"],
@@ -580,6 +606,44 @@ class TestMalformedInput:
         self.assert_rejected(
             capsys, "gen", "--rows", str(rows), "--cols", str(cols), "--kind", *kind,
         )
+
+
+class TestScipyImport:
+    """scipy serves only the full SVD, so it loads only in commands that
+    take one; the rest of the chain starts without it."""
+
+    SCRIPT = """
+import json, sys
+from smoa.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = [
+    ["gen", "--rows", "8", "--cols", "8", "--kind", "gaussian", "--seed", "3", "--name", "g.mat"],
+    ["adapter", "--plan", sys.argv[1], "--r", "2", "--init", "gaussian"],
+    ["update", "--adapter", "adapter.json"],
+    ["rank", "--matrix", "update.mat"],
+    ["ceiling", "--plan", sys.argv[1], "--r", "2"],
+    ["witness", "--plan", sys.argv[1], "--rho", "1"],
+    ["gap", "--witness", "witness", "--r", "2"],
+]
+codes = [main([*step, "--quiet"]) for step in steps]
+before = scipy_modules()
+codes.append(main(["plan", "--w0", "g.mat", "--k", "2", "--name", "p.json", "--quiet"]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+    def test_only_plan_loads_scipy(self, workdir, seeded_plan):
+        env = {**os.environ, "PYTHONPATH": str(Path(smoa.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, seeded_plan], capture_output=True, text=True,
+            check=True, env=env, cwd=workdir,
+        ).stdout
+        result = json.loads(out.splitlines()[-1])
+        assert result["codes"] == [0] * 8
+        assert result["before"] == []
+        assert "scipy.linalg" in result["after"]
 
 
 class TestExitCodes:

@@ -61,6 +61,12 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             decode_matrix(blob[:-8])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, value):
+        blob = encode_matrix(Matrix.ones(2, 2))[:-8] + np.array([value], dtype="<f8").tobytes()
+        with pytest.raises(FormatError, match="finite"):
+            decode_matrix(blob)
+
     def test_file_roundtrip(self, rng, tmp_path):
         m = random_matrix(rng, 4, 4)
         path = tmp_path / "w.mat"
@@ -113,6 +119,11 @@ class TestCsvFormat:
     def test_non_numeric_cell(self):
         with pytest.raises(FormatError):
             matrix_from_csv("1,2\n1.0,abc\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    def test_non_finite_cell(self, token):
+        with pytest.raises(FormatError, match="finite"):
+            matrix_from_csv(f"1,2\n1.0,{token}\n")
 
     def test_malformed_header(self):
         with pytest.raises(FormatError):

@@ -1,22 +1,27 @@
 """Spectral primitives: SVD wrapper, rank decisions, truncation energy."""
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from smoa import (
     Matrix,
+    NumericalError,
     RangeError,
     balanced_factors,
+    block_diagonal,
     build_plan,
     default_tolerance,
     make_witness,
     numerical_rank,
+    save_matrix,
     singular_values,
     smoa_exact_fit,
     svd,
     tail_energy,
     truncated_svd,
 )
+from smoa.cli import main
 
 from conftest import random_matrix
 
@@ -104,6 +109,46 @@ class TestSingularValues:
         assert values.shape == (shape[0], min(shape[1:]))
         for row, block in zip(values, stack):
             assert row.tobytes() == singular_values(Matrix(block)).tobytes()
+
+
+class TestScipyParity:
+    """Values-only decompositions and block assembly run on numpy; they
+    give the bits scipy gives, so no stored output moves."""
+
+    @pytest.mark.parametrize("d", [16, 32, 64, 256])
+    def test_square_values_match_svdvals_bitwise(self, rng, d):
+        w = rng.standard_normal((d, d))
+        assert singular_values(Matrix(w)).tobytes() == scipy.linalg.svdvals(w).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    def test_block_stack_values_match_svdvals_bitwise(self, rng, d, k):
+        stack = rng.standard_normal((k, d // k, d // k))
+        assert singular_values(stack).tobytes() == scipy.linalg.svdvals(stack).tobytes()
+
+    def test_block_diagonal_matches_block_diag_bitwise(self, rng):
+        blocks = [random_matrix(rng, r, c) for r, c in [(2, 3), (4, 4), (1, 5), (3, 1)]]
+        expected = scipy.linalg.block_diag(*[b.data for b in blocks])
+        assert block_diagonal(blocks).data.tobytes() == expected.tobytes()
+
+    @pytest.fixture
+    def failing_svd(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+
+    def test_non_convergence_is_numerical_error(self, rng, failing_svd):
+        with pytest.raises(NumericalError, match=r"shape \(5, 3\)"):
+            singular_values(random_matrix(rng, 5, 3))
+
+    def test_non_convergence_exits_four(self, rng, tmp_path, capsys, failing_svd):
+        save_matrix(random_matrix(rng, 4, 4), tmp_path / "w.mat")
+        code = main(["rank", "--matrix", str(tmp_path / "w.mat"), "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestTruncation:
