@@ -18,24 +18,23 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, RangeError
+from .errors import ConfigurationError, FormatError, RangeError
 from .fileutil import envelope_fields, read_envelope, write_json
 from .gen import _rng
-from .matio import load_matrix, save_matrix
-from .matrices import Matrix, _frozen_stack, apply_permutations
+from .matio import encode_matrix, load_matrix, save_matrix
+from .matrices import Matrix, _frozen_stack
 from .preprocess import BlockPlan, _scatter_blocks, load_plan, save_plan
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
     balanced_factors,
-    default_tolerance,
     numerical_rank,
     singular_values,
-    tail_energy,
 )
 
 __all__ = [
@@ -94,12 +93,7 @@ def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankC
     s_out, s_in = plan.block_shape
     s_k = min(s_out, s_in)
     values = singular_values(plan.anchor_stack)  # (K, s_k), one row per anchor
-    if epsilon is None:
-        # one shared cutoff across anchors keeps block ranks comparable
-        epsilon = default_tolerance(plan.block_shape, values[:, 0].max())
-    if not 0 <= epsilon < np.inf:
-        raise RangeError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    ranks = np.count_nonzero(values > epsilon, axis=1).tolist()
+    ranks, epsilon = _rank_from_values(values, plan.block_shape, epsilon)
     blocks = tuple(BlockCeiling(s_k, rank, min(s_k, rho * rank)) for rank in ranks)
     total = sum(b.block_ceiling for b in blocks)
     return RankCeilingReport(
@@ -141,12 +135,11 @@ class WitnessInstance:
     in reordered coordinates is blkdiag(C_k * anchor_k) (entrywise), carried
     back through the plan's inverse permutations. ``reordered_target_rank``
     is the numerical rank of that block diagonal, which permutations preserve.
+    The target and its singular values are derived on first use, once.
     """
 
     plan: BlockPlan
     coefficient_stack: np.ndarray
-    target: Matrix
-    reordered_target_rank: int
     rho: int
     seed: int
 
@@ -158,6 +151,19 @@ class WitnessInstance:
     @property
     def coefficients(self) -> tuple[Matrix, ...]:
         return tuple(Matrix(c) for c in self.coefficient_stack)
+
+    @cached_property
+    def target(self) -> Matrix:
+        blocks = self.coefficient_stack * self.plan.anchor_stack
+        return Matrix(_scatter_blocks(blocks, self.plan.p_out, self.plan.p_in))
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        return singular_values(self.target)
+
+    @property
+    def reordered_target_rank(self) -> int:
+        return _rank_from_values(self._values, self.target.shape, None)[0]
 
 
 def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
@@ -175,15 +181,7 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
         rng.standard_normal((s_out, rho)) @ rng.standard_normal((rho, s_in))
         for _ in range(plan.k)
     ])
-    target = Matrix(_scatter_blocks(coefficients * plan.anchor_stack, plan.p_out, plan.p_in))
-    return WitnessInstance(
-        plan=plan,
-        coefficient_stack=coefficients,
-        target=target,
-        reordered_target_rank=numerical_rank(apply_permutations(target, plan.p_out, plan.p_in)),
-        rho=rho,
-        seed=seed,
-    )
+    return WitnessInstance(plan, coefficients, rho, seed)
 
 
 def smoa_exact_fit(witness: WitnessInstance):
@@ -208,30 +206,29 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
     """
     if r < 1:
         raise ConfigurationError(f"r must be a positive integer, got {r}")
-    m = min(witness.target.shape)
-    return tail_energy(witness.target, min(r, m))
+    return _tail_from_values(witness._values, r)  # empty past the last value
 
 
 def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path:
     """Write a witness bundle: plan, target, coefficients, manifest.
 
-    The manifest records seed, rho, both rank readings, and the gap at
-    every budget r = 1..min(d_out, d_in), all read off one singular-value
-    decomposition of the target; each gap equals ``lora_gap(witness, r)``.
+    The manifest records seed, rho, the target rank under both its names,
+    and the gap at every budget r = 1..min(d_out, d_in), all read off the
+    witness's one decomposition of its target; each gap equals
+    ``lora_gap(witness, r)``.
     Nothing is written until the manifest is complete, so a numerical
     failure leaves no partial bundle.
     """
-    values = singular_values(witness.target)
+    values, rank = witness._values, witness.reordered_target_rank
     coeff_names = [f"coeff_{i:02d}.mat" for i in range(1, witness.plan.k + 1)]
-    m = min(witness.target.shape)
     manifest = {
         "format": WITNESS_FORMAT,
         "version": WITNESS_VERSION,
         "seed": witness.seed,
         "rho": witness.rho,
-        "reordered_target_rank": witness.reordered_target_rank,
-        "target_rank": _rank_from_values(values, witness.target.shape, None)[0],
-        "gaps": {str(r): _tail_from_values(values, r) for r in range(1, m + 1)},
+        "reordered_target_rank": rank,
+        "target_rank": rank,
+        "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
         "plan": "plan.json",
         "target": "target.mat",
         "coefficients": coeff_names,
@@ -246,18 +243,18 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
 
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
+    """Rebuild a witness from its plan, coefficients, rho and seed; the stored
+    target must encode to the same bytes as theirs. Recorded ranks and gaps
+    are not read back."""
     base = Path(directory)
     manifest = read_envelope(
         base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, "witness manifest"
     )
     with envelope_fields("witness manifest"):
         plan = load_plan(base / manifest["plan"])
-        target = load_matrix(base / manifest["target"])
-        return WitnessInstance(
-            plan=plan,
-            coefficient_stack=[load_matrix(base / name) for name in manifest["coefficients"]],
-            target=target,
-            reordered_target_rank=int(manifest["reordered_target_rank"]),
-            rho=int(manifest["rho"]),
-            seed=int(manifest["seed"]),
-        )
+        stored = (base / manifest["target"]).read_bytes()
+        coefficients = [load_matrix(base / name) for name in manifest["coefficients"]]
+        witness = WitnessInstance(plan, coefficients, int(manifest["rho"]), int(manifest["seed"]))
+    if stored != encode_matrix(witness.target):
+        raise FormatError(f"witness target in {base} does not match its plan and coefficients")
+    return witness

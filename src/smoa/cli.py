@@ -333,11 +333,13 @@ def _sweep_seeds(master: int, cell: int, trial: int) -> list[int]:
 def cmd_sweep(args) -> dict:
     spec = read_json(args.spec, "sweep spec")
     with envelope_fields("sweep spec"):
-        dims = [int(d) for d in spec["dims"]]
-        ks = [int(k) for k in spec["ks"]]
-        rs = [int(r) for r in spec["rs"]]
-        trials = int(spec["trials"])
-        master = int(spec["seed"])
+        dims, ks, rs, trials, master = (spec[key] for key in ("dims", "ks", "rs", "trials", "seed"))
+    # exact types: a JSON true is a bool, which isinstance() would take for an int
+    if not all(type(grid) is list for grid in (dims, ks, rs)) or any(
+        type(n) is not int for n in (trials, master, *dims, *ks, *rs)
+    ):
+        raise FormatError("malformed sweep spec: dims, ks and rs must be lists of integers, "
+                          "trials and seed integers")
     if min([trials, *dims, *ks, *rs]) < 1:
         raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
     _check_seed(master)

@@ -68,7 +68,6 @@ def mp_singular_density(nu, ratio: float):
     b = (1 + math.sqrt(ratio)) ** 2
     sq = nu_arr**2
     inside = (sq > a) & (sq < b)
-    out = np.zeros_like(nu_arr)
     safe = np.where(inside, nu_arr, 1.0)
     radicand = np.maximum((b - safe**2) * (safe**2 - a), 0.0)
     out = np.where(inside, np.sqrt(radicand) / (math.pi * ratio * safe), 0.0)

@@ -105,13 +105,13 @@ def default_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * float(sigma_max) * np.finfo(np.float64).eps
 
 
-def _rank_from_values(s: np.ndarray, shape: tuple[int, int], epsilon: float | None) -> tuple[int, float]:
-    """Count of ``s`` strictly above the cutoff, and the cutoff used."""
+def _rank_from_values(s: np.ndarray, shape: tuple[int, int], epsilon: float | None):
+    """Count of ``s`` strictly above the cutoff (per row of a stack), and the cutoff used."""
     if epsilon is None:
-        epsilon = default_tolerance(shape, s[0] if s.size else 0.0)
+        epsilon = default_tolerance(shape, s.max() if s.size else 0.0)
     if not 0 <= epsilon < np.inf:
         raise RangeError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    return int(np.count_nonzero(s > epsilon)), epsilon
+    return np.count_nonzero(s > epsilon, axis=-1).tolist(), epsilon
 
 
 def numerical_rank(w: Matrix, epsilon: float | None = None) -> int:

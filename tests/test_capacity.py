@@ -20,6 +20,7 @@ from smoa import (
     achieved_rank,
     block_diagonal,
     build_plan,
+    default_tolerance,
     full_rank_ceiling,
     init_smoa,
     invert_permutations,
@@ -29,6 +30,7 @@ from smoa import (
     numerical_rank,
     rank_ceiling,
     save_witness,
+    singular_values,
     smoa_exact_fit,
     smoa_update,
     tail_energy,
@@ -113,6 +115,23 @@ class TestRankCeiling:
         with pytest.raises(RangeError):
             rank_ceiling(plan, 3, epsilon=-1e-3)
 
+    def test_shared_cutoff_with_rank_deficient_anchor(self, rng, count_decompositions):
+        """One cutoff, scaled by the largest anchor value overall, ranks
+        every row of the batched values, as the per-anchor loop did."""
+        base = build_plan(random_matrix(rng, 12, 12), 3)
+        deficient = 10.0 * rng.standard_normal((4, 4))
+        deficient[:, 2:] = 0.0
+        anchors = (base.anchors[0], Matrix(deficient), base.anchors[2])
+        plan = BlockPlan(base.k, base.p_out, base.p_in, anchors)
+        report, calls = count_decompositions(rank_ceiling, plan, 3)
+        assert calls == {"svdvals": 1}
+        values = [singular_values(a) for a in anchors]
+        epsilon = default_tolerance((4, 4), max(v[0] for v in values))
+        assert report.epsilon == epsilon
+        assert [b.anchor_rank for b in report.per_block] == [
+            int(np.count_nonzero(v > epsilon)) for v in values
+        ] == [4, 2, 4]
+
     def test_explicit_epsilon_respected(self, rng):
         plan = build_plan(random_matrix(rng, 4, 4), 2)
         generous = rank_ceiling(plan, 2, epsilon=1e12)
@@ -186,6 +205,22 @@ class TestWitness:
 
     def test_reordered_rank_recorded(self, witness):
         assert witness.reordered_target_rank == numerical_rank(witness.target)
+
+    def test_derived_once(self, rng, tmp_path, count_decompositions):
+        """Building a witness decomposes nothing; saving it and reading
+        every gap shares one values-only decomposition of the target."""
+        plan = build_plan(random_matrix(rng, 12, 8), 2)
+        witness, calls = count_decompositions(make_witness, plan, rho=2, seed=3)
+        assert calls == {}
+
+        def save_and_read_gaps():
+            save_witness(witness, tmp_path / "bundle")
+            return [lora_gap(witness, r) for r in range(1, 9)], witness.reordered_target_rank
+
+        (gaps, rank), calls = count_decompositions(save_and_read_gaps)
+        assert calls == {"svdvals": 1}
+        assert gaps == [tail_energy(witness.target, r) for r in range(1, 9)]
+        assert rank == numerical_rank(witness.target) == 8
 
     def test_seeded_reproducibility(self, rng):
         plan = build_plan(random_matrix(rng, 8, 8), 2)
@@ -325,8 +360,7 @@ def _stores(rng):
          lambda ad: [(f, g, m) for g, pair in enumerate(ad.factors)
                      for f, m in zip("ab", pair)]),
         (witness,
-         lambda **s: WitnessInstance(plan, target=witness.target, reordered_target_rank=4,
-                                     rho=2, seed=5, **s),
+         lambda **s: WitnessInstance(plan, rho=2, seed=5, **s),
          {"coefficient_stack": witness.coefficient_stack},
          lambda w: [("coefficient_stack", g, m) for g, m in enumerate(w.coefficients)]),
     ]

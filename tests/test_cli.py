@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import smoa.capacity
-from smoa import NumericalError, load_adapter, load_matrix, load_plan, load_witness
+from smoa import NumericalError, load_adapter, load_matrix, load_plan, load_witness, save_matrix
 from smoa.cli import main
 from smoa.fileutil import sha256_file
 
@@ -270,6 +270,13 @@ class TestRankCeilingGap:
         assert gap_payload["gap"] == pytest.approx(lora_gap(witness, 4), rel=1e-12)
         assert gap_payload["gap"] > 0.0
 
+    def test_witness_decomposes_target_once(self, workdir, seeded_plan, capsys,
+                                            count_decompositions):
+        code, calls = count_decompositions(
+            main, ["witness", "--plan", seeded_plan, "--rho", "2", "--quiet"])
+        assert code == 0
+        assert calls == {"svdvals": 1}
+
 
 class TestFit:
     def test_lora_spectral_fit(self, workdir, seeded_matrix, capsys):
@@ -460,6 +467,13 @@ class TestMalformedInput:
         edit_json(payload["manifest"], edit)
         self.assert_rejected(capsys, "gap", "--witness", payload["dir"], "--r", "2")
 
+    def test_witness_target_replaced(self, workdir, seeded_plan, capsys):
+        """A valid target.mat that is not the coefficients' target is stale."""
+        _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        target = Path(payload["dir"]) / "target.mat"
+        save_matrix(load_matrix(target) * 2.0, target)
+        self.assert_rejected(capsys, "gap", "--witness", payload["dir"], "--r", "2")
+
     @pytest.mark.parametrize("edit", [
         without("r"),
         lambda doc: [doc],
@@ -508,7 +522,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("field,value", [
         ("ks", [0]), ("dims", [0]), ("rs", [-2]), ("seed", -1),
-    ], ids=["ks-zero", "dims-zero", "rs-negative", "seed-negative"])
+        ("dims", "64"), ("dims", [64.7]), ("trials", True), ("seed", 1.9), ("dims", {"16": 1}),
+    ], ids=["ks-zero", "dims-zero", "rs-negative", "seed-negative",
+            "dims-string", "dims-float", "trials-bool", "seed-float", "dims-object"])
     def test_sweep_spec_values(self, workdir, capsys, field, value):
         spec = {"dims": [8], "ks": [2], "rs": [2], "trials": 1, "seed": 1, field: value}
         (workdir / "spec.json").write_text(json.dumps(spec))
