@@ -187,15 +187,14 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
 def smoa_exact_fit(witness: WitnessInstance):
     """Block adapter reproducing the witness target exactly.
 
-    Each C_k is factored through its rank-rho truncated SVD (exact,
-    since rank(C_k) <= rho). A zero witness returns a rho = 1 adapter
-    with zero factors.
+    The coefficient stack is split in one stacked decomposition into the
+    rank-rho truncated SVD of each C_k (exact, since rank(C_k) <= rho).
+    A zero witness returns a rho = 1 adapter with zero factors.
     """
     from .adapters import SmoaAdapter
 
     rho = max(witness.rho, 1)
-    a, b = zip(*(balanced_factors(c, rho) for c in witness.coefficients))
-    return SmoaAdapter(witness.plan, rho, a, b)
+    return SmoaAdapter(witness.plan, rho, *balanced_factors(witness.coefficient_stack, rho))
 
 
 def lora_gap(witness: WitnessInstance, r: int) -> float:
@@ -244,8 +243,9 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     """Rebuild a witness from its plan, coefficients, rho and seed; the stored
-    target must encode to the same bytes as theirs. Recorded ranks and gaps
-    are not read back."""
+    target must encode to the same bytes as theirs. ``rho`` and ``seed`` are
+    nonnegative JSON integers, and every C_k has rank at most rho. Recorded
+    ranks and gaps are not read back."""
     base = Path(directory)
     manifest = read_envelope(
         base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, "witness manifest"
@@ -254,7 +254,17 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
         plan = load_plan(base / manifest["plan"])
         stored = (base / manifest["target"]).read_bytes()
         coefficients = [load_matrix(base / name) for name in manifest["coefficients"]]
-        witness = WitnessInstance(plan, coefficients, int(manifest["rho"]), int(manifest["seed"]))
+        rho, seed = manifest["rho"], manifest["seed"]
+        # exact types: a JSON true is a bool, which isinstance() would take for an int
+        if type(rho) is not int or type(seed) is not int:
+            raise TypeError(f"rho and seed must be integers, got {rho!r} and {seed!r}")
+        witness = WitnessInstance(plan, coefficients, rho, seed)
+    if seed < 0 or not 0 <= rho <= min(plan.block_shape):
+        raise FormatError(f"witness needs seed >= 0 and rho in 0..{min(plan.block_shape)}, "
+                          f"got seed={seed}, rho={rho}")
+    ranks, _ = _rank_from_values(singular_values(witness.coefficient_stack), plan.block_shape, None)
+    if max(ranks) > rho:
+        raise FormatError(f"witness coefficients in {base} have ranks {ranks}, above rho={rho}")
     if stored != encode_matrix(witness.target):
         raise FormatError(f"witness target in {base} does not match its plan and coefficients")
     return witness

@@ -83,13 +83,13 @@ def read_json(path: str | os.PathLike, what: str) -> dict:
 
 def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) -> dict:
     """Parse a JSON artifact envelope: an object whose ``format`` is
-    ``fmt`` and whose ``version`` is ``version``. Anything else raises
-    :class:`FormatError`.
+    ``fmt`` and whose ``version`` is the JSON integer ``version``. Anything
+    else raises :class:`FormatError`.
     """
     doc = read_json(path, what)
     if doc.get("format") != fmt:
         raise FormatError(f"{what} is not {fmt}: got format {doc.get('format')!r}")
-    if doc.get("version") != version:
+    if type(doc.get("version")) is not int or doc["version"] != version:  # true == 1 in Python
         raise FormatError(f"unsupported {what} version {doc.get('version')!r}")
     return doc
 

@@ -59,10 +59,6 @@ class Matrix:
         return cls(np.ones((rows, cols)))
 
     @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls(np.eye(n))
-
-    @classmethod
     def diagonal(cls, values, rows: int | None = None, cols: int | None = None) -> Matrix:
         """Matrix with ``values`` on the main diagonal, zero elsewhere."""
         vals = np.asarray(values, dtype=np.float64).ravel()

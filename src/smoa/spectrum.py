@@ -54,39 +54,35 @@ class SpectralDecomposition:
         return Matrix((u * self.singular_values) @ v.T)
 
 
-def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    """Flip triplet signs so the first nonzero entry of each left vector
-    is nonnegative; an all-zero left column defers to the right vector."""
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            lead = col[nz[0]]
-        else:
-            row = vt[i]
-            nz = np.nonzero(row)[0]
-            lead = row[nz[0]] if nz.size else 1.0
-        if lead < 0:
-            u[:, i] = -col
-            vt[i] = -vt[i]
-
-
-def svd(w: Matrix) -> SpectralDecomposition:
-    """Thin SVD with deterministic signs.
+def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin ``(U, s, V^T)`` of a matrix or a ``(K, m, n)`` stack in one
+    ``gesvd`` call, with deterministic signs: each triplet is flipped so
+    the first nonzero entry of its left vector is nonnegative; an all-zero
+    left vector defers to the right vector.
 
     Raises
     ------
     NumericalError
         If the factorization does not converge; the message carries the
-        matrix shape.
+        input shape.
     """
     import scipy.linalg  # numpy offers no gesvd driver; loaded on first full SVD only
 
     try:
-        u, s, vt = scipy.linalg.svd(w.data, full_matrices=False, lapack_driver="gesvd")
+        u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for shape {w.shape}") from exc
-    _normalize_signs(u, vt)
+        raise NumericalError(f"SVD did not converge for shape {x.shape}") from exc
+    # one row per triplet, left vector then right: its first nonzero entry is
+    # the left vector's, or the right vector's when the left one is all zero
+    rows = np.concatenate([np.swapaxes(u, -1, -2), vt], axis=-1)
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=-1)[..., None], axis=-1)
+    sign = np.where(lead < 0, -1.0, 1.0)  # (..., triplets, 1); an all-zero triplet keeps +1
+    return u * np.swapaxes(sign, -1, -2), s, vt * sign
+
+
+def svd(w: Matrix) -> SpectralDecomposition:
+    """Thin SVD with deterministic signs (see :func:`_thin_svd`)."""
+    u, s, vt = _thin_svd(w.data)
     return SpectralDecomposition(Matrix(u), s, Matrix(vt.T))
 
 
@@ -133,10 +129,8 @@ def truncated_svd(w: Matrix, r: int) -> Matrix:
         raise RangeError(f"rank {r} out of range 0..{m} for shape {w.shape}")
     if r == 0:
         return Matrix.zeros(w.rows, w.cols)
-    dec = svd(w)
-    u = dec.left_vectors.data[:, :r]
-    v = dec.right_vectors.data[:, :r]
-    return Matrix((u * dec.singular_values[:r]) @ v.T)
+    u, s, vt = _thin_svd(w.data)
+    return Matrix((u[:, :r] * s[:r]) @ vt[:r])
 
 
 def _tail_from_values(s: np.ndarray, r: int) -> float:
@@ -157,14 +151,14 @@ def tail_energy(w: Matrix, r: int) -> float:
     return _tail_from_values(singular_values(w), r)
 
 
-def balanced_factors(c: Matrix, r: int) -> tuple[Matrix, Matrix]:
+def balanced_factors(c: Matrix | np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Square-root split ``(a, b)`` of the rank-``r`` truncated SVD:
-    ``b = U_r sqrt(s_r)`` and ``a = (V_r sqrt(s_r))^T``, so ``b @ a`` is
-    the best rank-r approximation of ``c``."""
-    if not 1 <= r <= min(c.shape):
-        raise RangeError(f"rank {r} out of range 1..{min(c.shape)} for shape {c.shape}")
-    dec = svd(c)
-    root = np.sqrt(dec.singular_values[:r])
-    b = dec.left_vectors.data[:, :r] * root
-    a = (dec.right_vectors.data[:, :r] * root).T
-    return Matrix(a), Matrix(b)
+    ``b = U_r sqrt(s_r)`` and ``a = sqrt(s_r) V_r^T``, so ``b @ a`` is
+    the best rank-r approximation of ``c``. A ``(K, m, n)`` stack is
+    split in one decomposition into ``(K, r, n)`` and ``(K, m, r)`` stacks."""
+    x = np.asarray(c)
+    if not 1 <= r <= min(x.shape[-2:]):
+        raise RangeError(f"rank {r} out of range 1..{min(x.shape[-2:])} for shape {x.shape}")
+    u, s, vt = _thin_svd(x)
+    root = np.sqrt(s[..., :r])
+    return vt[..., :r, :] * root[..., :, None], u[..., :, :r] * root[..., None, :]

@@ -264,7 +264,7 @@ def _initial_factors(problem: FitProblem, init: AdapterInit) -> tuple[np.ndarray
         m = min(problem.target.shape)
         if problem.r > m:
             raise ConfigurationError(f"spectral init needs r <= {m}, got {problem.r}")
-        adapter: Adapter = LoraAdapter(*balanced_factors(problem.target, problem.r))
+        adapter: Adapter = LoraAdapter(*map(Matrix, balanced_factors(problem.target, problem.r)))
     elif problem.kind == "lora":
         adapter = init_lora(problem.target.rows, problem.target.cols, problem.r, init)
     else:

@@ -57,7 +57,8 @@ def count_decompositions(monkeypatch):
     """``run(fn, *args)`` returns ``fn``'s result and how many full and
     values-only decompositions it ran, by name: ``scipy.linalg.svd``
     counts as ``"svd"`` and ``numpy.linalg.svd(..., compute_uv=False)``
-    as ``"svdvals"``."""
+    as ``"svdvals"``. A stacked call counts once, however many matrices
+    its ``(K, m, n)`` input holds."""
     counts: Counter[str] = Counter()
     real_svd, real_np_svd = scipy.linalg.svd, np.linalg.svd
 

@@ -140,8 +140,8 @@ def test_criterion_05_descent_floor_and_block_fit():
         assert abs(trace.final_loss - floor) <= 1e-3 * floor
 
     # The block objective is nonconvex; a deterministic ladder of seeded
-    # restarts is part of the protocol. Ten starts bound the worst case
-    # observed across the suite (seven, witness 13).
+    # restarts is part of the protocol. Ten starts leave headroom over the
+    # worst case observed across the suite (two, witnesses 1 and 10).
     smoa_config = FitConfig(step_size=0.05, max_steps=60000, grad_tol=1e-7, max_halvings=20)
     for witness in suite:
         problem = FitProblem(witness.target, "smoa", 4, witness.plan)

@@ -467,6 +467,33 @@ class TestMalformedInput:
         edit_json(payload["manifest"], edit)
         self.assert_rejected(capsys, "gap", "--witness", payload["dir"], "--r", "2")
 
+    @pytest.mark.parametrize("field,value", [
+        ("rho", 1), ("rho", 1.5), ("rho", True), ("rho", -1), ("rho", 5),
+        ("seed", True), ("seed", 3.0), ("seed", -1),
+    ], ids=["rho-below-coefficient-rank", "rho-float", "rho-bool", "rho-negative",
+            "rho-above-block-side", "seed-bool", "seed-float", "seed-negative"])
+    def test_witness_rho_and_seed(self, workdir, seeded_plan, capsys, field, value):
+        """A rank-2 bundle on 4x4 blocks loads only with its own integer rho."""
+        _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "2", "--quiet")
+        edit_json(payload["manifest"], with_field(field, value))
+        self.assert_rejected(capsys, "gap", "--witness", payload["dir"], "--r", "2")
+
+    @pytest.mark.parametrize("command", [
+        ["ceiling", "--plan", "{plan}", "--r", "2"],
+        ["update", "--adapter", "{adapter}"],
+        ["gap", "--witness", "{witness}", "--r", "2"],
+    ], ids=["plan", "adapter", "witness-manifest"])
+    def test_version_true(self, workdir, seeded_plan, capsys, command):
+        """``true == 1`` in Python; a JSON true is not version 1."""
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        envelope = {"plan": seeded_plan, "adapter": adapter["path"],
+                    "witness": witness["manifest"]}[command[1][2:]]
+        edit_json(envelope, with_field("version", True))
+        argv = [a.format(plan=seeded_plan, adapter=adapter["path"], witness=witness["dir"])
+                for a in command]
+        self.assert_rejected(capsys, *argv)
+
     def test_witness_target_replaced(self, workdir, seeded_plan, capsys):
         """A valid target.mat that is not the coefficients' target is stale."""
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")

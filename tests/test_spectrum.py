@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from smoa import (
@@ -22,8 +24,40 @@ from smoa import (
     truncated_svd,
 )
 from smoa.cli import main
+from smoa.spectrum import _thin_svd
 
 from conftest import random_matrix
+
+
+def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
+    """Reference sign rule, one column at a time: flip triplet signs so the
+    first nonzero entry of each left vector is nonnegative; an all-zero
+    left column defers to the right vector."""
+    for i in range(u.shape[1]):
+        col = u[:, i]
+        nz = np.nonzero(col)[0]
+        if nz.size:
+            lead = col[nz[0]]
+        else:
+            row = vt[i]
+            nz = np.nonzero(row)[0]
+            lead = row[nz[0]] if nz.size else 1.0
+        if lead < 0:
+            u[:, i] = -col
+            vt[i] = -vt[i]
+
+
+def reference_thin_svd(x: np.ndarray):
+    """One matrix through its own ``gesvd`` call and the per-column sign rule."""
+    u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
+    _normalize_signs(u, vt)
+    return u, s, vt
+
+
+def reference_balanced_factors(c: np.ndarray, r: int):
+    u, s, vt = reference_thin_svd(c)
+    root = np.sqrt(s[:r])
+    return (vt.T[:, :r] * root).T, u[:, :r] * root
 
 
 class TestSvd:
@@ -71,6 +105,72 @@ class TestSvd:
         dec = svd(random_matrix(rng, 3, 3))
         with pytest.raises(ValueError):
             dec.singular_values[0] = 99.0
+
+
+def _stack(seed: int, k: int, m: int, n: int, pattern: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, m, n))
+    if pattern == "zero-slice":  # the coefficients of a rho = 0 witness
+        stack[rng.integers(k)] = 0.0
+    elif pattern == "zero-first-column":
+        stack[:, :, 0] = 0.0
+    elif pattern == "zero-first-row":  # left vectors lead with zeros
+        stack[:, 0, :] = 0.0
+    elif pattern == "negative-zeros":
+        stack[rng.random((k, m, n)) < 0.5] = -0.0
+    elif pattern == "negative-zero-slice":
+        stack[rng.integers(k)] = -0.0
+    return stack
+
+
+stacks = st.builds(
+    _stack,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(["gaussian", "zero-slice", "zero-first-column", "zero-first-row",
+                     "negative-zeros", "negative-zero-slice"]),
+)
+
+
+class TestStackedSvd:
+    """One stacked decomposition gives, slice by slice, the bits of one
+    decomposition per matrix under the per-column sign rule."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(stacks)
+    def test_stack_matches_per_slice_reference_bitwise(self, stack):
+        u, s, vt = _thin_svd(stack)
+        for k, block in enumerate(stack):
+            ref_u, ref_s, ref_vt = reference_thin_svd(block)
+            assert u[k].tobytes() == ref_u.tobytes()
+            assert s[k].tobytes() == ref_s.tobytes()
+            assert vt[k].tobytes() == ref_vt.tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(stacks, st.integers(1, 7))
+    def test_balanced_factors_match_per_slice_reference_bitwise(self, stack, r):
+        r = min(r, *stack.shape[1:])
+        a, b = balanced_factors(stack, r)
+        assert a.shape == (stack.shape[0], r, stack.shape[2])
+        assert b.shape == (*stack.shape[:2], r)
+        for k, block in enumerate(stack):
+            ref_a, ref_b = reference_balanced_factors(block, r)
+            assert a[k].tobytes() == ref_a.tobytes()
+            assert b[k].tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (1, 3)])
+    def test_matrix_matches_reference_bitwise(self, rng, shape):
+        w = random_matrix(rng, *shape)
+        dec = svd(w)
+        ref_u, ref_s, ref_vt = reference_thin_svd(w.data)
+        assert dec.left_vectors.data.tobytes() == ref_u.tobytes()
+        assert dec.singular_values.tobytes() == ref_s.tobytes()
+        assert dec.right_vectors.data.tobytes() == np.ascontiguousarray(ref_vt.T).tobytes()
+        for r in range(min(shape) + 1):
+            u, s, vt = ref_u[:, :r], ref_s[:r], ref_vt[:r]
+            assert truncated_svd(w, r).data.tobytes() == ((u * s) @ vt).tobytes()
 
 
 class TestNumericalRank:
@@ -217,13 +317,13 @@ class TestBalancedFactors:
         dec = svd(c)
         root = np.sqrt(dec.singular_values[:3])
         a, b = balanced_factors(c, 3)
-        assert np.array_equal(b.data, dec.left_vectors.data[:, :3] * root)
-        assert np.array_equal(a.data, (dec.right_vectors.data[:, :3] * root).T)
+        assert np.array_equal(b, dec.left_vectors.data[:, :3] * root)
+        assert np.array_equal(a, (dec.right_vectors.data[:, :3] * root).T)
 
     def test_product_is_truncation(self, rng):
         c = random_matrix(rng, 7, 5)
         a, b = balanced_factors(c, 2)
-        assert_allclose((b @ a).data, truncated_svd(c, 2).data, atol=1e-12)
+        assert_allclose(b @ a, truncated_svd(c, 2).data, atol=1e-12)
 
     def test_exact_fit_uses_the_split(self, rng):
         plan = build_plan(random_matrix(rng, 8, 8), 2)
@@ -231,7 +331,14 @@ class TestBalancedFactors:
         exact = smoa_exact_fit(witness)
         for (a, b), c in zip(exact.factors, witness.coefficients):
             ref_a, ref_b = balanced_factors(c, 2)
-            assert np.array_equal(a.data, ref_a.data) and np.array_equal(b.data, ref_b.data)
+            assert np.array_equal(a.data, ref_a) and np.array_equal(b.data, ref_b)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_exact_fit_is_one_stacked_svd(self, rng, count_decompositions, k):
+        witness = make_witness(build_plan(random_matrix(rng, 16, 16), k), rho=1, seed=k)
+        exact, calls = count_decompositions(smoa_exact_fit, witness)
+        assert calls == {"svd": 1}
+        assert_allclose(exact.b @ exact.a, witness.coefficient_stack, atol=1e-10)
 
     def test_rank_out_of_range(self, rng):
         c = random_matrix(rng, 4, 3)
