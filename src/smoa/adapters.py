@@ -24,7 +24,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import envelope_fields, read_envelope, sha256_file, write_json
+from .fileutil import envelope_fields, field, read_envelope, sha256_file, write_json
 from .gen import _check_seed
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
@@ -252,49 +252,49 @@ def param_count(kind: str, d_in: int, d_out: int, r: int, k: int | None = None) 
     raise ConfigurationError(f"unknown adapter kind {kind!r}")
 
 
+def _restated(adapter: Adapter) -> dict:
+    """The envelope fields that an adapter's factors and plan define."""
+    if isinstance(adapter, SmoaAdapter):
+        plan = adapter.plan
+        return {"kind": "smoa", "r": adapter.r, "k": plan.k, "rho": adapter.rho,
+                "d_out": plan.d_out, "d_in": plan.d_in}
+    return {"kind": "lora", "r": adapter.r, "k": None, "rho": None,
+            "d_out": adapter.d_out, "d_in": adapter.d_in}
+
+
 def save_adapter(
     adapter: Adapter,
     path: str | os.PathLike,
     *,
     init: AdapterInit | None = None,
     plan_path: str | os.PathLike | None = None,
-    plan_hash: str | None = None,
 ) -> list[Path]:
     """Write a SMOA-ADPT v1 envelope plus one matrix file per factor.
 
     Factor files sit next to the envelope, named ``<stem>.fNN.mat`` in
-    A-then-B order per block. For block adapters ``plan_path`` should
-    point at the plan file (stored relative to the envelope) and
-    ``plan_hash`` at its content hash, enabling staleness checks on
-    load. Returns the written paths, envelope first.
+    A-then-B order per block. ``plan_path`` (required for block adapters)
+    is stored relative to the envelope with the plan file's content hash,
+    taken before the first write; :func:`load_adapter` always checks a
+    block adapter's hash.
+    Returns the written paths, envelope first.
     """
     target = Path(path)
+    if isinstance(adapter, SmoaAdapter) and plan_path is None:
+        raise ConfigurationError("block adapters need a plan_path to serialize")
+    plan_hash = None if plan_path is None else sha256_file(plan_path)
+    plan_ref = None if plan_path is None else os.path.relpath(Path(plan_path), target.parent)
     factors = [Matrix(factor) for pair in zip(*_factor_stacks(adapter)) for factor in pair]
     factor_names = [f"{target.stem}.f{i:02d}.mat" for i in range(len(factors))]
-    if isinstance(adapter, SmoaAdapter):
-        kind, r, k, rho = "smoa", adapter.r, adapter.plan.k, adapter.rho
-        if plan_path is None:
-            raise ConfigurationError("block adapters need a plan_path to serialize")
-        plan_ref = os.path.relpath(Path(plan_path), target.parent)
-        dims = {"d_out": adapter.plan.d_out, "d_in": adapter.plan.d_in}
-    else:
-        kind, r, k, rho = "lora", adapter.r, None, None
-        plan_ref = None if plan_path is None else os.path.relpath(Path(plan_path), target.parent)
-        dims = {"d_out": adapter.d_out, "d_in": adapter.d_in}
     init = init or AdapterInit()
     doc = {
         "format": ADAPTER_FORMAT,
         "version": ADAPTER_VERSION,
-        "kind": kind,
-        "r": r,
-        "k": k,
-        "rho": rho,
+        **_restated(adapter),
         "plan_path": plan_ref,
         "plan_hash": plan_hash,
         "factors": factor_names,
         "init": {"scheme": init.scheme, "seed": init.seed, "scale": init.scale},
         "seed": init.seed,
-        **dims,
     }
     written = [target]
     for name, factor in zip(factor_names, factors):
@@ -313,38 +313,39 @@ def save_adapter(
 def load_adapter(path: str | os.PathLike) -> Adapter:
     """Read a SMOA-ADPT v1 envelope and its factor files.
 
-    For block adapters the referenced plan is reloaded and, when the
-    envelope carries a ``plan_hash``, the plan file's current hash must
-    match; a stale pairing raises :class:`ConfigurationError`.
+    For block adapters the plan file's current hash must equal the recorded
+    ``plan_hash``, else the stale pairing raises :class:`ConfigurationError`.
+    The recorded kind, r, k, rho, d_out and d_in must be what the factors
+    and plan define.
     """
     target = Path(path)
-    doc = read_envelope(target, ADAPTER_FORMAT, ADAPTER_VERSION, "adapter file")
-    with envelope_fields("adapter file"):
-        factors = [load_matrix(target.parent / name) for name in doc["factors"]]
-        kind = doc.get("kind")
+    what = f"adapter file {target}"
+    doc = read_envelope(target, ADAPTER_FORMAT, ADAPTER_VERSION, what)
+    with envelope_fields(what):
+        factors = [load_matrix(target.parent / name)
+                   for name in field(doc, "factors", list, what, str)]
+        kind = field(doc, "kind", str, what)
         if kind == "lora":
             if len(factors) != 2:
                 raise FormatError(f"lora envelope lists {len(factors)} factors, expected 2")
             adapter: Adapter = LoraAdapter(factors[0], factors[1])
         elif kind == "smoa":
-            if doc.get("plan_path") is None:
-                raise FormatError("smoa envelope is missing plan_path")
-            plan_file = target.parent / doc["plan_path"]
-            if doc.get("plan_hash") is not None:
-                current = sha256_file(plan_file)
-                if current != doc["plan_hash"]:
-                    raise ConfigurationError(
-                        f"stale pairing: plan {plan_file} hash {current[:12]}... does not "
-                        f"match adapter's recorded {doc['plan_hash'][:12]}..."
-                    )
+            plan_file = target.parent / field(doc, "plan_path", str, what)
+            recorded, current = field(doc, "plan_hash", str, what), sha256_file(plan_file)
+            if current != recorded:
+                raise ConfigurationError(
+                    f"stale pairing: plan {plan_file} hash {current[:12]}... does not "
+                    f"match adapter's recorded {recorded[:12]}..."
+                )
             plan = load_plan(plan_file)
             if len(factors) != 2 * plan.k:
                 raise FormatError(
                     f"smoa envelope lists {len(factors)} factors for k={plan.k}"
                 )
-            adapter = SmoaAdapter(plan, int(doc["rho"]), factors[0::2], factors[1::2])
+            adapter = SmoaAdapter(plan, factors[0].rows, factors[0::2], factors[1::2])
         else:
             raise FormatError(f"unknown adapter kind {kind!r}")
-        if adapter.r != int(doc["r"]):
-            raise FormatError(f"envelope says r={doc['r']}, factors give r={adapter.r}")
-        return adapter
+    for key, value in _restated(adapter).items():
+        if field(doc, key, type(value), what) != value:
+            raise FormatError(f"{what} says {key}={doc[key]!r}, its factors give {value!r}")
+    return adapter

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, RangeError
-from .fileutil import envelope_fields, read_envelope, write_json
+from .fileutil import envelope_fields, field, read_envelope, write_json
 from .gen import _rng
 from .matio import encode_matrix, load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
@@ -247,17 +247,14 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     nonnegative JSON integers, and every C_k has rank at most rho. Recorded
     ranks and gaps are not read back."""
     base = Path(directory)
-    manifest = read_envelope(
-        base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, "witness manifest"
-    )
-    with envelope_fields("witness manifest"):
-        plan = load_plan(base / manifest["plan"])
-        stored = (base / manifest["target"]).read_bytes()
-        coefficients = [load_matrix(base / name) for name in manifest["coefficients"]]
-        rho, seed = manifest["rho"], manifest["seed"]
-        # exact types: a JSON true is a bool, which isinstance() would take for an int
-        if type(rho) is not int or type(seed) is not int:
-            raise TypeError(f"rho and seed must be integers, got {rho!r} and {seed!r}")
+    what = f"witness manifest {base / 'witness.json'}"
+    manifest = read_envelope(base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, what)
+    rho, seed = field(manifest, "rho", int, what), field(manifest, "seed", int, what)
+    with envelope_fields(what):
+        plan = load_plan(base / field(manifest, "plan", str, what))
+        stored = (base / field(manifest, "target", str, what)).read_bytes()
+        coefficients = [load_matrix(base / name)
+                        for name in field(manifest, "coefficients", list, what, str)]
         witness = WitnessInstance(plan, coefficients, rho, seed)
     if seed < 0 or not 0 <= rho <= min(plan.block_shape):
         raise FormatError(f"witness needs seed >= 0 and rho in 0..{min(plan.block_shape)}, "

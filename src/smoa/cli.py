@@ -46,7 +46,7 @@ from .errors import (
     NumericalError,
     RangeError,
 )
-from .fileutil import envelope_fields, read_json, sha256_file, write_csv, write_json
+from .fileutil import field, read_json, sha256_file, write_csv, write_json
 from .gen import _check_seed, diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
 from .matio import load_matrix, save_matrix
 from .preprocess import build_plan, load_plan, save_plan
@@ -150,22 +150,16 @@ def cmd_adapter(args) -> dict:
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
     if args.kind == "smoa":
         adapter = init_smoa(plan, args.r, init)
-        k, rho = plan.k, adapter.rho
     else:
         adapter = init_lora(plan.d_out, plan.d_in, args.r, init)
-        k, rho = None, None
-    plan_hash = sha256_file(args.plan)
     path = _out_dir(args) / args.name
-    written = save_adapter(adapter, path, init=init, plan_path=args.plan, plan_hash=plan_hash)
+    written = save_adapter(adapter, path, init=init, plan_path=args.plan)
     _note(args, f"wrote {len(written)} files under {path.parent}")
+    envelope = read_json(path, "adapter file")
     return {
         "path": str(path),
-        "kind": args.kind,
-        "r": args.r,
-        "k": k,
-        "rho": rho,
+        **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")},
         "params": adapter.trainable_parameters,
-        "plan_hash": plan_hash,
     }
 
 
@@ -265,6 +259,8 @@ def cmd_gap(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
+    """Fit, then write the adapter before the trace and summary; an I/O
+    failure on the second write leaves the adapter file in place."""
     target = load_matrix(args.target)
     plan = load_plan(args.plan) if args.plan is not None else None
     problem = FitProblem(target=target, kind=args.kind, r=args.r, plan=plan)
@@ -275,9 +271,8 @@ def cmd_fit(args) -> dict:
     trace_path = out / f"{args.prefix}.trace.csv"
     summary_path = out / f"{args.prefix}.summary.json"
     adapter_path = out / f"{args.prefix}.adapter.json"
-    plan_hash = sha256_file(args.plan) if args.plan is not None else None
+    save_adapter(trace.adapter, adapter_path, init=init, plan_path=args.plan)
     save_trace(trace, trace_path, summary_path)
-    save_adapter(trace.adapter, adapter_path, init=init, plan_path=args.plan, plan_hash=plan_hash)
     _note(args, f"fit finished after {trace.step_count} steps")
     return {
         "kind": args.kind,
@@ -331,15 +326,10 @@ def _sweep_seeds(master: int, cell: int, trial: int) -> list[int]:
 
 
 def cmd_sweep(args) -> dict:
-    spec = read_json(args.spec, "sweep spec")
-    with envelope_fields("sweep spec"):
-        dims, ks, rs, trials, master = (spec[key] for key in ("dims", "ks", "rs", "trials", "seed"))
-    # exact types: a JSON true is a bool, which isinstance() would take for an int
-    if not all(type(grid) is list for grid in (dims, ks, rs)) or any(
-        type(n) is not int for n in (trials, master, *dims, *ks, *rs)
-    ):
-        raise FormatError("malformed sweep spec: dims, ks and rs must be lists of integers, "
-                          "trials and seed integers")
+    what = f"sweep spec {args.spec}"
+    spec = read_json(args.spec, what)
+    dims, ks, rs = (field(spec, key, list, what, int) for key in ("dims", "ks", "rs"))
+    trials, master = field(spec, "trials", int, what), field(spec, "seed", int, what)
     if min([trials, *dims, *ks, *rs]) < 1:
         raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
     _check_seed(master)

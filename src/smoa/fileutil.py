@@ -1,4 +1,5 @@
-"""Atomic file writes, content hashing and the text codec for artifact files.
+"""Atomic file writes, content hashing, the text codec for artifact files
+and one exact-type reader for their fields.
 
 Every JSON artifact is written with indent 1 and sorted keys, and every
 CSV float cell is the shortest decimal that parses back to the same
@@ -81,16 +82,31 @@ def read_json(path: str | os.PathLike, what: str) -> dict:
     return doc
 
 
+def field(doc: dict, key: str, kind: type, what: str, item: type | None = None):
+    """``doc[key]`` when its JSON type is exactly ``kind`` and, given
+    ``item``, every entry of the list is exactly ``item``: a bool is not an
+    int, a float is not an int, a string is not a list. A missing or
+    mistyped field, or a ``doc`` that is no JSON object, raises
+    :class:`FormatError` naming ``what`` and ``key``."""
+    if type(doc) is not dict or key not in doc:
+        raise FormatError(f"{what} is missing field {key!r}")
+    value = doc[key]
+    if type(value) is not kind or (item is not None and any(type(x) is not item for x in value)):
+        wanted = kind.__name__ if item is None else f"list of {item.__name__}"
+        raise FormatError(f"{what} field {key!r} is not a JSON {wanted}")
+    return value
+
+
 def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) -> dict:
     """Parse a JSON artifact envelope: an object whose ``format`` is
     ``fmt`` and whose ``version`` is the JSON integer ``version``. Anything
     else raises :class:`FormatError`.
     """
     doc = read_json(path, what)
-    if doc.get("format") != fmt:
-        raise FormatError(f"{what} is not {fmt}: got format {doc.get('format')!r}")
-    if type(doc.get("version")) is not int or doc["version"] != version:  # true == 1 in Python
-        raise FormatError(f"unsupported {what} version {doc.get('version')!r}")
+    if field(doc, "format", str, what) != fmt:
+        raise FormatError(f"{what} is not {fmt}: got format {doc['format']!r}")
+    if field(doc, "version", int, what) != version:
+        raise FormatError(f"unsupported {what} version {doc['version']!r}")
     return doc
 
 

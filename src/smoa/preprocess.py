@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import envelope_fields, read_envelope, write_json
+from .fileutil import envelope_fields, field, read_envelope, write_json
 from .matio import load_matrix, matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
 from .spectrum import SpectralDecomposition, svd
@@ -187,24 +187,20 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None 
 def load_plan(path: str | os.PathLike) -> BlockPlan:
     """Read a SMOA-PLAN v1 file; anchor entries may be inline CSV blocks
     or paths to matrix files, resolved relative to the plan file."""
-    doc = read_envelope(path, PLAN_FORMAT, PLAN_VERSION, "plan file")
+    what = f"plan file {path}"
+    doc = read_envelope(path, PLAN_FORMAT, PLAN_VERSION, what)
     base = Path(path).parent
-    with envelope_fields("plan file"):
-        anchors = []
-        for entry in doc["anchors"]:
-            if isinstance(entry, str):
-                anchors.append(load_matrix(base / entry))
-            elif isinstance(entry, dict) and "csv" in entry:
-                anchors.append(matrix_from_csv(entry["csv"]))
-            else:
-                raise FormatError(f"anchor entry must be a path or a csv block, got {entry!r}")
+    with envelope_fields(what):
+        anchors = [load_matrix(base / entry) if type(entry) is str
+                   else matrix_from_csv(field(entry, "csv", str, f"{what} anchor"))
+                   for entry in field(doc, "anchors", list, what)]
         plan = BlockPlan(
-            k=int(doc["k"]),
-            p_out=Permutation.from_one_based(doc["p_out"]),
-            p_in=Permutation.from_one_based(doc["p_in"]),
+            k=field(doc, "k", int, what),
+            p_out=Permutation.from_one_based(field(doc, "p_out", list, what, int)),
+            p_in=Permutation.from_one_based(field(doc, "p_in", list, what, int)),
             anchor_stack=anchors,
         )
         for key in ("row_intervals", "col_intervals"):
-            if doc[key] != _intervals_to_file(getattr(plan, key)):
+            if field(doc, key, list, what) != _intervals_to_file(getattr(plan, key)):
                 raise FormatError(f"plan {key} {doc[key]!r} are not the equal split for k={plan.k}")
         return plan

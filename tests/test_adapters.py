@@ -256,7 +256,7 @@ class TestAdapterFiles:
         save_plan(plan, plan_path)
         adapter = init_smoa(plan, 4, AdapterInit("gaussian", seed=8))
         path = tmp_path / "adapter.json"
-        save_adapter(adapter, path, plan_path=plan_path, plan_hash=sha256_file(plan_path))
+        save_adapter(adapter, path, plan_path=plan_path)
         loaded = load_adapter(path)
         assert isinstance(loaded, SmoaAdapter)
         assert loaded.rho == 2 and loaded.plan.k == 2
@@ -285,20 +285,26 @@ class TestAdapterFiles:
         save_plan(plan, plan_path)
         adapter = init_smoa(plan, 2, AdapterInit("gaussian", seed=4))
         path = tmp_path / "adapter.json"
-        save_adapter(adapter, path, plan_path=plan_path, plan_hash=sha256_file(plan_path))
+        save_adapter(adapter, path, plan_path=plan_path)
         # regenerate the plan from a different matrix: hash changes
         save_plan(build_plan(random_matrix(rng, 4, 4), 2), plan_path)
         with pytest.raises(ConfigurationError, match="stale"):
             load_adapter(path)
 
     def test_missing_hash_skips_staleness_check(self, rng, tmp_path):
+        """No longer skipped: a block adapter without a plan hash is rejected."""
         plan = build_plan(random_matrix(rng, 4, 4), 2)
         plan_path = tmp_path / "plan.json"
         save_plan(plan, plan_path)
         adapter = init_smoa(plan, 2, AdapterInit("gaussian"))
         path = tmp_path / "adapter.json"
         save_adapter(adapter, path, plan_path=plan_path)
-        assert isinstance(load_adapter(path), SmoaAdapter)
+        doc = json.loads(path.read_text())
+        assert doc["plan_hash"] == sha256_file(plan_path)
+        doc["plan_hash"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="plan_hash"):
+            load_adapter(path)
 
     def test_r_cross_check(self, rng, tmp_path):
         lora = init_lora(4, 4, 2, AdapterInit("gaussian"))

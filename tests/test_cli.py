@@ -166,6 +166,7 @@ class TestPlanAndAdapter:
             return sha256_file(path)
 
         monkeypatch.setattr("smoa.cli.sha256_file", counting)
+        monkeypatch.setattr("smoa.adapters.sha256_file", counting)
         code, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         assert code == 0
         assert calls == [seeded_plan]
@@ -443,8 +444,15 @@ class TestMalformedInput:
         with_field("anchors", 3),
         with_field("row_intervals", [[1, 3], [4, 8]]),
         without("col_intervals"),
+        with_field("k", "2"),
+        with_field("k", 2.9),
+        lambda doc: {**doc, "p_out": [x + 0.5 for x in doc["p_out"]]},
+        lambda doc: {**doc, "anchors": [{"csv": 5}, *doc["anchors"][1:]]},
+        lambda doc: {**doc, "anchors": [{"csv": ["1"]}, *doc["anchors"][1:]]},
+        with_field("anchors", "ab"),
     ], ids=["missing-k", "json-list", "k-not-a-number", "anchors-not-a-list",
-            "intervals-not-equal-split", "missing-col-intervals"])
+            "intervals-not-equal-split", "missing-col-intervals", "k-string", "k-float",
+            "p-out-floats", "anchor-csv-int", "anchor-csv-list", "anchors-string"])
     def test_plan(self, workdir, seeded_plan, capsys, edit):
         edit_json(seeded_plan, edit)
         self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
@@ -461,7 +469,9 @@ class TestMalformedInput:
         lambda doc: [doc],
         with_field("rho", [2]),
         without("coefficients"),
-    ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients"])
+        with_field("coefficients", "ab"),
+    ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients",
+            "coefficients-string"])
     def test_witness(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         edit_json(payload["manifest"], edit)
@@ -506,7 +516,14 @@ class TestMalformedInput:
         lambda doc: [doc],
         with_field("factors", 4),
         with_field("rho", None),
-    ], ids=["missing-r", "json-list", "factors-not-a-list", "rho-null"])
+        with_field("rho", 1.5),
+        with_field("r", "2"),
+        with_field("k", "x"),
+        with_field("d_in", 99),
+        with_field("plan_hash", None),
+        with_field("factors", "ab"),
+    ], ids=["missing-r", "json-list", "factors-not-a-list", "rho-null", "rho-float",
+            "r-string", "k-string", "d-in-not-the-plan's", "plan-hash-null", "factors-string"])
     def test_adapter(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         edit_json(payload["path"], edit)
@@ -701,6 +718,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert not (workdir / "witness").exists() or not any((workdir / "witness").iterdir())
+
+    def test_fit_unhashable_plan_writes_nothing(self, workdir, seeded_matrix, seeded_plan,
+                                                capsys, monkeypatch):
+        def fail(_):
+            raise OSError("plan unreadable")
+
+        monkeypatch.setattr("smoa.adapters.sha256_file", fail)
+        code = main(["fit", "--target", seeded_matrix, "--kind", "smoa", "--r", "2",
+                     "--plan", seeded_plan, "--max-steps", "5", "--out", "fits", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert not (workdir / "fits").exists() or not any((workdir / "fits").iterdir())
 
     def test_usage_error_is_one(self, workdir, capsys):
         assert main(["gen", "--rows", "4"]) == 1  # missing required args
