@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import envelope_fields, field, read_envelope, sha256_file, write_json
-from .gen import _check_seed
+from .gen import _check_seed, _check_shape
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import BlockPlan, _scatter_blocks, load_plan
+from .preprocess import BlockPlan, _block_rank, _check_split, _scatter_blocks, load_plan
 
 __all__ = [
     "LoraAdapter",
@@ -141,44 +141,42 @@ class AdapterInit:
         _check_seed(self.seed)
 
 
-def _draw(rng: np.random.Generator, rows: int, cols: int, scale: float) -> Matrix:
-    return Matrix(rng.standard_normal((rows, cols)) * (scale / np.sqrt(cols)))
+def _init_stacks(k: int, s_out: int, s_in: int, rho: int,
+                 init: AdapterInit) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded factor stacks ``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``.
+
+    One stream serves both families: block by block, A_k is drawn and then,
+    under ``gaussian``, B_k; each entry is N(0, (scale/sqrt(fan_in))^2).
+    ``zero-update`` draws only the A_k and leaves every B_k zero.
+    """
+    if init.scheme == "spectral":
+        raise ConfigurationError("spectral init needs a fit target; use trainer.fit")
+    _check_shape(k * rho, s_in + s_out)  # every A_k and B_k^T, side by side
+    gaussian = init.scheme == "gaussian"
+    width = rho * (s_in + s_out) if gaussian else rho * s_in  # row g: A_g's draws, then B_g's
+    draws = np.random.default_rng(init.seed).standard_normal((k, width))
+    a = draws[:, :rho * s_in].reshape(k, rho, s_in) * (init.scale / np.sqrt(s_in))
+    if not gaussian:
+        return a, np.zeros((k, s_out, rho))
+    return a, draws[:, rho * s_in:].reshape(k, s_out, rho) * (init.scale / np.sqrt(rho))
 
 
 def init_lora(d_out: int, d_in: int, r: int, init: AdapterInit) -> LoraAdapter:
-    """Seeded LoRA factors; ``zero-update`` gives b = 0 exactly."""
-    if r < 1:
-        raise ConfigurationError(f"r must be a positive integer, got {r}")
-    if init.scheme == "spectral":
-        raise ConfigurationError("spectral init needs a fit target; use trainer.fit")
-    rng = np.random.default_rng(init.seed)
-    a = _draw(rng, r, d_in, init.scale)
-    if init.scheme == "zero-update":
-        b = Matrix.zeros(d_out, r)
-    else:
-        b = _draw(rng, d_out, r, init.scale)
-    return LoraAdapter(a, b)
+    """Seeded LoRA factors, the one-block draw; ``zero-update`` gives b = 0 exactly."""
+    _check_split(1, d_out, d_in)
+    a, b = _init_stacks(1, d_out, d_in, _block_rank(1, r), init)
+    return LoraAdapter(Matrix(a[0]), Matrix(b[0]))
 
 
 def init_smoa(plan: BlockPlan, r: int, init: AdapterInit) -> SmoaAdapter:
     """Seeded block factors at rho = r / K; K must divide r."""
-    if init.scheme == "spectral":
-        raise ConfigurationError("spectral init needs a fit target; use trainer.fit")
-    if r < 1 or r % plan.k:
-        raise ConfigurationError(f"k={plan.k} must divide r={r}")
-    rho = r // plan.k
+    rho = _block_rank(plan.k, r)
     s_out, s_in = plan.block_shape
     if rho > min(s_out, s_in):
         raise ConfigurationError(
             f"rho={rho} exceeds block dimensions {s_out}x{s_in}"
         )
-    rng = np.random.default_rng(init.seed)
-    a, b = [], []
-    for _ in range(plan.k):
-        a.append(_draw(rng, rho, s_in, init.scale))
-        if init.scheme == "gaussian":
-            b.append(_draw(rng, s_out, rho, init.scale))
-    return SmoaAdapter(plan, rho, a, b or np.zeros((plan.k, s_out, rho)))  # zero-update
+    return SmoaAdapter(plan, rho, *_init_stacks(plan.k, s_out, s_in, rho, init))
 
 
 def lora_update(adapter: LoraAdapter) -> Matrix:
@@ -236,20 +234,14 @@ def param_count(kind: str, d_in: int, d_out: int, r: int, k: int | None = None) 
     ``lora``: r (d_in + d_out). ``smoa``: (r / K)(d_in + d_out), K times
     fewer at the same nominal rank; K must divide r, d_in, and d_out.
     """
-    if min(d_in, d_out, r) < 1:
-        raise ConfigurationError(f"dimensions and rank must be positive, got "
-                                 f"d_in={d_in}, d_out={d_out}, r={r}")
     if kind == "lora":
-        return r * (d_in + d_out)
-    if kind == "smoa":
-        if k is None or k < 1:
-            raise ConfigurationError("smoa needs a positive block count k")
-        if r % k or d_in % k or d_out % k:
-            raise ConfigurationError(
-                f"k={k} must divide r={r}, d_in={d_in}, d_out={d_out}"
-            )
-        return (r // k) * (d_in + d_out)
-    raise ConfigurationError(f"unknown adapter kind {kind!r}")
+        k = 1
+    elif kind != "smoa":
+        raise ConfigurationError(f"unknown adapter kind {kind!r}")
+    elif k is None:
+        raise ConfigurationError("smoa needs a positive block count k")
+    _check_split(k, d_out, d_in)
+    return _block_rank(k, r) * (d_in + d_out)
 
 
 def _restated(adapter: Adapter) -> dict:

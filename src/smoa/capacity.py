@@ -23,12 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, RangeError
+from .adapters import SmoaAdapter
+from .errors import FormatError, RangeError
 from .fileutil import envelope_fields, field, read_envelope, write_json
 from .gen import _rng
 from .matio import encode_matrix, load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import BlockPlan, _scatter_blocks, load_plan, save_plan
+from .preprocess import BlockPlan, _block_rank, _check_split, _scatter_blocks, load_plan, save_plan
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -87,9 +88,7 @@ def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankC
     K must divide r; anchor ranks are measured at ``epsilon`` (default
     tolerance per anchor when omitted).
     """
-    if r < 1 or r % plan.k:
-        raise ConfigurationError(f"k={plan.k} must divide r={r}")
-    rho = r // plan.k
+    rho = _block_rank(plan.k, r)
     s_out, s_in = plan.block_shape
     s_k = min(s_out, s_in)
     values = singular_values(plan.anchor_stack)  # (K, s_k), one row per anchor
@@ -113,10 +112,8 @@ def full_rank_ceiling(d_out: int, d_in: int, k: int, r: int) -> int:
     leaving the integers. K must divide both dimensions; r is any
     positive budget.
     """
-    if k < 1 or d_out % k or d_in % k:
-        raise ConfigurationError(f"k={k} must divide dimensions {d_out}x{d_in}")
-    if r < 1:
-        raise ConfigurationError(f"r must be a positive integer, got {r}")
+    _check_split(k, d_out, d_in)
+    _block_rank(1, r)
     s = min(d_out // k, d_in // k)
     return min(k * s, r * s)
 
@@ -184,15 +181,13 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
     return WitnessInstance(plan, coefficients, rho, seed)
 
 
-def smoa_exact_fit(witness: WitnessInstance):
+def smoa_exact_fit(witness: WitnessInstance) -> SmoaAdapter:
     """Block adapter reproducing the witness target exactly.
 
     The coefficient stack is split in one stacked decomposition into the
     rank-rho truncated SVD of each C_k (exact, since rank(C_k) <= rho).
     A zero witness returns a rho = 1 adapter with zero factors.
     """
-    from .adapters import SmoaAdapter
-
     rho = max(witness.rho, 1)
     return SmoaAdapter(witness.plan, rho, *balanced_factors(witness.coefficient_stack, rho))
 
@@ -203,8 +198,7 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
     Evaluated spectrally as the tail energy beyond r (Eckart-Young);
     zero once r reaches the target rank. Never computed by training.
     """
-    if r < 1:
-        raise ConfigurationError(f"r must be a positive integer, got {r}")
+    _block_rank(1, r)
     return _tail_from_values(witness._values, r)  # empty past the last value
 
 

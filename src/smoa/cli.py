@@ -7,11 +7,13 @@ Progress notes go to stderr and are silenced by ``--quiet``. All file
 writes are atomic (temp file plus rename).
 
 Exit codes: 0 success, 1 usage, 2 validation (shapes, divisibility,
-malformed or stale artifacts), 3 file I/O, 4 numerical failure.
+malformed or stale artifacts, sizes too large to address), 3 file I/O or
+memory exhausted, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -47,9 +49,10 @@ from .errors import (
     RangeError,
 )
 from .fileutil import field, read_json, sha256_file, write_csv, write_json
-from .gen import _check_seed, diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
+from .gen import (_check_seed, _check_shape, diagonal_matrix, gaussian_matrix,
+                  low_rank_plus_noise, spiked_matrix)
 from .matio import load_matrix, save_matrix
-from .preprocess import build_plan, load_plan, save_plan
+from .preprocess import _block_rank, _check_split, build_plan, load_plan, save_plan
 from .spectrum import _rank_from_values, singular_values
 from .trainer import FitConfig, FitProblem, fit, save_trace
 
@@ -330,54 +333,48 @@ def cmd_sweep(args) -> dict:
     spec = read_json(args.spec, what)
     dims, ks, rs = (field(spec, key, list, what, int) for key in ("dims", "ks", "rs"))
     trials, master = field(spec, "trials", int, what), field(spec, "seed", int, what)
-    if min([trials, *dims, *ks, *rs]) < 1:
-        raise ConfigurationError(f"dims, ks, rs and trials must be positive in {spec}")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
     _check_seed(master)
-    for d in dims:
-        for k in ks:
-            if d % k:
-                raise ConfigurationError(f"k={k} must divide d={d}")
-            for r in rs:
-                if r % k:
-                    raise ConfigurationError(f"k={k} must divide r={r}")
+    cells = list(itertools.product(dims, ks, rs))
+    for d, k, r in cells:
+        _check_split(k, d, d)
+        _block_rank(k, r)
+        _check_shape(d, d)
     rows: list[list] = []
-    cell = 0
-    for d in dims:
-        for k in ks:
-            for r in rs:
-                for trial in range(trials):
-                    s_w0, s_witness, s_lora, s_smoa = _sweep_seeds(master, cell, trial)
-                    w0 = gaussian_matrix(d, d, s_w0)
-                    plan = build_plan(w0, k)
-                    witness = make_witness(plan, r // k, s_witness)
-                    ceiling = rank_ceiling(plan, r, args.epsilon)
-                    lora = init_lora(d, d, r, AdapterInit("gaussian", s_lora))
-                    smoa = init_smoa(plan, r, AdapterInit("gaussian", s_smoa))
-                    exact = smoa_exact_fit(witness)
-                    smoa_residual = (smoa_update(exact) - witness.target).norm() ** 2
-                    rows.append([
-                        "lora", d, k, r, trial,
-                        lora.trainable_parameters,
-                        achieved_rank(lora_update(lora), args.epsilon),
-                        r,
-                        lora_gap(witness, r),
-                    ])
-                    rows.append([
-                        "smoa", d, k, r, trial,
-                        smoa.trainable_parameters,
-                        achieved_rank(smoa_update(smoa), args.epsilon),
-                        ceiling.total_ceiling,
-                        smoa_residual,
-                    ])
-                cell += 1
-                _note(args, f"cell d={d} k={k} r={r} done")
+    for cell, (d, k, r) in enumerate(cells):
+        for trial in range(trials):
+            s_w0, s_witness, s_lora, s_smoa = _sweep_seeds(master, cell, trial)
+            w0 = gaussian_matrix(d, d, s_w0)
+            plan = build_plan(w0, k)
+            witness = make_witness(plan, r // k, s_witness)
+            ceiling = rank_ceiling(plan, r, args.epsilon)
+            lora = init_lora(d, d, r, AdapterInit("gaussian", s_lora))
+            smoa = init_smoa(plan, r, AdapterInit("gaussian", s_smoa))
+            exact = smoa_exact_fit(witness)
+            smoa_residual = (smoa_update(exact) - witness.target).norm() ** 2
+            rows.append([
+                "lora", d, k, r, trial,
+                lora.trainable_parameters,
+                achieved_rank(lora_update(lora), args.epsilon),
+                r,
+                lora_gap(witness, r),
+            ])
+            rows.append([
+                "smoa", d, k, r, trial,
+                smoa.trainable_parameters,
+                achieved_rank(smoa_update(smoa), args.epsilon),
+                ceiling.total_ceiling,
+                smoa_residual,
+            ])
+        _note(args, f"cell d={d} k={k} r={r} done")
     path = _out_dir(args) / args.name
     write_csv(path, ["method", "d", "k", "r", "trial", "params", "achieved_rank", "ceiling", "gap"],
               rows)
     return {
         "path": str(path),
         "rows": len(rows),
-        "cells": cell,
+        "cells": len(cells),
         "trials": trials,
         "seed": master,
     }
@@ -518,6 +515,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
     print(json.dumps(payload, sort_keys=True))
     return 0

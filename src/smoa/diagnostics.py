@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, EstimationError, RangeError
 from .fileutil import write_csv, write_json
-from .gen import _rng
+from .gen import _check_shape, _rng
 from .matrices import Matrix
 from .spectrum import SpectralDecomposition, _rank_from_values, singular_values, svd
 
@@ -309,8 +309,10 @@ def save_report(
     prediction at the bin center; ``overlaps.csv`` holds one row per
     singular direction with the Monte Carlo band repeated alongside.
     """
-    if histogram_path is not None and bins < 1:
-        raise ConfigurationError(f"bins must be positive, got {bins}")
+    if histogram_path is not None:
+        if bins < 1:
+            raise ConfigurationError(f"bins must be positive, got {bins}")
+        _check_shape(1, bins + 1)  # the bin edges
     doc = {
         "normalized_values": list(report.normalized_values),
         "bulk_edge": report.bulk_edge,

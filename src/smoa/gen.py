@@ -23,8 +23,11 @@ __all__ = [
 
 
 def _check_shape(rows: int, cols: int) -> None:
+    """Positive dimensions of a float64 array whose byte size numpy can address."""
     if rows < 1 or cols < 1:
         raise RangeError(f"dimensions must be positive, got {rows}x{cols}")
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise RangeError(f"a {rows}x{cols} float64 array is too large to address")
 
 
 def _check_seed(seed: int) -> None:

@@ -90,10 +90,19 @@ class BlockPlan:
 
 
 def _check_split(k: int, d_out: int, d_in: int) -> None:
-    if k < 1:
-        raise ConfigurationError(f"k must be positive, got {k}")
+    """The one split rule: K >= 1 divides two positive dimensions."""
+    if k < 1 or d_out < 1 or d_in < 1:
+        raise ConfigurationError(f"k={k} and dimensions {d_out}x{d_in} must be positive")
     if d_out % k or d_in % k:
         raise ConfigurationError(f"k={k} must divide both dimensions, got {d_out}x{d_in}")
+
+
+def _block_rank(k: int, r: int) -> int:
+    """The one budget rule: r over K blocks is rank rho = r / K per block,
+    so K divides r >= 1. The global family is K = 1."""
+    if r < 1 or r % k:
+        raise ConfigurationError(f"r={r} must be a positive multiple of k={k}")
+    return r // k
 
 
 def _block_index(k: int, p_out: Permutation, p_in: Permutation) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from .adapters import _factor_stacks
 from .errors import ConfigurationError, DimensionError, NumericalError
 from .fileutil import write_csv, write_json
 from .matrices import Matrix
-from .preprocess import BlockPlan, _gather_blocks
+from .preprocess import BlockPlan, _block_rank, _gather_blocks
 from .spectrum import balanced_factors, tail_energy
 
 __all__ = [
@@ -65,8 +65,6 @@ class FitProblem:
     def __post_init__(self) -> None:
         if self.kind not in ("lora", "smoa"):
             raise ConfigurationError(f"unknown adapter kind {self.kind!r}")
-        if self.r < 1:
-            raise ConfigurationError(f"r must be a positive integer, got {self.r}")
         if self.kind == "smoa":
             if self.plan is None:
                 raise ConfigurationError("block fits need a plan")
@@ -75,8 +73,7 @@ class FitProblem:
                     f"target {self.target.shape} does not match plan "
                     f"{(self.plan.d_out, self.plan.d_in)}"
                 )
-            if self.r % self.plan.k:
-                raise ConfigurationError(f"k={self.plan.k} must divide r={self.r}")
+        _block_rank(self.plan.k if self.kind == "smoa" else 1, self.r)
 
 
 # an accepted step multiplies eta by this, up to the cap
@@ -326,7 +323,7 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
         floor = 0.5 * tail_energy(problem.target, min(problem.r, min(problem.target.shape)))
         adapter: Adapter = LoraAdapter(Matrix(a[0]), Matrix(b[0]))
     else:
-        floor, adapter = None, SmoaAdapter(problem.plan, problem.r // problem.plan.k, a, b)
+        floor, adapter = None, SmoaAdapter(problem.plan, a.shape[1], a, b)
     return FitTrace(
         steps=tuple(steps),
         adapter=adapter,

@@ -28,6 +28,7 @@ from smoa import (
     update,
 )
 from smoa.fileutil import sha256_file
+from smoa.gen import gaussian_matrix
 
 from conftest import random_matrix
 
@@ -122,7 +123,34 @@ class TestUpdates:
         assert_array_equal(update(lora).data, lora_update(lora).data)
 
 
+def reference_draw(k, s_out, s_in, rho, init):
+    """The per-block draw loop: A_k, then B_k under ``gaussian``, each entry
+    N(0, (scale/sqrt(fan_in))^2) from one seeded stream; zero B otherwise."""
+    def draw(rows, cols):
+        return rng.standard_normal((rows, cols)) * (init.scale / np.sqrt(cols))
+
+    rng = np.random.default_rng(init.seed)
+    a, b = [], []
+    for _ in range(k):
+        a.append(draw(rho, s_in))
+        b.append(draw(s_out, rho) if init.scheme == "gaussian" else np.zeros((s_out, rho)))
+    return np.stack(a), np.stack(b)
+
+
 class TestInit:
+    @pytest.mark.parametrize("scheme", ["zero-update", "gaussian"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_both_families_match_the_per_block_draw(self, scheme, k):
+        for seed, (d_out, d_in), rho in [(0, (8, 8), 1), (7, (8, 12), 2), (2**40, (16, 8), 2)]:
+            init = AdapterInit(scheme, seed, 0.7)
+            s_out, s_in = d_out // k, d_in // k
+            a, b = reference_draw(k, s_out, s_in, rho, init)
+            block = init_smoa(build_plan(gaussian_matrix(d_out, d_in, seed), k), rho * k, init)
+            assert (block.a.tobytes(), block.b.tobytes()) == (a.tobytes(), b.tobytes())
+            a, b = reference_draw(1, d_out, d_in, rho * k, init)
+            lora = init_lora(d_out, d_in, rho * k, init)
+            assert (lora.a.data.tobytes(), lora.b.data.tobytes()) == (a.tobytes(), b.tobytes())
+
     def test_zero_update_scheme_gives_zero_update(self, rng):
         plan = build_plan(random_matrix(rng, 6, 6), 2)
         block = init_smoa(plan, 4, AdapterInit("zero-update", seed=11))

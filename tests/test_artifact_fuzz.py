@@ -43,6 +43,13 @@ PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "seed"), ("smoa-adapter"
               ("witness-manifest", "gaps"), ("witness-manifest", "target_rank"),
               ("witness-manifest", "reordered_target_rank")]
 
+# integer fields, or lists of them whose first entry is replaced, that a huge
+# value must not get past; huge trials and seeds are valid, and would run long
+HUGE_FIELDS = [("plan", "k"), ("plan", "p_out"), ("witness-manifest", "rho"),
+               ("sweep-spec", "dims"), ("sweep-spec", "ks"),
+               *(("smoa-adapter", key) for key in ("r", "k", "rho", "d_out", "d_in"))]
+HUGE_INTS = [2**63, -2**63, 2**70]
+
 DROP = object()
 NON_UTF8 = [b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"]
 
@@ -115,6 +122,16 @@ class TestDamagedArtifacts:
         doc = {k: v for k, v in doc.items() if k != key}
         if value is not DROP:
             doc[key] = value
+        code, stdout, stderr, written = run_damaged(root, name, json.dumps(doc).encode())
+        assert (code, stdout, written) == (2, "", [])
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from(HUGE_FIELDS), st.sampled_from(HUGE_INTS))
+    def test_huge_integer_exits_two(self, root, target, value):
+        name, key = target
+        doc = json.loads((root / ARTIFACTS[name][0]).read_text())
+        doc[key] = [value, *doc[key][1:]] if type(doc[key]) is list else value
         code, stdout, stderr, written = run_damaged(root, name, json.dumps(doc).encode())
         assert (code, stdout, written) == (2, "", [])
         assert stderr.startswith("error: ") and "Traceback" not in stderr

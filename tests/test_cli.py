@@ -567,12 +567,31 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field,value", [
         ("ks", [0]), ("dims", [0]), ("rs", [-2]), ("seed", -1),
         ("dims", "64"), ("dims", [64.7]), ("trials", True), ("seed", 1.9), ("dims", {"16": 1}),
+        ("rs", [3]),
     ], ids=["ks-zero", "dims-zero", "rs-negative", "seed-negative",
-            "dims-string", "dims-float", "trials-bool", "seed-float", "dims-object"])
+            "dims-string", "dims-float", "trials-bool", "seed-float", "dims-object",
+            "rs-not-a-multiple-of-k"])
     def test_sweep_spec_values(self, workdir, capsys, field, value):
         spec = {"dims": [8], "ks": [2], "rs": [2], "trials": 1, "seed": 1, field: value}
         (workdir / "spec.json").write_text(json.dumps(spec))
         self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--rows", "{big}", "--cols", "{big}", "--kind", "gaussian"],
+        ["sweep", "--spec", "spec.json"],
+        ["adapter", "--plan", "{plan}", "--kind", "lora", "--r", "{big}"],
+        ["fit", "--target", "{matrix}", "--kind", "lora", "--r", "{big}"],
+        ["diagnose", "--matrix", "{matrix}", "--bins", "{big}"],
+    ], ids=["gen", "sweep-dims", "adapter-lora-r", "fit-lora-r", "diagnose-bins"])
+    def test_unaddressable_size(self, workdir, seeded_matrix, seeded_plan, capsys, command):
+        """Sizes whose float64 array numpy cannot address are refused before
+        any draw or write."""
+        big = 2**62
+        spec = {"dims": [big], "ks": [2], "rs": [2], "trials": 1, "seed": 1}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        argv = [a.format(big=big, plan=seeded_plan, matrix=seeded_matrix) for a in command]
+        self.assert_rejected(capsys, *argv, "--out", "sized")
+        assert not (workdir / "sized").exists() or not any((workdir / "sized").iterdir())
 
     @pytest.mark.parametrize("command", [
         ["gen", "--rows", "4", "--cols", "4", "--kind", "gaussian"],
@@ -731,6 +750,18 @@ class TestExitCodes:
         assert code == 3
         assert captured.out == ""
         assert not (workdir / "fits").exists() or not any((workdir / "fits").iterdir())
+
+    def test_memory_error_is_three(self, workdir, capsys, monkeypatch):
+        def fail(*_):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("smoa.cli.gaussian_matrix", fail)
+        code = main(["gen", "--rows", "4", "--cols", "4", "--kind", "gaussian", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not (workdir / "matrix.mat").exists()
 
     def test_usage_error_is_one(self, workdir, capsys):
         assert main(["gen", "--rows", "4"]) == 1  # missing required args

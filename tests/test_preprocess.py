@@ -6,20 +6,30 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import (
+    AdapterInit,
     BlockPlan,
     ConfigurationError,
     DimensionError,
+    FitProblem,
     FormatError,
     Matrix,
     Permutation,
     apply_permutations,
     build_plan,
     coordinate_scores,
+    full_rank_ceiling,
+    init_lora,
+    init_smoa,
     load_plan,
+    lora_gap,
+    make_witness,
+    param_count,
+    rank_ceiling,
     reordered_weight,
     save_plan,
     svd,
 )
+from smoa.gen import gaussian_matrix
 from smoa.matio import save_matrix
 
 from conftest import random_matrix
@@ -153,6 +163,32 @@ class TestBuildPlan:
     def test_k_must_be_positive(self, rng):
         with pytest.raises(ConfigurationError):
             build_plan(random_matrix(rng, 4, 4), 0)
+
+
+# every entry point that takes a rank budget r, with the K it splits r over;
+# full_rank_ceiling and lora_gap read r as a global budget
+_PLAN = build_plan(gaussian_matrix(8, 8, seed=3), 2)
+BUDGET_ENTRY_POINTS = {
+    "init_lora": (1, lambda r: init_lora(8, 8, r, AdapterInit())),
+    "init_smoa": (2, lambda r: init_smoa(_PLAN, r, AdapterInit())),
+    "param_count-lora": (1, lambda r: param_count("lora", 8, 8, r)),
+    "param_count-smoa": (2, lambda r: param_count("smoa", 8, 8, r, 2)),
+    "rank_ceiling": (2, lambda r: rank_ceiling(_PLAN, r)),
+    "full_rank_ceiling": (1, lambda r: full_rank_ceiling(8, 8, 2, r)),
+    "lora_gap": (1, lambda r: lora_gap(make_witness(_PLAN, 1, 0), r)),
+    "FitProblem-lora": (1, lambda r: FitProblem(Matrix.ones(8, 8), "lora", r)),
+    "FitProblem-smoa": (2, lambda r: FitProblem(Matrix.ones(8, 8), "smoa", r, _PLAN)),
+}
+
+
+class TestBudgetRule:
+    @pytest.mark.parametrize("name", sorted(BUDGET_ENTRY_POINTS))
+    def test_entry_points_share_one_rule(self, name):
+        k, call = BUDGET_ENTRY_POINTS[name]
+        call(2)
+        for r in (0, -1, *([k + 1] if k > 1 else [])):
+            with pytest.raises(ConfigurationError, match=f"r={r} must be a positive multiple"):
+                call(r)
 
 
 class TestPlanValidation:

@@ -1,8 +1,11 @@
-"""The README's Python examples run, in order, against the public API."""
+"""The README's Python examples run, in order, against the public API, and
+its exit-code sentence lists the codes the CLI defines."""
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import smoa.cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +20,16 @@ def test_python_blocks_run():
             exec(compile(block, str(README), "exec"), namespace)
     lines = out.getvalue().splitlines()
     assert lines[:2] == ["128 params vs 512 global", "32 <= 32 vs global cap 8"]
+
+
+def exit_codes(text: str) -> list[int]:
+    """The integers in the sentence that starts with 'Exit codes:'."""
+    sentence = re.search(r"Exit codes:(.*?)\.", text, re.S).group(1)
+    return sorted(int(code) for code in re.findall(r"\b\d+\b", sentence))
+
+
+def test_exit_codes_listed_once_each():
+    defined = sorted({0, *(value for name, value in vars(smoa.cli).items()
+                           if name.startswith("EXIT_"))})
+    assert exit_codes(README.read_text(encoding="utf-8")) == defined
+    assert exit_codes(smoa.cli.__doc__) == defined
