@@ -28,7 +28,7 @@ from .fileutil import envelope_fields, field, read_envelope, sha256_file, write_
 from .gen import _check_seed, _check_shape
 from .matio import load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import BlockPlan, _block_rank, _check_split, _scatter_blocks, load_plan
+from .preprocess import BlockPlan, _block_rank, _check_rho, _check_split, _scatter_blocks, load_plan
 
 __all__ = [
     "LoraAdapter",
@@ -84,7 +84,7 @@ class LoraAdapter:
 
 @dataclass(frozen=True, eq=False)
 class SmoaAdapter:
-    """K local factor pairs of rank ``rho`` over a block plan.
+    """K local factor pairs of rank 1 <= ``rho`` <= min(block_shape) over a plan.
 
     Read-only stacks ``a: (K, rho, d_in/K)`` and ``b: (K, d_out/K, rho)``
     hold the pairs; ``factors[k]`` views pair k as ``(a_k, b_k)`` matrices.
@@ -98,6 +98,7 @@ class SmoaAdapter:
     def __post_init__(self) -> None:
         if self.rho < 1:
             raise ConfigurationError(f"rho must be a positive integer, got {self.rho}")
+        _check_rho(self.rho, self.plan.block_shape)
         k, (s_out, s_in) = self.plan.k, self.plan.block_shape
         object.__setattr__(self, "a", _frozen_stack(self.a, (k, self.rho, s_in), "factor stack a"))
         object.__setattr__(self, "b", _frozen_stack(self.b, (k, s_out, self.rho), "factor stack b"))
@@ -169,14 +170,11 @@ def init_lora(d_out: int, d_in: int, r: int, init: AdapterInit) -> LoraAdapter:
 
 
 def init_smoa(plan: BlockPlan, r: int, init: AdapterInit) -> SmoaAdapter:
-    """Seeded block factors at rho = r / K; K must divide r."""
+    """Seeded block factors at rho = r / K; K must divide r, and a rho above
+    the smaller block side raises :class:`RangeError` before any draw."""
     rho = _block_rank(plan.k, r)
-    s_out, s_in = plan.block_shape
-    if rho > min(s_out, s_in):
-        raise ConfigurationError(
-            f"rho={rho} exceeds block dimensions {s_out}x{s_in}"
-        )
-    return SmoaAdapter(plan, rho, *_init_stacks(plan.k, s_out, s_in, rho, init))
+    _check_rho(rho, plan.block_shape)
+    return SmoaAdapter(plan, rho, *_init_stacks(plan.k, *plan.block_shape, rho, init))
 
 
 def lora_update(adapter: LoraAdapter) -> Matrix:

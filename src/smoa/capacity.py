@@ -24,12 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import SmoaAdapter
-from .errors import FormatError, RangeError
+from .errors import FormatError
 from .fileutil import envelope_fields, field, read_envelope, write_json
-from .gen import _rng
+from .gen import _check_seed, _rng
 from .matio import encode_matrix, load_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import BlockPlan, _block_rank, _check_split, _scatter_blocks, load_plan, save_plan
+from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _scatter_blocks,
+                         load_plan, save_plan)
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -89,8 +90,7 @@ def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankC
     tolerance per anchor when omitted).
     """
     rho = _block_rank(plan.k, r)
-    s_out, s_in = plan.block_shape
-    s_k = min(s_out, s_in)
+    s_k = min(plan.block_shape)
     values = singular_values(plan.anchor_stack)  # (K, s_k), one row per anchor
     ranks, epsilon = _rank_from_values(values, plan.block_shape, epsilon)
     blocks = tuple(BlockCeiling(s_k, rank, min(s_k, rho * rank)) for rank in ranks)
@@ -133,6 +133,7 @@ class WitnessInstance:
     back through the plan's inverse permutations. ``reordered_target_rank``
     is the numerical rank of that block diagonal, which permutations preserve.
     The target and its singular values are derived on first use, once.
+    ``rho`` lies in 0..min(block_shape) and ``seed`` >= 0, else :class:`RangeError`.
     """
 
     plan: BlockPlan
@@ -141,6 +142,8 @@ class WitnessInstance:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_rho(self.rho, self.plan.block_shape)
+        _check_seed(self.seed)
         stack = _frozen_stack(self.coefficient_stack, (self.plan.k, *self.plan.block_shape),
                               "coefficient stack")
         object.__setattr__(self, "coefficient_stack", stack)
@@ -166,12 +169,11 @@ class WitnessInstance:
 def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
     """Seeded witness with C_k a product of standard Gaussian factors.
 
-    ``rho = 0`` gives the zero target. ``rho`` may not exceed the
-    smaller block dimension.
+    ``rho = 0`` gives the zero target. A ``rho`` above the smaller block
+    side, or a negative ``rho`` or ``seed``, raises :class:`RangeError`.
     """
+    _check_rho(rho, plan.block_shape)
     s_out, s_in = plan.block_shape
-    if rho < 0 or rho > min(s_out, s_in):
-        raise RangeError(f"rho={rho} out of range 0..{min(s_out, s_in)}")
     rng = _rng(seed)
     # one draw pair per block, in block order; rho = 0 is the empty product
     coefficients = np.stack([
@@ -237,9 +239,9 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     """Rebuild a witness from its plan, coefficients, rho and seed; the stored
-    target must encode to the same bytes as theirs. ``rho`` and ``seed`` are
-    nonnegative JSON integers, and every C_k has rank at most rho. Recorded
-    ranks and gaps are not read back."""
+    target must encode to the same bytes as theirs. ``rho`` and ``seed`` are JSON
+    integers that :class:`WitnessInstance` bounds, and every C_k has rank at
+    most rho. Recorded ranks and gaps are not read back."""
     base = Path(directory)
     what = f"witness manifest {base / 'witness.json'}"
     manifest = read_envelope(base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, what)
@@ -250,9 +252,6 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
         coefficients = [load_matrix(base / name)
                         for name in field(manifest, "coefficients", list, what, str)]
         witness = WitnessInstance(plan, coefficients, rho, seed)
-    if seed < 0 or not 0 <= rho <= min(plan.block_shape):
-        raise FormatError(f"witness needs seed >= 0 and rho in 0..{min(plan.block_shape)}, "
-                          f"got seed={seed}, rho={rho}")
     ranks, _ = _rank_from_values(singular_values(witness.coefficient_stack), plan.block_shape, None)
     if max(ranks) > rho:
         raise FormatError(f"witness coefficients in {base} have ranks {ranks}, above rho={rho}")

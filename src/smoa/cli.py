@@ -52,7 +52,7 @@ from .fileutil import field, read_json, sha256_file, write_csv, write_json
 from .gen import (_check_seed, _check_shape, diagonal_matrix, gaussian_matrix,
                   low_rank_plus_noise, spiked_matrix)
 from .matio import load_matrix, save_matrix
-from .preprocess import _block_rank, _check_split, build_plan, load_plan, save_plan
+from .preprocess import _block_rank, _check_rho, _check_split, build_plan, load_plan, save_plan
 from .spectrum import _rank_from_values, singular_values
 from .trainer import FitConfig, FitProblem, fit, save_trace
 
@@ -339,7 +339,7 @@ def cmd_sweep(args) -> dict:
     cells = list(itertools.product(dims, ks, rs))
     for d, k, r in cells:
         _check_split(k, d, d)
-        _block_rank(k, r)
+        _check_rho(_block_rank(k, r), (d // k, d // k))
         _check_shape(d, d)
     rows: list[list] = []
     for cell, (d, k, r) in enumerate(cells):

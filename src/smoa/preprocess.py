@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, FormatError, RangeError
 from .fileutil import envelope_fields, field, read_envelope, write_json
 from .matio import load_matrix, matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
@@ -105,6 +105,12 @@ def _block_rank(k: int, r: int) -> int:
     return r // k
 
 
+def _check_rho(rho: int, block_shape: tuple[int, int]) -> None:
+    """The one block-rank bound: a rank-rho branch fits its block, 0 <= rho <= min(s_out, s_in)."""
+    if not 0 <= rho <= min(block_shape):
+        raise RangeError(f"rho={rho} out of range 0..{min(block_shape)}")
+
+
 def _block_index(k: int, p_out: Permutation, p_in: Permutation) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` such that ``w[rows, cols]`` is the (K, s_out, s_in)
     stack of reordered diagonal blocks, addressed in original coordinates."""
@@ -160,11 +166,7 @@ def build_plan(w0: Matrix, k: int) -> BlockPlan:
 
 
 def reordered_weight(plan: BlockPlan, w0: Matrix) -> Matrix:
-    """Apply the plan's permutations to ``w0``."""
-    if w0.shape != (plan.d_out, plan.d_in):
-        raise DimensionError(
-            f"matrix {w0.shape} does not match plan dimensions {(plan.d_out, plan.d_in)}"
-        )
+    """Apply the plan's permutations to ``w0``; its shape must be the plan's."""
     return apply_permutations(w0, plan.p_out, plan.p_in)
 
 

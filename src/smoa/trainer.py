@@ -338,30 +338,31 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
 def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float = 1e-6) -> float:
     """Max relative disagreement between analytic and central differences.
 
-    Perturbs every trainable entry by +-``step`` and compares the
-    analytic gradient against (L+ - L-) / (2 step), normalizing by
-    max(|analytic|, |numeric|, 1e-12).
+    Perturbs every trainable entry by +-``step`` (positive and finite) and
+    compares the analytic gradient against (L+ - L-) / (2 step), normalizing
+    by max(|analytic|, |numeric|, 1e-12); a non-finite difference raises NumericalError.
     """
-    if step <= 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ConfigurationError(f"step must be positive and finite, got {step}")
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
     a, b = (factor.copy() for factor in _factor_stacks(adapter))
     analytic = objective.gradients(a, b, objective.evaluate(a, b)[1])
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor, grad in zip((a, b), analytic):
-            flat = factor.ravel()
-            for idx, reference in enumerate(grad.ravel()):
-                original = flat[idx]
-                flat[idx] = original + step
+        for name, factor, grad in zip("ab", (a, b), analytic):
+            for entry in np.ndindex(factor.shape):
+                original = factor[entry]
+                factor[entry] = original + step
                 plus = objective.evaluate(a, b)[0]
-                flat[idx] = original - step
+                factor[entry] = original - step
                 minus = objective.evaluate(a, b)[0]
-                flat[idx] = original
+                factor[entry] = original
                 numeric = (plus - minus) / (2 * step)
-                scale = max(abs(reference), abs(numeric), 1e-12)
-                worst = max(worst, abs(reference - numeric) / scale)
+                if not np.isfinite(numeric):
+                    raise NumericalError(f"non-finite central difference at {name}{list(entry)}")
+                scale = max(abs(grad[entry]), abs(numeric), 1e-12)
+                worst = max(worst, abs(grad[entry] - numeric) / scale)
     return worst
 
 

@@ -23,6 +23,7 @@ from smoa import (
     merge,
     param_count,
     save_adapter,
+    save_matrix,
     save_plan,
     smoa_update,
     update,
@@ -194,8 +195,13 @@ class TestInit:
 
     def test_rho_bounded_by_block_dims(self, rng):
         plan = build_plan(random_matrix(rng, 4, 4), 2)  # blocks are 2x2
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(RangeError):
             init_smoa(plan, 6, AdapterInit("gaussian"))  # rho = 3 > 2
+
+    def test_constructor_bounds_rho_by_block_dims(self, rng):
+        plan = build_plan(random_matrix(rng, 4, 4), 2)  # blocks are 2x2
+        with pytest.raises(RangeError):
+            SmoaAdapter(plan, 3, np.zeros((2, 3, 2)), np.zeros((2, 2, 3)))
 
     def test_k_must_divide_r(self, rng):
         plan = build_plan(random_matrix(rng, 6, 6), 3)
@@ -332,6 +338,20 @@ class TestAdapterFiles:
         doc["plan_hash"] = None
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="plan_hash"):
+            load_adapter(path)
+
+    def test_load_bounds_rho_by_block_dims(self, rng, tmp_path):
+        """A hand-saved rho = 3 adapter over 2x2 blocks is refused on load."""
+        plan = build_plan(random_matrix(rng, 4, 4), 2)
+        plan_path, path = tmp_path / "plan.json", tmp_path / "adapter.json"
+        save_plan(plan, plan_path)
+        save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path, plan_path=plan_path)
+        for i in range(4):  # A_k is rho x 2, B_k is 2 x rho
+            save_matrix(random_matrix(rng, *((3, 2), (2, 3))[i % 2]),
+                        tmp_path / f"adapter.f{i:02d}.mat")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "r": 6, "rho": 3}))
+        with pytest.raises(RangeError, match="rho=3 out of range 0..2"):
             load_adapter(path)
 
     def test_r_cross_check(self, rng, tmp_path):

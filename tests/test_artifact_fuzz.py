@@ -2,7 +2,8 @@
 
 A pristine set of artifacts (weight matrix, plan, block and global adapter
 envelopes, adapter factor, witness bundle, sweep spec) is built once. Each example damages one file,
-drives ``main`` in process on it, and restores the file.
+drives ``main`` in process on it, and restores the file. The plan is damaged twice over: as
+read by ``ceiling``, and as the plan that the block adapter's hash pins, read by ``update``.
 """
 import contextlib
 import io
@@ -22,6 +23,9 @@ ARTIFACTS = {
     "plan": ("plan.json", ["ceiling", "--plan", "{root}/plan.json", "--r", "2"],
              ("format", "version", "k", "p_out", "p_in", "anchors", "row_intervals",
               "col_intervals")),
+    "pinned-plan": ("plan.json", ["update", "--adapter", "{root}/adapter.json"],
+                    ("format", "version", "k", "p_out", "p_in", "anchors", "row_intervals",
+                     "col_intervals")),
     "smoa-adapter": ("adapter.json", ["update", "--adapter", "{root}/adapter.json"],
                      ("format", "version", "factors", "kind", "plan_path", "plan_hash",
                       "r", "k", "rho", "d_out", "d_in")),
@@ -163,3 +167,16 @@ class TestDamagedArtifacts:
         assert "Traceback" not in stderr
         if code:
             assert stdout == ""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_edited_pinned_plan_is_stale(self, root, data):
+        """Any other bytes in the plan a block adapter's hash pins, a valid plan
+        or not, are a stale pairing: a cut, a changed byte or an insert."""
+        pristine = (root / "plan.json").read_bytes()
+        pos = data.draw(st.integers(0, len(pristine) - 1))
+        payload = pristine[:pos] + data.draw(st.binary(max_size=4)) + pristine[pos + 1:]
+        assume(payload != pristine)
+        code, stdout, stderr, written = run_damaged(root, "pinned-plan", payload)
+        assert (code, stdout, written) == (2, "", [])
+        assert stderr.startswith("error: stale pairing") and stderr.count("\n") == 1

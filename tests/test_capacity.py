@@ -246,6 +246,13 @@ class TestWitness:
         with pytest.raises(RangeError):
             make_witness(plan, rho=1, seed=-1)
 
+    @pytest.mark.parametrize("rho,seed", [(3, 1), (-1, 1), (1, -1)],
+                             ids=["rho-above-block-side", "rho-negative", "seed-negative"])
+    def test_constructor_bounds_rho_and_seed(self, rng, rho, seed):
+        witness = make_witness(build_plan(random_matrix(rng, 4, 4), 2), rho=1, seed=1)
+        with pytest.raises(RangeError):
+            WitnessInstance(witness.plan, witness.coefficient_stack, rho, seed)
+
     @pytest.mark.parametrize("rows,cols,k,rho", [(12, 18, 3, 2), (8, 8, 2, 0)],
                              ids=["rectangular-k3", "rho-zero"])
     def test_matches_block_diagonal_reference(self, rng, rows, cols, k, rho):
@@ -485,6 +492,15 @@ class TestWitnessFiles:
         with pytest.raises(NumericalError):
             save_witness(witness, tmp_path / "bundle")
         assert not (tmp_path / "bundle").exists() or not any((tmp_path / "bundle").iterdir())
+
+    @pytest.mark.parametrize("key,value", [("rho", 5), ("rho", -1), ("seed", -1)],
+                             ids=["rho-above-block-side", "rho-negative", "seed-negative"])
+    def test_out_of_range_rho_or_seed_is_range_error(self, rng, tmp_path, key, value):
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=3)
+        manifest = save_witness(witness, tmp_path / "bundle")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        with pytest.raises(RangeError):
+            load_witness(tmp_path / "bundle")
 
     def test_bad_manifest_rejected(self, tmp_path):
         bundle = tmp_path / "bundle"

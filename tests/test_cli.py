@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import smoa.capacity
-from smoa import NumericalError, load_adapter, load_matrix, load_plan, load_witness, save_matrix
+from smoa import (Matrix, NumericalError, load_adapter, load_matrix, load_plan, load_witness,
+                  save_matrix)
 from smoa.cli import main
 from smoa.fileutil import sha256_file
 
@@ -575,6 +576,31 @@ class TestMalformedInput:
         spec = {"dims": [8], "ks": [2], "rs": [2], "trials": 1, "seed": 1, field: value}
         (workdir / "spec.json").write_text(json.dumps(spec))
         self.assert_rejected(capsys, "sweep", "--spec", "spec.json")
+
+    def test_sweep_cell_rho_above_block_side_runs_no_cell(self, workdir, capsys, monkeypatch):
+        """The d=4 cell's rho = 8 / 2 exceeds its 2x2 blocks: refused before the
+        d=64 cell runs."""
+        drawn = []
+        monkeypatch.setattr("smoa.cli.gaussian_matrix", lambda *args: drawn.append(args))
+        spec = {"dims": [64, 4], "ks": [2], "rs": [8], "trials": 3, "seed": 1}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        code = main(["sweep", "--spec", "spec.json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, drawn) == (2, "", [])
+        assert captured.err == "error: rho=4 out of range 0..2\n"
+        assert not (workdir / "sweep.csv").exists()
+
+    def test_adapter_rho_above_block_side(self, workdir, capsys):
+        """A hand-saved rho = 3 adapter over 2x2 blocks is refused, as init_smoa
+        refuses to make one."""
+        _, w0 = run(capsys, "gen", "--rows", "4", "--cols", "4", "--kind", "gaussian", "--quiet")
+        _, plan = run(capsys, "plan", "--w0", w0["path"], "--k", "2", "--quiet")
+        _, payload = run(capsys, "adapter", "--plan", plan["path"], "--r", "4", "--quiet")
+        for i in range(4):  # A_k is rho x 2, B_k is 2 x rho
+            save_matrix(Matrix.ones(*((3, 2), (2, 3))[i % 2]), workdir / f"adapter.f{i:02d}.mat")
+        edit_json(payload["path"], lambda doc: {**doc, "r": 6, "rho": 3})
+        self.assert_rejected(capsys, "update", "--adapter", payload["path"], "--out", "upd")
+        assert not (workdir / "upd").exists()
 
     @pytest.mark.parametrize("command", [
         ["gen", "--rows", "{big}", "--cols", "{big}", "--kind", "gaussian"],

@@ -14,6 +14,9 @@ from smoa import (
     FormatError,
     Matrix,
     Permutation,
+    RangeError,
+    SmoaAdapter,
+    WitnessInstance,
     apply_permutations,
     build_plan,
     coordinate_scores,
@@ -191,6 +194,25 @@ class TestBudgetRule:
                 call(r)
 
 
+# every entry point that takes a block rank rho over _PLAN's 4x4 blocks
+RHO_ENTRY_POINTS = {
+    "init_smoa": lambda rho: init_smoa(_PLAN, 2 * rho, AdapterInit()),
+    "SmoaAdapter": lambda rho: SmoaAdapter(_PLAN, rho, np.zeros((2, rho, 4)),
+                                           np.zeros((2, 4, rho))),
+    "make_witness": lambda rho: make_witness(_PLAN, rho, 0),
+    "WitnessInstance": lambda rho: WitnessInstance(_PLAN, np.zeros((2, 4, 4)), rho, 0),
+}
+
+
+class TestBlockRankBound:
+    @pytest.mark.parametrize("name", sorted(RHO_ENTRY_POINTS))
+    def test_entry_points_share_one_bound(self, name):
+        call = RHO_ENTRY_POINTS[name]
+        call(4)
+        with pytest.raises(RangeError, match="rho=5 out of range 0..4"):
+            call(5)
+
+
 class TestPlanValidation:
     def test_wrong_interval_grid_rejected(self, rng, tmp_path):
         path = tmp_path / "plan.json"
@@ -200,6 +222,11 @@ class TestPlanValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_plan(path)
+
+    def test_reordered_weight_needs_the_plan_shape(self, rng):
+        plan = build_plan(random_matrix(rng, 4, 4), 2)
+        with pytest.raises(DimensionError):
+            reordered_weight(plan, random_matrix(rng, 4, 6))
 
     def test_wrong_anchor_shape_rejected(self, rng):
         good = build_plan(random_matrix(rng, 4, 4), 2)

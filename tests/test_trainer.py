@@ -330,6 +330,22 @@ class TestFiniteDifference:
         with pytest.raises(ConfigurationError):
             finite_difference_check(problem, adapter, step=0.0)
 
+    @staticmethod
+    def _block_problem(rng):
+        plan = build_plan(random_matrix(rng, 4, 4), 2)
+        problem = FitProblem(random_matrix(rng, 4, 4), "smoa", 2, plan)
+        return problem, init_smoa(plan, 2, AdapterInit("gaussian", seed=1))
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_step_must_be_finite(self, rng, step):
+        with pytest.raises(ConfigurationError):
+            finite_difference_check(*self._block_problem(rng), step=step)
+
+    def test_non_finite_difference_is_numerical_error(self, rng):
+        """At step 1e300 both perturbed losses overflow; no vacuous 0.0."""
+        with pytest.raises(NumericalError, match=r"central difference at a\[0, 0, 0\]$"):
+            finite_difference_check(*self._block_problem(rng), step=1e300)
+
 
 class TestTraceFiles:
     def test_csv_and_summary(self, rng, tmp_path):
