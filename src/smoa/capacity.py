@@ -86,10 +86,12 @@ class RankCeilingReport:
 def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankCeilingReport:
     """Ceiling on the update rank achievable at budget r over ``plan``.
 
-    K must divide r; anchor ranks are measured at ``epsilon`` (default
+    K must divide r, and rho = r / K must fit a block (``RangeError``
+    otherwise); anchor ranks are measured at ``epsilon`` (default
     tolerance per anchor when omitted).
     """
     rho = _block_rank(plan.k, r)
+    _check_rho(rho, plan.block_shape)
     s_k = min(plan.block_shape)
     values = singular_values(plan.anchor_stack)  # (K, s_k), one row per anchor
     ranks, epsilon = _rank_from_values(values, plan.block_shape, epsilon)
@@ -132,7 +134,8 @@ class WitnessInstance:
     in reordered coordinates is blkdiag(C_k * anchor_k) (entrywise), carried
     back through the plan's inverse permutations. ``reordered_target_rank``
     is the numerical rank of that block diagonal, which permutations preserve.
-    The target and its singular values are derived on first use, once.
+    The target is derived on each use, one K-block scatter, so a witness
+    holds only what defines it; its singular values are derived once.
     ``rho`` lies in 0..min(block_shape) and ``seed`` >= 0, else :class:`RangeError`.
     """
 
@@ -152,7 +155,7 @@ class WitnessInstance:
     def coefficients(self) -> tuple[Matrix, ...]:
         return tuple(Matrix(c) for c in self.coefficient_stack)
 
-    @cached_property
+    @property
     def target(self) -> Matrix:
         blocks = self.coefficient_stack * self.plan.anchor_stack
         return Matrix(_scatter_blocks(blocks, self.plan.p_out, self.plan.p_in))
@@ -163,7 +166,7 @@ class WitnessInstance:
 
     @property
     def reordered_target_rank(self) -> int:
-        return _rank_from_values(self._values, self.target.shape, None)[0]
+        return _rank_from_values(self._values, (self.plan.d_out, self.plan.d_in), None)[0]
 
 
 def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:

@@ -2,8 +2,10 @@
 
 The decomposition contract is algorithm-agnostic: orthonormal singular
 vector columns, descending singular values, and reconstruction of the
-input, each to 1e-10. LAPACK provides the factorization; a deterministic
-sign convention on top makes repeated runs bit-comparable.
+input, each to 1e-10. LAPACK provides the factorization through numpy:
+``gesdd`` for full SVDs, with scipy's ``gesvd`` as the fallback when it
+does not converge, and ``gesdd`` without vectors for values only. A
+deterministic sign convention on top makes repeated runs bit-comparable.
 """
 from __future__ import annotations
 
@@ -56,22 +58,28 @@ class SpectralDecomposition:
 
 def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin ``(U, s, V^T)`` of a matrix or a ``(K, m, n)`` stack in one
-    ``gesvd`` call, with deterministic signs: each triplet is flipped so
-    the first nonzero entry of its left vector is nonnegative; an all-zero
-    left vector defers to the right vector.
+    LAPACK call, with deterministic signs: each triplet is flipped so the
+    first nonzero entry of its left vector is nonnegative; an all-zero left
+    vector defers to the right vector.
+
+    The driver is numpy's ``gesdd`` (divide and conquer). Only when it does
+    not converge is the input retried with scipy's ``gesvd`` (QR iteration),
+    which converges on inputs where ``gesdd`` fails.
 
     Raises
     ------
     NumericalError
-        If the factorization does not converge; the message carries the
-        input shape.
+        If neither driver converges; the message carries the input shape.
     """
-    import scipy.linalg  # numpy offers no gesvd driver; loaded on first full SVD only
-
     try:
-        u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for shape {x.shape}") from exc
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+    except np.linalg.LinAlgError:
+        import scipy.linalg  # numpy offers no gesvd driver; loaded only for this retry
+
+        try:
+            u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge for shape {x.shape}") from exc
     # one row per triplet, left vector then right: its first nonzero entry is
     # the left vector's, or the right vector's when the left one is all zero
     rows = np.concatenate([np.swapaxes(u, -1, -2), vt], axis=-1)

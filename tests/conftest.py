@@ -55,10 +55,11 @@ def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
 @pytest.fixture
 def count_decompositions(monkeypatch):
     """``run(fn, *args)`` returns ``fn``'s result and how many full and
-    values-only decompositions it ran, by name: ``scipy.linalg.svd``
-    counts as ``"svd"`` and ``numpy.linalg.svd(..., compute_uv=False)``
-    as ``"svdvals"``. A stacked call counts once, however many matrices
-    its ``(K, m, n)`` input holds."""
+    values-only decompositions it ran, by name: ``numpy.linalg.svd`` with
+    vectors counts as ``"svd"``, as does ``scipy.linalg.svd`` (the fallback
+    driver), and ``numpy.linalg.svd(..., compute_uv=False)`` as
+    ``"svdvals"``. A stacked call counts once, however many matrices its
+    ``(K, m, n)`` input holds."""
     counts: Counter[str] = Counter()
     real_svd, real_np_svd = scipy.linalg.svd, np.linalg.svd
 
@@ -67,8 +68,7 @@ def count_decompositions(monkeypatch):
         return real_svd(*args, **kwargs)
 
     def counting_np_svd(*args, **kwargs):
-        if not kwargs.get("compute_uv", True):
-            counts["svdvals"] += 1
+        counts["svd" if kwargs.get("compute_uv", True) else "svdvals"] += 1
         return real_np_svd(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "svd", counting_svd)

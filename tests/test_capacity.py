@@ -482,6 +482,16 @@ class TestWitnessFiles:
         for r in range(1, min(rows, cols) + 1):
             assert manifest["gaps"][str(r)] == lora_gap(witness, r)
 
+    def test_witness_holds_no_dense_target(self, rng, tmp_path):
+        """Gaps and a save read the witness's one cached spectrum; the dense
+        target is derived on each use, so the witness keeps no copy of it."""
+        witness = make_witness(build_plan(random_matrix(rng, 8, 12), 2), rho=2, seed=37)
+        lora_gap(witness, 2)
+        save_witness(witness, tmp_path / "bundle")
+        held = vars(witness)
+        assert "_values" in held
+        assert all(getattr(value, "shape", None) != (8, 12) for value in held.values())
+
     def test_numerical_failure_writes_nothing(self, rng, tmp_path, monkeypatch):
         witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=31)
 

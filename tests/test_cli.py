@@ -602,6 +602,18 @@ class TestMalformedInput:
         self.assert_rejected(capsys, "update", "--adapter", payload["path"], "--out", "upd")
         assert not (workdir / "upd").exists()
 
+    def test_ceiling_rho_above_block_side(self, workdir, capsys):
+        """``ceiling --r 6`` over 2x2 blocks asks for rho = 3 and is refused with
+        the bound ``adapter --r 6`` meets; no report is written."""
+        _, w0 = run(capsys, "gen", "--rows", "4", "--cols", "4", "--kind", "gaussian", "--quiet")
+        _, plan = run(capsys, "plan", "--w0", w0["path"], "--k", "2", "--quiet")
+        for command in ("ceiling", "adapter"):
+            code = main([command, "--plan", plan["path"], "--r", "6"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == "error: rho=3 out of range 0..2\n"
+        assert not (workdir / "ceiling.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["gen", "--rows", "{big}", "--cols", "{big}", "--kind", "gaussian"],
         ["sweep", "--spec", "spec.json"],
@@ -714,15 +726,12 @@ class TestMalformedInput:
 
 
 class TestScipyImport:
-    """scipy serves only the full SVD, so it loads only in commands that
-    take one; the rest of the chain starts without it."""
+    """scipy serves only as the fallback driver of a full SVD that numpy's
+    ``gesdd`` cannot converge on, so no command of the chain loads it."""
 
     SCRIPT = """
 import json, sys
 from smoa.cli import main
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 steps = [
     ["gen", "--rows", "8", "--cols", "8", "--kind", "gaussian", "--seed", "3", "--name", "g.mat"],
@@ -732,14 +741,14 @@ steps = [
     ["ceiling", "--plan", sys.argv[1], "--r", "2"],
     ["witness", "--plan", sys.argv[1], "--rho", "1"],
     ["gap", "--witness", "witness", "--r", "2"],
+    ["plan", "--w0", "g.mat", "--k", "2", "--name", "p.json"],
 ]
 codes = [main([*step, "--quiet"]) for step in steps]
-before = scipy_modules()
-codes.append(main(["plan", "--w0", "g.mat", "--k", "2", "--name", "p.json", "--quiet"]))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
-    def test_only_plan_loads_scipy(self, workdir, seeded_plan):
+    def test_no_command_loads_scipy(self, workdir, seeded_plan):
         env = {**os.environ, "PYTHONPATH": str(Path(smoa.__file__).parents[1])}
         out = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, seeded_plan], capture_output=True, text=True,
@@ -747,8 +756,7 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
         ).stdout
         result = json.loads(out.splitlines()[-1])
         assert result["codes"] == [0] * 8
-        assert result["before"] == []
-        assert "scipy.linalg" in result["after"]
+        assert result["loaded"] == []
 
 
 class TestExitCodes:

@@ -1,4 +1,6 @@
 """Spectral primitives: SVD wrapper, rank decisions, truncation energy."""
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,14 +50,21 @@ def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
 
 
 def reference_thin_svd(x: np.ndarray):
-    """One matrix through its own ``gesvd`` call and the per-column sign rule."""
+    """One matrix through its own ``gesdd`` call and the per-column sign rule."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    _normalize_signs(u, vt)
+    return u, s, vt
+
+
+def reference_gesvd(x: np.ndarray):
+    """One matrix through the fallback driver, ``gesvd``, and the per-column sign rule."""
     u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
     _normalize_signs(u, vt)
     return u, s, vt
 
 
-def reference_balanced_factors(c: np.ndarray, r: int):
-    u, s, vt = reference_thin_svd(c)
+def reference_balanced_factors(c: np.ndarray, r: int, reference=reference_thin_svd):
+    u, s, vt = reference(c)
     root = np.sqrt(s[:r])
     return (vt.T[:, :r] * root).T, u[:, :r] * root
 
@@ -123,14 +132,16 @@ def _stack(seed: int, k: int, m: int, n: int, pattern: str) -> np.ndarray:
     return stack
 
 
+PATTERNS = ["gaussian", "zero-slice", "zero-first-column", "zero-first-row",
+            "negative-zeros", "negative-zero-slice"]
+
 stacks = st.builds(
     _stack,
     st.integers(0, 2**32 - 1),
     st.integers(1, 4),
     st.integers(1, 7),
     st.integers(1, 7),
-    st.sampled_from(["gaussian", "zero-slice", "zero-first-column", "zero-first-row",
-                     "negative-zeros", "negative-zero-slice"]),
+    st.sampled_from(PATTERNS),
 )
 
 
@@ -171,6 +182,69 @@ class TestStackedSvd:
         for r in range(min(shape) + 1):
             u, s, vt = ref_u[:, :r], ref_s[:r], ref_vt[:r]
             assert truncated_svd(w, r).data.tobytes() == ((u * s) @ vt).tobytes()
+
+
+class TestGesvdFallback:
+    """A full SVD that ``gesdd`` cannot converge on is retried with ``gesvd``:
+    the bits of one ``gesvd`` call per matrix under the same sign rule."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    @pytest.fixture
+    def gesdd_fails(self, monkeypatch):
+        """numpy's full SVD fails; its values-only SVD still runs."""
+        values_only = np.linalg.svd
+
+        def svd_without_vectors(*args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                self.fail()
+            return values_only(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_without_vectors)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (1, 3)])
+    def test_svd_and_truncation_match_gesvd_bitwise(self, rng, gesdd_fails, shape):
+        w = random_matrix(rng, *shape)
+        dec = svd(w)
+        ref_u, ref_s, ref_vt = reference_gesvd(w.data)
+        assert dec.left_vectors.data.tobytes() == ref_u.tobytes()
+        assert dec.singular_values.tobytes() == ref_s.tobytes()
+        assert dec.right_vectors.data.tobytes() == np.ascontiguousarray(ref_vt.T).tobytes()
+        for r in range(min(shape) + 1):
+            u, s, vt = ref_u[:, :r], ref_s[:r], ref_vt[:r]
+            assert truncated_svd(w, r).data.tobytes() == ((u * s) @ vt).tobytes()
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("shape", [(3, 5, 6), (4, 7, 2)])
+    def test_stacked_balanced_factors_match_gesvd_bitwise(self, gesdd_fails, shape, pattern):
+        stack = _stack(11, *shape, pattern)
+        r = min(shape[1:])
+        a, b = balanced_factors(stack, r)
+        for k, block in enumerate(stack):
+            ref_a, ref_b = reference_balanced_factors(block, r, reference_gesvd)
+            assert a[k].tobytes() == ref_a.tobytes()
+            assert b[k].tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("call,shape", [
+        (lambda x: svd(Matrix(x)), (5, 3)),
+        (lambda x: truncated_svd(Matrix(x), 1), (4, 6)),
+        (lambda x: balanced_factors(x, 1), (2, 4, 4)),
+    ], ids=["svd", "truncated_svd", "balanced_factors"])
+    def test_both_drivers_failing_is_numerical_error(self, rng, monkeypatch, call, shape):
+        monkeypatch.setattr(np.linalg, "svd", self.fail)
+        monkeypatch.setattr(scipy.linalg, "svd", self.fail)
+        with pytest.raises(NumericalError, match=re.escape(f"shape {shape}")):
+            call(rng.standard_normal(shape))
+
+    def test_singular_values_do_not_fall_back(self, rng, monkeypatch):
+        retried = []
+        monkeypatch.setattr(np.linalg, "svd", self.fail)
+        monkeypatch.setattr(scipy.linalg, "svd", lambda *args, **kwargs: retried.append(args))
+        with pytest.raises(NumericalError, match=r"shape \(5, 3\)"):
+            singular_values(random_matrix(rng, 5, 3))
+        assert retried == []
 
 
 class TestNumericalRank:
