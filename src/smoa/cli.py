@@ -388,12 +388,7 @@ def _add_common(parser: argparse.ArgumentParser, report: bool = False) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress stderr notes")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="smoa", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("gen", help="generate a seeded test matrix")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--kind", choices=["gaussian", "diagonal", "spiked", "low-rank-plus-noise"],
@@ -408,16 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1.0, help="noise level")
     p.add_argument("--name", default="matrix.mat")
     _add_common(p)
-    p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("plan", help="build a block plan from a weight matrix")
+
+def _plan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w0", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--name", default="plan.json")
     _add_common(p)
-    p.set_defaults(handler=cmd_plan)
 
-    p = sub.add_parser("adapter", help="initialize an adapter over a plan")
+
+def _adapter_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--kind", choices=["smoa", "lora"], default="smoa")
@@ -426,44 +421,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--name", default="adapter.json")
     _add_common(p)
-    p.set_defaults(handler=cmd_adapter)
 
-    p = sub.add_parser("update", help="materialize an adapter's weight update")
+
+def _update_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--adapter", required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--name", default="update.mat")
     _add_common(p)
-    p.set_defaults(handler=cmd_update)
 
-    p = sub.add_parser("rank", help="numerical rank of a matrix or adapter update")
+
+def _rank_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix")
     p.add_argument("--adapter")
     p.add_argument("--epsilon", type=float, default=None)
     _add_common(p, report=True)
-    p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("ceiling", help="rank ceiling of a plan at budget r")
+
+def _ceiling_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=None)
     _add_common(p, report=True)
-    p.set_defaults(handler=cmd_ceiling)
 
-    p = sub.add_parser("witness", help="build a separation witness bundle")
+
+def _witness_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True)
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dir", default="witness")
     _add_common(p)
-    p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("gap", help="best rank-r approximation gap of a witness")
+
+def _gap_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--witness", required=True, help="witness bundle directory")
     p.add_argument("--r", type=int, required=True)
     _add_common(p, report=True)
-    p.set_defaults(handler=cmd_gap)
 
-    p = sub.add_parser("fit", help="gradient-descent fit of a target")
+
+def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=["lora", "smoa"], required=True)
     p.add_argument("--r", type=int, required=True)
@@ -477,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", type=float, default=1e-9)
     p.add_argument("--prefix", default="fit")
     _add_common(p)
-    p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("diagnose", help="spectral diagnostics report")
+
+def _diagnose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--activations")
     p.add_argument("--epsilon", type=float, default=None)
@@ -487,20 +482,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=50)
     _add_common(p)
-    p.set_defaults(handler=cmd_diagnose)
 
-    p = sub.add_parser("sweep", help="grid comparison of both adapter families")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="JSON with dims/ks/rs/trials/seed")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--name", default="sweep.csv")
     _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
 
+
+# command -> (help text, argument builder, handler)
+_COMMANDS = {
+    "gen": ("generate a seeded test matrix", _gen_arguments, cmd_gen),
+    "plan": ("build a block plan from a weight matrix", _plan_arguments, cmd_plan),
+    "adapter": ("initialize an adapter over a plan", _adapter_arguments, cmd_adapter),
+    "update": ("materialize an adapter's weight update", _update_arguments, cmd_update),
+    "rank": ("numerical rank of a matrix or adapter update", _rank_arguments, cmd_rank),
+    "ceiling": ("rank ceiling of a plan at budget r", _ceiling_arguments, cmd_ceiling),
+    "witness": ("build a separation witness bundle", _witness_arguments, cmd_witness),
+    "gap": ("best rank-r approximation gap of a witness", _gap_arguments, cmd_gap),
+    "fit": ("gradient-descent fit of a target", _fit_arguments, cmd_fit),
+    "diagnose": ("spectral diagnostics report", _diagnose_arguments, cmd_diagnose),
+    "sweep": ("grid comparison of both adapter families", _sweep_arguments, cmd_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``smoa`` parser. Every command is registered with its help text,
+    but when ``command`` names one, only that one gets its arguments: it is
+    the only one argparse will read. Otherwise every command gets them."""
+    parser = _Parser(prog="smoa", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in _COMMANDS or command == name:
+            add_arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

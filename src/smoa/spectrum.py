@@ -56,11 +56,22 @@ class SpectralDecomposition:
         return Matrix((u * self.singular_values) @ v.T)
 
 
+# an entry leads its triplet's sign once its magnitude exceeds this fraction
+# of the triplet's largest: roundoff where the exact value is zero stays below
+_SIGN_FLOOR = float(np.sqrt(np.finfo(np.float64).eps))
+
+
 def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin ``(U, s, V^T)`` of a matrix or a ``(K, m, n)`` stack in one
-    LAPACK call, with deterministic signs: each triplet is flipped so the
-    first nonzero entry of its left vector is nonnegative; an all-zero left
-    vector defers to the right vector.
+    LAPACK call, with deterministic signs. Each triplet is read as one row,
+    its left vector then its right vector, and flipped so that the first
+    entry of that row whose magnitude exceeds ``sqrt(eps)`` times the row's
+    largest magnitude is nonnegative; an all-zero triplet keeps its signs.
+    The floor makes the sign independent of the LAPACK driver where the
+    exact entries are zero, as outside a block of a block-diagonal input,
+    since those entries come out as driver-dependent roundoff. Repeated
+    singular values leave the singular subspace itself ambiguous, so
+    their vectors can still differ between drivers; no sign rule fixes that.
 
     The driver is numpy's ``gesdd`` (divide and conquer). Only when it does
     not converge is the input retried with scipy's ``gesvd`` (QR iteration),
@@ -80,10 +91,10 @@ def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge for shape {x.shape}") from exc
-    # one row per triplet, left vector then right: its first nonzero entry is
-    # the left vector's, or the right vector's when the left one is all zero
     rows = np.concatenate([np.swapaxes(u, -1, -2), vt], axis=-1)
-    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=-1)[..., None], axis=-1)
+    magnitude = np.abs(rows)
+    leads = magnitude > _SIGN_FLOOR * magnitude.max(axis=-1, keepdims=True)
+    lead = np.take_along_axis(rows, leads.argmax(axis=-1)[..., None], axis=-1)
     sign = np.where(lead < 0, -1.0, 1.0)  # (..., triplets, 1); an all-zero triplet keeps +1
     return u * np.swapaxes(sign, -1, -2), s, vt * sign
 

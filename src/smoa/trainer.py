@@ -17,6 +17,15 @@ next gradient.
 Determinism comes from seeded initialization and a fixed
 iteration order (block sums are added in block order); there is no
 stochasticity in the updates.
+
+A descent step allocates nothing. The objective owns its residual,
+square and masked buffers and writes them in place, so the residual that
+``_Objective.evaluate`` returns is valid only until the next
+``evaluate``. ``fit`` holds three flat vectors, each an ``a`` stack then
+a ``b`` stack: the iterate, the candidate and the gradient. A candidate
+is written into its vector, and an accepted one swaps places with the
+iterate. Returned adapters and gradients are copies, so no later call
+changes them.
 """
 from __future__ import annotations
 
@@ -173,49 +182,69 @@ class _Objective:
 
     ``t`` holds the K target blocks and ``anchors`` the K anchors, both
     ``(K, s_out, s_in)``; the global family has K = 1 and no anchors.
+    The objective owns its residual, square and masked buffers and fills
+    them in place, so an evaluation allocates nothing.
     """
 
     def __init__(self, problem: FitProblem):
         if problem.kind == "lora":
             self.t = problem.target.data[np.newaxis]
             self.anchors = None
-            self.constant = 0.0
-            return
-        plan = problem.plan
-        self.t = _gather_blocks(problem.target.data, plan.k, plan.p_out, plan.p_in)
-        self.anchors = plan.anchor_stack
-        in_block = 0.0
-        for energy in _block_sums(self.t):
-            in_block += energy
-        reordered = problem.target.data[np.ix_(plan.p_out.indices, plan.p_in.indices)]
-        # off-diagonal-block energy is constant under block updates
-        self.constant = 0.5 * max(float(np.sum(reordered**2)) - in_block, 0.0)
+        else:
+            plan = problem.plan
+            self.t = _gather_blocks(problem.target.data, plan.k, plan.p_out, plan.p_in)
+            self.anchors = plan.anchor_stack
+            self._masked = np.empty_like(self.t)
+        self._residual = np.empty_like(self.t)
+        self._square = np.empty_like(self.t)
+        self._square_rows = self._square.reshape(len(self.t), -1)
+        self._sums = np.empty(len(self.t))
+        self.constant = 0.0
+        if self.anchors is not None:
+            in_block = 0.0
+            for energy in self._block_sums(self.t):
+                in_block += energy
+            reordered = problem.target.data[np.ix_(plan.p_out.indices, plan.p_in.indices)]
+            # off-diagonal-block energy is constant under block updates
+            self.constant = 0.5 * max(float(np.sum(reordered**2)) - in_block, 0.0)
+
+    def _block_sums(self, x: np.ndarray) -> list[float]:
+        """Sum of squares of each block of ``x``; each block is reduced on
+        its own, in the order ``np.sum`` uses on that block alone."""
+        np.multiply(x, x, self._square)
+        return np.add.reduce(self._square_rows, 1, None, self._sums).tolist()
 
     def evaluate(self, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and residual ``R = (B A) * M - T`` at the stacked factors."""
-        residual = b @ a
+        """Loss and residual ``R = (B A) * M - T`` at the stacked factors.
+
+        The residual is the objective's own buffer: it stays valid until
+        the next ``evaluate``, which overwrites it.
+        """
+        residual = np.matmul(b, a, self._residual)
         if self.anchors is not None:
-            residual *= self.anchors
-        residual -= self.t
+            np.multiply(residual, self.anchors, residual)
+        np.subtract(residual, self.t, residual)
         value = self.constant
-        for energy in _block_sums(residual):
+        for energy in self._block_sums(residual):
             value += 0.5 * energy
         return value, residual
 
-    def gradients(self, a: np.ndarray, b: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(dA, dB)`` stacks from the residual that ``evaluate`` gave at (a, b)."""
-        masked = residual if self.anchors is None else residual * self.anchors
-        return b.transpose(0, 2, 1) @ masked, masked @ a.transpose(0, 2, 1)
+    def gradients(self, a: np.ndarray, b: np.ndarray, residual: np.ndarray,
+                  da: np.ndarray, db: np.ndarray) -> None:
+        """Write the ``dA`` and ``dB`` stacks into ``da`` and ``db``, from
+        the residual that ``evaluate`` gave at (a, b)."""
+        masked = residual if self.anchors is None else np.multiply(residual, self.anchors, self._masked)
+        np.matmul(b.transpose(0, 2, 1), masked, da)
+        np.matmul(masked, a.transpose(0, 2, 1), db)
 
 
-def _block_sums(x: np.ndarray) -> list[float]:
-    """Sum of squares of each block of a stack; each block is reduced on
-    its own, in the order ``np.sum`` uses on that block alone."""
-    return np.add.reduce((x * x).reshape(len(x), -1), axis=1).tolist()
-
-
-def _grad_norm(da: np.ndarray, db: np.ndarray) -> float:
-    return math.sqrt(sum(sa + sb for sa, sb in zip(_block_sums(da), _block_sums(db))))
+def _flat_views(vector: np.ndarray, a_shape: tuple[int, ...], b_shape: tuple[int, ...]):
+    """``(vector, a, b, a_rows, b_rows)``: a flat vector that holds an ``a``
+    stack then a ``b`` stack, those stacks, and each stack as one row per
+    block. Every view shares ``vector``'s memory."""
+    head, tail = np.split(vector, [math.prod(a_shape)])
+    k = a_shape[0]
+    return vector, head.reshape(a_shape), tail.reshape(b_shape), head.reshape(k, -1), tail.reshape(k, -1)
 
 
 def _check_adapter(problem: FitProblem, adapter: Adapter) -> None:
@@ -250,7 +279,8 @@ def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matri
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
     a, b = _factor_stacks(adapter)
-    da, db = objective.gradients(a, b, objective.evaluate(a, b)[1])
+    da, db = np.empty_like(a), np.empty_like(b)
+    objective.gradients(a, b, objective.evaluate(a, b)[1], da, db)
     return tuple((Matrix(da_k), Matrix(db_k)) for da_k, db_k in zip(da, db))
 
 
@@ -285,24 +315,41 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
     """
     objective = _Objective(problem)
     a, b = _initial_factors(problem, init)
+    shapes = a.shape, b.shape
+    # three flat vectors, each an a stack then a b stack: the iterate, the
+    # candidate (swapped with the iterate when accepted) and the gradient
+    iterate = _flat_views(np.concatenate((a, b), axis=None), *shapes)
+    candidate = _flat_views(np.empty_like(iterate[0]), *shapes)
+    g, da, db, _, _ = _flat_views(np.empty_like(iterate[0]), *shapes)
+    sums_a, sums_b = np.empty(len(a)), np.empty(len(a))
     eta_min, eta_max = _step_bounds(config)
-    eta = config.step_size
+    eta = taken = config.step_size
     stop_reason = "grad_tol"
-    step = 0
+    step = halvings = 0
+    steps = []
     # a candidate step may overflow; the loop detects non-finite losses,
     # so the warning is suppressed rather than surfaced
     with np.errstate(over="ignore", invalid="ignore"):
         current_loss, residual = objective.evaluate(a, b)
-        da, db = objective.gradients(a, b, residual)
-        gnorm = _grad_norm(da, db)
-        steps = [TraceStep(0, current_loss, gnorm, eta, 0)]
-        while not gnorm < config.grad_tol:
+        while True:
+            x, a, b, _, _ = iterate
+            y, candidate_a, candidate_b, square_a, square_b = candidate
+            objective.gradients(a, b, residual, da, db)
+            # the candidate vector is free until the next step search, so
+            # it holds the squared gradient; blocks add in block order
+            np.multiply(g, g, y)
+            np.add.reduce(square_a, 1, None, sums_a)
+            np.add.reduce(square_b, 1, None, sums_b)
+            gnorm = math.sqrt(sum(np.add(sums_a, sums_b, sums_a).tolist()))
+            steps.append(TraceStep(step, current_loss, gnorm, taken, halvings))
+            if gnorm < config.grad_tol:
+                break
             if step == config.max_steps:
                 stop_reason = "max_steps"
                 break
             halvings = 0
             while eta >= eta_min:
-                candidate_a, candidate_b = a - eta * da, b - eta * db
+                np.subtract(x, np.multiply(g, eta, y), y)
                 candidate_loss, residual = objective.evaluate(candidate_a, candidate_b)
                 if math.isfinite(candidate_loss) and candidate_loss <= current_loss:
                     break
@@ -313,12 +360,9 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
                     raise NumericalError(f"loss diverged to non-finite at step {step + 1}")
                 stop_reason = "stalled"
                 break
-            a, b, current_loss = candidate_a, candidate_b, candidate_loss
-            da, db = objective.gradients(a, b, residual)
-            gnorm = _grad_norm(da, db)
+            iterate, candidate, current_loss = candidate, iterate, candidate_loss
             step += 1
-            steps.append(TraceStep(step, current_loss, gnorm, eta, halvings))
-            eta = min(_STEP_GROWTH * eta, eta_max)
+            taken, eta = eta, min(_STEP_GROWTH * eta, eta_max)
     if problem.kind == "lora":
         floor = 0.5 * tail_energy(problem.target, min(problem.r, min(problem.target.shape)))
         adapter: Adapter = LoraAdapter(Matrix(a[0]), Matrix(b[0]))
@@ -347,7 +391,8 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
     a, b = (factor.copy() for factor in _factor_stacks(adapter))
-    analytic = objective.gradients(a, b, objective.evaluate(a, b)[1])
+    analytic = np.empty_like(a), np.empty_like(b)
+    objective.gradients(a, b, objective.evaluate(a, b)[1], *analytic)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for name, factor, grad in zip("ab", (a, b), analytic):

@@ -11,7 +11,7 @@ import pytest
 import smoa.capacity
 from smoa import (Matrix, NumericalError, load_adapter, load_matrix, load_plan, load_witness,
                   save_matrix)
-from smoa.cli import main
+from smoa.cli import _COMMANDS, build_parser, main
 from smoa.fileutil import sha256_file
 
 
@@ -830,3 +830,40 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "wrote" in captured.err
         json.loads(captured.out)  # stdout still a single JSON document
+
+
+def _parse_only(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser`` on ``argv``; 0 if it parses."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserBuiltPerCommand:
+    """``main`` gives only the command it runs its arguments; help, usage
+    errors and exit codes are byte-equal to those of the full parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in _COMMANDS),
+        *([command, "--no-such-flag"] for command in _COMMANDS),
+        [],
+        ["no-such-command"],
+        ["--quiet", "gen"],
+        ["gen", "--rows", "4"],
+        ["gen", "--rows", "four", "--cols", "4", "--kind", "gaussian"],
+        ["fit", "--target", "t.mat", "--kind", "dense", "--r", "2"],
+        ["gen", "--rows", "4", "--cols", "4", "--kind", "gaussian", "--format", "csv"],
+        ["gap", "plan"],
+    ], ids=" ".join)
+    def test_output_and_exit_code_match_full_parser(self, workdir, capsys, argv):
+        expected = _parse_only(build_parser(), argv, capsys)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert code in (0, 1) and captured.out + captured.err
+        assert not any(workdir.iterdir())

@@ -32,32 +32,28 @@ from conftest import random_matrix
 
 
 def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    """Reference sign rule, one column at a time: flip triplet signs so the
-    first nonzero entry of each left vector is nonnegative; an all-zero
-    left column defers to the right vector."""
+    """Reference sign rule, one triplet at a time: read the left vector then
+    the right vector as one row, and flip the triplet so that the first entry
+    whose magnitude exceeds sqrt(eps) times the row's largest magnitude is
+    nonnegative; an all-zero triplet keeps its signs."""
+    floor = np.sqrt(np.finfo(np.float64).eps)
     for i in range(u.shape[1]):
-        col = u[:, i]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            lead = col[nz[0]]
-        else:
-            row = vt[i]
-            nz = np.nonzero(row)[0]
-            lead = row[nz[0]] if nz.size else 1.0
-        if lead < 0:
-            u[:, i] = -col
+        row = np.concatenate([u[:, i], vt[i]])
+        above = np.nonzero(np.abs(row) > floor * np.abs(row).max())[0]
+        if above.size and row[above[0]] < 0:
+            u[:, i] = -u[:, i]
             vt[i] = -vt[i]
 
 
 def reference_thin_svd(x: np.ndarray):
-    """One matrix through its own ``gesdd`` call and the per-column sign rule."""
+    """One matrix through its own ``gesdd`` call and the per-triplet sign rule."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     _normalize_signs(u, vt)
     return u, s, vt
 
 
 def reference_gesvd(x: np.ndarray):
-    """One matrix through the fallback driver, ``gesvd``, and the per-column sign rule."""
+    """One matrix through the fallback driver, ``gesvd``, and the per-triplet sign rule."""
     u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
     _normalize_signs(u, vt)
     return u, s, vt
@@ -147,7 +143,7 @@ stacks = st.builds(
 
 class TestStackedSvd:
     """One stacked decomposition gives, slice by slice, the bits of one
-    decomposition per matrix under the per-column sign rule."""
+    decomposition per matrix under the per-triplet sign rule."""
 
     @settings(deadline=None, max_examples=150)
     @given(stacks)
@@ -192,17 +188,21 @@ class TestGesvdFallback:
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    @pytest.fixture
-    def gesdd_fails(self, monkeypatch):
+    @classmethod
+    def fail_gesdd(cls, monkeypatch):
         """numpy's full SVD fails; its values-only SVD still runs."""
         values_only = np.linalg.svd
 
         def svd_without_vectors(*args, **kwargs):
             if kwargs.get("compute_uv", True):
-                self.fail()
+                cls.fail()
             return values_only(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd_without_vectors)
+
+    @pytest.fixture
+    def gesdd_fails(self, monkeypatch):
+        self.fail_gesdd(monkeypatch)
 
     @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (1, 3)])
     def test_svd_and_truncation_match_gesvd_bitwise(self, rng, gesdd_fails, shape):
@@ -226,6 +226,20 @@ class TestGesvdFallback:
             ref_a, ref_b = reference_balanced_factors(block, r, reference_gesvd)
             assert a[k].tobytes() == ref_a.tobytes()
             assert b[k].tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("d,k,rho,seed", [(64, 4, 4, 0), (256, 4, 4, 1), (256, 8, 2, 2)])
+    def test_witness_target_signs_do_not_depend_on_driver(self, monkeypatch, d, k, rho, seed):
+        """A witness target is block diagonal up to a permutation, so most
+        entries of each singular vector are zero in exact arithmetic and
+        driver-dependent roundoff in floating point; the sign floor skips
+        them, and both drivers give the same signed factors."""
+        plan = build_plan(random_matrix(np.random.default_rng(seed), d, d), k)
+        target = make_witness(plan, rho, seed).target.data
+        by_gesdd = balanced_factors(target, k * rho)
+        self.fail_gesdd(monkeypatch)
+        by_gesvd = balanced_factors(target, k * rho)
+        for factor, reference in zip(by_gesdd, by_gesvd):
+            assert_allclose(factor, reference, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("call,shape", [
         (lambda x: svd(Matrix(x)), (5, 3)),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import smoa.trainer
+from smoa.adapters import _factor_stacks
 from smoa import (
     AdapterInit,
     ConfigurationError,
@@ -536,6 +537,77 @@ class TestStackedCoreMatchesPerBlockReference:
         problem = FitProblem(witness.target, "lora", 4)
         config = FitConfig(step_size=0.05, max_steps=500, grad_tol=1e-9, max_halvings=20)
         _assert_matches_reference(problem, AdapterInit(scheme, seed=6, scale=0.5), config)
+
+    def test_single_block_plan(self, rng):
+        plan = build_plan(random_matrix(rng, 6, 10), 1)
+        problem = FitProblem(random_matrix(rng, 6, 10), "smoa", 3, plan)
+        config = FitConfig(step_size=0.02, max_steps=300, grad_tol=0.0)
+        _assert_matches_reference(problem, AdapterInit("gaussian", seed=7), config)
+
+    def test_rank_one_blocks(self, rng):
+        plan = build_plan(random_matrix(rng, 12, 20), 4)
+        problem = FitProblem(random_matrix(rng, 12, 20), "smoa", 4, plan)
+        config = FitConfig(step_size=0.05, max_steps=300, grad_tol=0.0)
+        trace = _assert_matches_reference(problem, AdapterInit("gaussian", seed=8), config)
+        assert trace.adapter.rho == 1
+
+    def test_stalled(self):
+        target = Matrix(np.random.default_rng(4).standard_normal((2, 2)) * 10)
+        config = FitConfig(step_size=0.1, max_steps=2000, grad_tol=0.0, max_halvings=1)
+        trace = _assert_matches_reference(FitProblem(target, "lora", 1),
+                                          AdapterInit("gaussian", seed=4, scale=0.1), config)
+        assert trace.stop_reason == "stalled"
+
+
+def _capture_objectives(monkeypatch):
+    """Record every objective built, so a test can reach its buffers."""
+    built = []
+    real = smoa.trainer._Objective.__init__
+
+    def spy(self, problem):
+        real(self, problem)
+        built.append(self)
+
+    monkeypatch.setattr(smoa.trainer._Objective, "__init__", spy)
+    return built
+
+
+def _buffers(objective):
+    return [value for value in vars(objective).values() if isinstance(value, np.ndarray)]
+
+
+class TestResultsOwnTheirMemory:
+    """The objective's buffers are reused in place; nothing a caller gets
+    back may alias them or change when the next fit or gradient runs."""
+
+    @staticmethod
+    def _problem(rng, kind):
+        plan = build_plan(random_matrix(rng, 8, 8), 2) if kind == "smoa" else None
+        return FitProblem(random_matrix(rng, 8, 8), kind, 4, plan)
+
+    @pytest.mark.parametrize("kind", ["smoa", "lora"])
+    def test_fit_results_share_no_buffer_and_survive_the_next_fit(self, rng, monkeypatch, kind):
+        built = _capture_objectives(monkeypatch)
+        problem = self._problem(rng, kind)
+        config = FitConfig(step_size=0.05, max_steps=50, grad_tol=0.0)
+        first = fit(problem, AdapterInit("gaussian", seed=1), config)
+        factors = _factor_stacks(first.adapter)
+        kept = [f.copy() for f in factors]
+        assert all(not np.shares_memory(f, buffer) for f in factors for buffer in _buffers(built[0]))
+        fit(problem, AdapterInit("gaussian", seed=2), config)
+        assert all(np.array_equal(f, k) for f, k in zip(factors, kept))
+
+    @pytest.mark.parametrize("kind", ["smoa", "lora"])
+    def test_gradient_results_share_no_buffer_and_survive_the_next_call(self, rng, monkeypatch, kind):
+        built = _capture_objectives(monkeypatch)
+        problem = self._problem(rng, kind)
+        init = init_smoa if kind == "smoa" else (lambda plan, r, i: init_lora(8, 8, r, i))
+        first = gradient(problem, init(problem.plan, 4, AdapterInit("gaussian", seed=1)))
+        grads = [m.data for pair in first for m in pair]
+        kept = [g.copy() for g in grads]
+        assert all(not np.shares_memory(g, buffer) for g in grads for buffer in _buffers(built[0]))
+        gradient(problem, init(problem.plan, 4, AdapterInit("gaussian", seed=2)))
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
 
 
 class TestLossAgreesWithUpdate:
