@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import envelope_fields, field, read_envelope, sha256_file, write_json
 from .gen import _check_seed, _check_shape
-from .matio import load_matrix, save_matrix
+from .matio import _load_stack, _save_stack, load_matrix
 from .matrices import Matrix, _frozen_stack
 from .preprocess import BlockPlan, _block_rank, _check_rho, _check_split, _scatter_blocks, load_plan
 
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 ADAPTER_FORMAT = "SMOA-ADPT"
-ADAPTER_VERSION = 1
+ADAPTER_VERSION = 2
 
 Scheme = Literal["zero-update", "gaussian", "spectral"]
 
@@ -259,13 +259,14 @@ def save_adapter(
     init: AdapterInit | None = None,
     plan_path: str | os.PathLike | None = None,
 ) -> list[Path]:
-    """Write a SMOA-ADPT v1 envelope plus one matrix file per factor.
+    """Write a SMOA-ADPT v2 envelope plus two factor files.
 
-    Factor files sit next to the envelope, named ``<stem>.fNN.mat`` in
-    A-then-B order per block. ``plan_path`` (required for block adapters)
-    is stored relative to the envelope with the plan file's content hash,
-    taken before the first write; :func:`load_adapter` always checks a
-    block adapter's hash.
+    The factor files sit next to the envelope: ``<stem>.a.mat`` holds the
+    A stack and ``<stem>.b.mat`` the B stack, each one K-block stack file
+    (see :mod:`smoa.matio`); a global adapter's are its two matrices.
+    ``plan_path`` (required for block adapters) is stored relative to the
+    envelope with the plan file's content hash, taken before the first
+    write; :func:`load_adapter` always checks a block adapter's hash.
     Returns the written paths, envelope first.
     """
     target = Path(path)
@@ -273,8 +274,7 @@ def save_adapter(
         raise ConfigurationError("block adapters need a plan_path to serialize")
     plan_hash = None if plan_path is None else sha256_file(plan_path)
     plan_ref = None if plan_path is None else os.path.relpath(Path(plan_path), target.parent)
-    factors = [Matrix(factor) for pair in zip(*_factor_stacks(adapter)) for factor in pair]
-    factor_names = [f"{target.stem}.f{i:02d}.mat" for i in range(len(factors))]
+    factor_names = [f"{target.stem}.{side}.mat" for side in "ab"]
     init = init or AdapterInit()
     doc = {
         "format": ADAPTER_FORMAT,
@@ -286,22 +286,15 @@ def save_adapter(
         "init": {"scheme": init.scheme, "seed": init.seed, "scale": init.scale},
         "seed": init.seed,
     }
-    written = [target]
-    for name, factor in zip(factor_names, factors):
-        factor_path = target.parent / name
-        save_matrix(factor, factor_path)
-        written.append(factor_path)
+    written = [target, *(target.parent / name for name in factor_names)]
+    for factor_path, stack in zip(written[1:], _factor_stacks(adapter)):
+        _save_stack(stack, factor_path)
     write_json(target, doc)
-    # factor files a previous save under this name wrote beyond the new count
-    stale = len(factors)
-    while (orphan := target.parent / f"{target.stem}.f{stale:02d}.mat").exists():
-        orphan.unlink()
-        stale += 1
     return written
 
 
 def load_adapter(path: str | os.PathLike) -> Adapter:
-    """Read a SMOA-ADPT v1 envelope and its factor files.
+    """Read a SMOA-ADPT v2 envelope and its two factor files.
 
     For block adapters the plan file's current hash must equal the recorded
     ``plan_hash``, else the stale pairing raises :class:`ConfigurationError`.
@@ -312,13 +305,12 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
     what = f"adapter file {target}"
     doc = read_envelope(target, ADAPTER_FORMAT, ADAPTER_VERSION, what)
     with envelope_fields(what):
-        factors = [load_matrix(target.parent / name)
-                   for name in field(doc, "factors", list, what, str)]
+        paths = [target.parent / name for name in field(doc, "factors", list, what, str)]
+        if len(paths) != 2:
+            raise FormatError(f"{what} lists {len(paths)} factor files, expected 2")
         kind = field(doc, "kind", str, what)
         if kind == "lora":
-            if len(factors) != 2:
-                raise FormatError(f"lora envelope lists {len(factors)} factors, expected 2")
-            adapter: Adapter = LoraAdapter(factors[0], factors[1])
+            adapter: Adapter = LoraAdapter(*(load_matrix(p) for p in paths))
         elif kind == "smoa":
             plan_file = target.parent / field(doc, "plan_path", str, what)
             recorded, current = field(doc, "plan_hash", str, what), sha256_file(plan_file)
@@ -328,11 +320,8 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
                     f"match adapter's recorded {recorded[:12]}..."
                 )
             plan = load_plan(plan_file)
-            if len(factors) != 2 * plan.k:
-                raise FormatError(
-                    f"smoa envelope lists {len(factors)} factors for k={plan.k}"
-                )
-            adapter = SmoaAdapter(plan, factors[0].rows, factors[0::2], factors[1::2])
+            a, b = (_load_stack(p, plan.k) for p in paths)
+            adapter = SmoaAdapter(plan, a.shape[1], a, b)
         else:
             raise FormatError(f"unknown adapter kind {kind!r}")
     for key, value in _restated(adapter).items():

@@ -27,7 +27,7 @@ from .adapters import SmoaAdapter
 from .errors import FormatError
 from .fileutil import envelope_fields, field, read_envelope, write_json
 from .gen import _check_seed, _rng
-from .matio import encode_matrix, load_matrix, save_matrix
+from .matio import _load_stack, _save_stack, encode_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
 from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _scatter_blocks,
                          load_plan, save_plan)
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 WITNESS_FORMAT = "SMOA-WITNESS"
-WITNESS_VERSION = 1
+WITNESS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,12 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
     side, or a negative ``rho`` or ``seed``, raises :class:`RangeError`.
     """
     _check_rho(rho, plan.block_shape)
-    s_out, s_in = plan.block_shape
-    rng = _rng(seed)
-    # one draw pair per block, in block order; rho = 0 is the empty product
-    coefficients = np.stack([
-        rng.standard_normal((s_out, rho)) @ rng.standard_normal((rho, s_in))
-        for _ in range(plan.k)
-    ])
-    return WitnessInstance(plan, coefficients, rho, seed)
+    k, (s_out, s_in) = plan.k, plan.block_shape
+    # row k: the draws of C_k's left factor, then its right; rho = 0 is the empty product
+    draws = _rng(seed).standard_normal((k, rho * (s_out + s_in)))
+    left = draws[:, :s_out * rho].reshape(k, s_out, rho)
+    right = draws[:, s_out * rho:].reshape(k, rho, s_in)
+    return WitnessInstance(plan, left @ right, rho, seed)
 
 
 def smoa_exact_fit(witness: WitnessInstance) -> SmoaAdapter:
@@ -208,7 +206,8 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
 
 
 def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path:
-    """Write a witness bundle: plan, target, coefficients, manifest.
+    """Write a SMOA-WITNESS v2 bundle: plan, target, the coefficient stack
+    as one K-block stack file (see :mod:`smoa.matio`), manifest.
 
     The manifest records seed, rho, the target rank under both its names,
     and the gap at every budget r = 1..min(d_out, d_in), all read off the
@@ -218,7 +217,6 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     failure leaves no partial bundle.
     """
     values, rank = witness._values, witness.reordered_target_rank
-    coeff_names = [f"coeff_{i:02d}.mat" for i in range(1, witness.plan.k + 1)]
     manifest = {
         "format": WITNESS_FORMAT,
         "version": WITNESS_VERSION,
@@ -229,13 +227,12 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
         "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
         "plan": "plan.json",
         "target": "target.mat",
-        "coefficients": coeff_names,
+        "coefficients": "coefficients.mat",
     }
     base = Path(directory)
     save_plan(witness.plan, base / "plan.json")
     save_matrix(witness.target, base / "target.mat")
-    for name, c in zip(coeff_names, witness.coefficients):
-        save_matrix(c, base / name)
+    _save_stack(witness.coefficient_stack, base / "coefficients.mat")
     write_json(base / "witness.json", manifest)
     return base / "witness.json"
 
@@ -252,8 +249,7 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     with envelope_fields(what):
         plan = load_plan(base / field(manifest, "plan", str, what))
         stored = (base / field(manifest, "target", str, what)).read_bytes()
-        coefficients = [load_matrix(base / name)
-                        for name in field(manifest, "coefficients", list, what, str)]
+        coefficients = _load_stack(base / field(manifest, "coefficients", str, what), plan.k)
         witness = WitnessInstance(plan, coefficients, rho, seed)
     ranks, _ = _rank_from_values(singular_values(witness.coefficient_stack), plan.block_shape, None)
     if max(ranks) > rho:

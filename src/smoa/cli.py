@@ -380,14 +380,6 @@ def cmd_sweep(args) -> dict:
     }
 
 
-def _add_common(parser: argparse.ArgumentParser, report: bool = False) -> None:
-    parser.add_argument("--out", help="output directory (default: $SMOA_OUT or .)")
-    if report:
-        parser.add_argument("--format", choices=["json", "csv"], default="json",
-                            help="format of the small report artifact")
-    parser.add_argument("--quiet", action="store_true", help="suppress stderr notes")
-
-
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
@@ -402,14 +394,12 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, default=1, help="signal rank")
     p.add_argument("--noise", type=float, default=1.0, help="noise level")
     p.add_argument("--name", default="matrix.mat")
-    _add_common(p)
 
 
 def _plan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w0", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--name", default="plan.json")
-    _add_common(p)
 
 
 def _adapter_arguments(p: argparse.ArgumentParser) -> None:
@@ -420,28 +410,24 @@ def _adapter_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--name", default="adapter.json")
-    _add_common(p)
 
 
 def _update_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--adapter", required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--name", default="update.mat")
-    _add_common(p)
 
 
 def _rank_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix")
     p.add_argument("--adapter")
     p.add_argument("--epsilon", type=float, default=None)
-    _add_common(p, report=True)
 
 
 def _ceiling_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=None)
-    _add_common(p, report=True)
 
 
 def _witness_arguments(p: argparse.ArgumentParser) -> None:
@@ -449,13 +435,11 @@ def _witness_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dir", default="witness")
-    _add_common(p)
 
 
 def _gap_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--witness", required=True, help="witness bundle directory")
     p.add_argument("--r", type=int, required=True)
-    _add_common(p, report=True)
 
 
 def _fit_arguments(p: argparse.ArgumentParser) -> None:
@@ -471,7 +455,6 @@ def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-steps", type=int, default=50000)
     p.add_argument("--grad-tol", type=float, default=1e-9)
     p.add_argument("--prefix", default="fit")
-    _add_common(p)
 
 
 def _diagnose_arguments(p: argparse.ArgumentParser) -> None:
@@ -481,43 +464,48 @@ def _diagnose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-scale", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=50)
-    _add_common(p)
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="JSON with dims/ks/rs/trials/seed")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--name", default="sweep.csv")
-    _add_common(p)
 
 
-# command -> (help text, argument builder, handler)
+# command -> (help text, argument builder, handler, whether it takes --format)
 _COMMANDS = {
-    "gen": ("generate a seeded test matrix", _gen_arguments, cmd_gen),
-    "plan": ("build a block plan from a weight matrix", _plan_arguments, cmd_plan),
-    "adapter": ("initialize an adapter over a plan", _adapter_arguments, cmd_adapter),
-    "update": ("materialize an adapter's weight update", _update_arguments, cmd_update),
-    "rank": ("numerical rank of a matrix or adapter update", _rank_arguments, cmd_rank),
-    "ceiling": ("rank ceiling of a plan at budget r", _ceiling_arguments, cmd_ceiling),
-    "witness": ("build a separation witness bundle", _witness_arguments, cmd_witness),
-    "gap": ("best rank-r approximation gap of a witness", _gap_arguments, cmd_gap),
-    "fit": ("gradient-descent fit of a target", _fit_arguments, cmd_fit),
-    "diagnose": ("spectral diagnostics report", _diagnose_arguments, cmd_diagnose),
-    "sweep": ("grid comparison of both adapter families", _sweep_arguments, cmd_sweep),
+    "gen": ("generate a seeded test matrix", _gen_arguments, cmd_gen, False),
+    "plan": ("build a block plan from a weight matrix", _plan_arguments, cmd_plan, False),
+    "adapter": ("initialize an adapter over a plan", _adapter_arguments, cmd_adapter, False),
+    "update": ("materialize an adapter's weight update", _update_arguments, cmd_update, False),
+    "rank": ("numerical rank of a matrix or adapter update", _rank_arguments, cmd_rank, True),
+    "ceiling": ("rank ceiling of a plan at budget r", _ceiling_arguments, cmd_ceiling, True),
+    "witness": ("build a separation witness bundle", _witness_arguments, cmd_witness, False),
+    "gap": ("best rank-r approximation gap of a witness", _gap_arguments, cmd_gap, True),
+    "fit": ("gradient-descent fit of a target", _fit_arguments, cmd_fit, False),
+    "diagnose": ("spectral diagnostics report", _diagnose_arguments, cmd_diagnose, False),
+    "sweep": ("grid comparison of both adapter families", _sweep_arguments, cmd_sweep, False),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``smoa`` parser. Every command is registered with its help text,
     but when ``command`` names one, only that one gets its arguments: it is
-    the only one argparse will read. Otherwise every command gets them."""
+    the only one argparse will read. Otherwise every command gets them,
+    each followed by ``--out``, ``--format`` for the report commands, and
+    ``--quiet``."""
     parser = _Parser(prog="smoa", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+    for name, (help_text, add_arguments, handler, report) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command not in _COMMANDS or command == name:
             add_arguments(p)
+            p.add_argument("--out", help="output directory (default: $SMOA_OUT or .)")
+            if report:
+                p.add_argument("--format", choices=["json", "csv"], default="json",
+                               help="format of the small report artifact")
+            p.add_argument("--quiet", action="store_true", help="suppress stderr notes")
             p.set_defaults(handler=handler)
     return parser
 

@@ -10,6 +10,10 @@ double exactly.
 
 Both formats round-trip finite doubles bit for bit; a file holding a NaN
 or infinite entry is a :class:`FormatError`.
+
+A (K, m, n) stack of blocks, such as an adapter's factors or a witness's
+coefficients, is stored as one (K*m) x n binary matrix whose rows
+k*m .. (k+1)*m hold block k.
 """
 from __future__ import annotations
 
@@ -76,6 +80,20 @@ def save_matrix(m: Matrix, path: str | os.PathLike) -> None:
 def load_matrix(path: str | os.PathLike) -> Matrix:
     with open(path, "rb") as handle:
         return decode_matrix(handle.read())
+
+
+def _save_stack(stack: np.ndarray, path: str | os.PathLike) -> None:
+    """Write a (K, m, n) stack as one (K*m) x n matrix file."""
+    k, m, n = stack.shape
+    save_matrix(Matrix(stack.reshape(k * m, n)), path)
+
+
+def _load_stack(path: str | os.PathLike, k: int) -> np.ndarray:
+    """The (K, m, n) stack a matrix file holds; K must divide its row count."""
+    matrix = load_matrix(path)
+    if matrix.rows % k:
+        raise FormatError(f"{path} holds {matrix.rows} rows, not a stack of {k} equal blocks")
+    return matrix.data.reshape(k, matrix.rows // k, matrix.cols)
 
 
 def matrix_to_csv(m: Matrix) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def _step_bounds(config: FitConfig) -> tuple[float, float]:
     return low, high
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One point of the descent path: ``step_size`` is the eta that
     reached it and ``halvings`` the candidates rejected before; step 0,
     the start, records ``config.step_size`` and 0."""

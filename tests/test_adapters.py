@@ -19,6 +19,7 @@ from smoa import (
     init_lora,
     init_smoa,
     load_adapter,
+    load_matrix,
     lora_update,
     merge,
     param_count,
@@ -277,7 +278,9 @@ class TestAdapterFiles:
         path = tmp_path / "adapter.json"
         written = save_adapter(lora, path, init=AdapterInit("gaussian", seed=21))
         assert written[0] == path
-        assert [p.name for p in written[1:]] == ["adapter.f00.mat", "adapter.f01.mat"]
+        assert [p.name for p in written[1:]] == ["adapter.a.mat", "adapter.b.mat"]
+        assert load_matrix(tmp_path / "adapter.a.mat").data.tobytes() == lora.a.data.tobytes()
+        assert load_matrix(tmp_path / "adapter.b.mat").data.tobytes() == lora.b.data.tobytes()
         loaded = load_adapter(path)
         assert isinstance(loaded, LoraAdapter)
         assert np.array_equal(loaded.a.data, lora.a.data)
@@ -301,7 +304,8 @@ class TestAdapterFiles:
         path = tmp_path / "adapter.json"
         save_adapter(lora, path, init=AdapterInit("zero-update", seed=5))
         doc = json.loads(path.read_text())
-        assert doc["format"] == "SMOA-ADPT" and doc["version"] == 1
+        assert doc["format"] == "SMOA-ADPT" and doc["version"] == 2
+        assert doc["factors"] == ["adapter.a.mat", "adapter.b.mat"]
         assert doc["kind"] == "lora" and doc["r"] == 2
         assert doc["d_out"] == 4 and doc["d_in"] == 6
         assert doc["init"] == {"scheme": "zero-update", "seed": 5, "scale": 1.0}
@@ -346,9 +350,9 @@ class TestAdapterFiles:
         plan_path, path = tmp_path / "plan.json", tmp_path / "adapter.json"
         save_plan(plan, plan_path)
         save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path, plan_path=plan_path)
-        for i in range(4):  # A_k is rho x 2, B_k is 2 x rho
-            save_matrix(random_matrix(rng, *((3, 2), (2, 3))[i % 2]),
-                        tmp_path / f"adapter.f{i:02d}.mat")
+        # two blocks of A_k (rho x 2) and of B_k (2 x rho), each stacked by rows
+        save_matrix(random_matrix(rng, 6, 2), tmp_path / "adapter.a.mat")
+        save_matrix(random_matrix(rng, 4, 3), tmp_path / "adapter.b.mat")
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "r": 6, "rho": 3}))
         with pytest.raises(RangeError, match="rho=3 out of range 0..2"):
@@ -365,18 +369,47 @@ class TestAdapterFiles:
             load_adapter(path)
 
     def test_resave_with_fewer_factors_leaves_no_orphans(self, rng, tmp_path):
+        """Whatever K is, a save writes exactly two factor files, so a re-save
+        over a K = 4 adapter leaves exactly two."""
         plan = build_plan(random_matrix(rng, 8, 8), 4)
         plan_path = tmp_path / "plan.json"
         save_plan(plan, plan_path)
         path = tmp_path / "adapter.json"
         save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path, plan_path=plan_path)
-        assert len(list(tmp_path.glob("adapter.f*.mat"))) == 8
+        assert sorted(p.name for p in tmp_path.glob("adapter.*.mat")) == [
+            "adapter.a.mat", "adapter.b.mat",
+        ]
         lora = init_lora(8, 8, 2, AdapterInit("gaussian"))
         save_adapter(lora, path)
-        assert sorted(p.name for p in tmp_path.glob("adapter.f*.mat")) == [
-            "adapter.f00.mat", "adapter.f01.mat",
+        assert sorted(p.name for p in tmp_path.glob("adapter.*.mat")) == [
+            "adapter.a.mat", "adapter.b.mat",
         ]
         assert isinstance(load_adapter(path), LoraAdapter)
+
+    @pytest.mark.parametrize("d_out,d_in,k,r", [(8, 12, 2, 4), (16, 24, 4, 8), (16, 8, 4, 4)])
+    def test_block_roundtrip_is_bitwise(self, rng, tmp_path, d_out, d_in, k, r):
+        """Non-square blocks: each stack file holds block k in rows
+        k*m .. (k+1)*m, and the stacks load back bit for bit."""
+        plan = build_plan(random_matrix(rng, d_out, d_in), k)
+        plan_path, path = tmp_path / "plan.json", tmp_path / "adapter.json"
+        save_plan(plan, plan_path)
+        adapter = init_smoa(plan, r, AdapterInit("gaussian", seed=k))
+        save_adapter(adapter, path, plan_path=plan_path)
+        assert sorted(p.name for p in tmp_path.glob("*.mat")) == ["adapter.a.mat", "adapter.b.mat"]
+        for side, stack in (("a", adapter.a), ("b", adapter.b)):
+            stored = load_matrix(tmp_path / f"adapter.{side}.mat").data
+            assert stored.tobytes() == np.concatenate(list(stack)).tobytes()
+        loaded = load_adapter(path)
+        assert loaded.a.tobytes() == adapter.a.tobytes()
+        assert loaded.b.tobytes() == adapter.b.tobytes()
+
+    def test_factor_list_of_three_rejected(self, rng, tmp_path):
+        path = tmp_path / "adapter.json"
+        save_adapter(init_lora(4, 4, 2, AdapterInit("gaussian")), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "factors": [*doc["factors"], "adapter.a.mat"]}))
+        with pytest.raises(FormatError, match="lists 3 factor files, expected 2"):
+            load_adapter(path)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "adapter.json"

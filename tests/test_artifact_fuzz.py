@@ -37,8 +37,8 @@ ARTIFACTS = {
                    ("dims", "ks", "rs", "trials", "seed")),
     # binary matrix files: damaged bytes only
     "weight-matrix": ("w0.mat", ["plan", "--w0", "{root}/w0.mat", "--k", "2"], ()),
-    "adapter-factor": ("adapter.f00.mat", ["update", "--adapter", "{root}/adapter.json"], ()),
-    "witness-coefficient": ("witness/coeff_01.mat",
+    "adapter-factor": ("adapter.a.mat", ["update", "--adapter", "{root}/adapter.json"], ()),
+    "witness-coefficient": ("witness/coefficients.mat",
                             ["gap", "--witness", "{root}/witness", "--r", "2"], ()),
 }
 

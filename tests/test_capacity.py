@@ -24,6 +24,7 @@ from smoa import (
     full_rank_ceiling,
     init_smoa,
     invert_permutations,
+    load_matrix,
     load_witness,
     lora_gap,
     make_witness,
@@ -277,6 +278,23 @@ class TestWitness:
         assert [c.data.tobytes() for c in witness.coefficients] == [c.tobytes() for c in coefficients]
         assert witness.reordered_target_rank == numerical_rank(reordered)
 
+    @pytest.mark.parametrize("rows,cols,k", [(8, 8, 2), (12, 18, 3), (16, 8, 4), (64, 64, 8),
+                                             (96, 64, 2)])
+    def test_one_draw_matches_per_block_loop(self, rng, rows, cols, k):
+        """The one (K, rho (s_out + s_in)) draw and batched product give the
+        bytes of drawing C_k's two factors block by block, at every rho."""
+        plan = build_plan(random_matrix(rng, rows, cols), k)
+        s_out, s_in = plan.block_shape
+        for rho in range(min(s_out, s_in) + 1):
+            for seed in (0, 5):
+                draws = np.random.default_rng(seed)
+                reference = np.stack([
+                    draws.standard_normal((s_out, rho)) @ draws.standard_normal((rho, s_in))
+                    for _ in range(k)
+                ])
+                stack = make_witness(plan, rho, seed).coefficient_stack
+                assert stack.tobytes() == reference.tobytes(), (rho, seed)
+
 
 class TestSeparation:
     def test_exact_fit_reproduces_target(self, rng):
@@ -465,7 +483,8 @@ class TestWitnessFiles:
         witness = make_witness(plan, rho=1, seed=23)
         save_witness(witness, tmp_path / "bundle")
         manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
-        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 1
+        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 2
+        assert manifest["coefficients"] == "coefficients.mat"
         assert sorted(manifest["gaps"], key=int) == [str(r) for r in range(1, 7)]
         for r in range(1, 7):
             assert manifest["gaps"][str(r)] == pytest.approx(lora_gap(witness, r), rel=1e-12)
@@ -511,6 +530,19 @@ class TestWitnessFiles:
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
         with pytest.raises(RangeError):
             load_witness(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("rows,cols,k,rho", [(8, 8, 2, 0), (12, 8, 2, 3), (16, 24, 4, 2)],
+                             ids=["rho-zero", "tall-blocks", "wide-blocks-k4"])
+    def test_bundle_is_four_files_and_roundtrips_bitwise(self, rng, tmp_path, rows, cols, k, rho):
+        witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho=rho, seed=41)
+        save_witness(witness, tmp_path / "bundle")
+        assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
+            "coefficients.mat", "plan.json", "target.mat", "witness.json"]
+        stored = load_matrix(tmp_path / "bundle" / "coefficients.mat").data
+        assert stored.tobytes() == np.concatenate(list(witness.coefficient_stack)).tobytes()
+        loaded = load_witness(tmp_path / "bundle")
+        assert loaded.coefficient_stack.tobytes() == witness.coefficient_stack.tobytes()
+        assert loaded.target.data.tobytes() == witness.target.data.tobytes()
 
     def test_bad_manifest_rejected(self, tmp_path):
         bundle = tmp_path / "bundle"

@@ -470,9 +470,9 @@ class TestMalformedInput:
         lambda doc: [doc],
         with_field("rho", [2]),
         without("coefficients"),
-        with_field("coefficients", "ab"),
+        with_field("coefficients", ["coefficients.mat"]),
     ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients",
-            "coefficients-string"])
+            "coefficients-list"])
     def test_witness(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         edit_json(payload["manifest"], edit)
@@ -504,6 +504,38 @@ class TestMalformedInput:
         argv = [a.format(plan=seeded_plan, adapter=adapter["path"], witness=witness["dir"])
                 for a in command]
         self.assert_rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("artifact", ["adapter", "lora", "witness"])
+    def test_version_1_exits_two_on_one_line(self, workdir, seeded_plan, capsys, artifact):
+        """Adapter and witness files are version 2; a version 1 file is refused."""
+        if artifact == "witness":
+            _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+            envelope, argv = payload["manifest"], ["gap", "--witness", payload["dir"], "--r", "2"]
+        else:
+            _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2",
+                             "--kind", "smoa" if artifact == "adapter" else "lora", "--quiet")
+            envelope, argv = payload["path"], ["update", "--adapter", payload["path"]]
+        edit_json(envelope, with_field("version", 1))
+        code = main([*argv, "--out", "upd", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: unsupported ") and captured.err.count("\n") == 1
+        assert "version 1" in captured.err and "Traceback" not in captured.err
+        assert not (workdir / "upd").exists()
+
+    @pytest.mark.parametrize("stack", ["adapter.a.mat", "adapter.b.mat",
+                                       "witness/coefficients.mat"])
+    def test_stack_rows_not_divisible_by_k(self, workdir, seeded_plan, capsys, stack):
+        """A stack file whose row count the plan's K = 2 does not divide."""
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        save_matrix(Matrix.ones(3, 4), workdir / stack)
+        argv = (["gap", "--witness", witness["dir"], "--r", "2"] if stack.startswith("witness")
+                else ["update", "--adapter", adapter["path"]])
+        code = main([*argv, "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {stack} holds 3 rows, not a stack of 2 equal blocks\n"
 
     def test_witness_target_replaced(self, workdir, seeded_plan, capsys):
         """A valid target.mat that is not the coefficients' target is stale."""
@@ -596,8 +628,9 @@ class TestMalformedInput:
         _, w0 = run(capsys, "gen", "--rows", "4", "--cols", "4", "--kind", "gaussian", "--quiet")
         _, plan = run(capsys, "plan", "--w0", w0["path"], "--k", "2", "--quiet")
         _, payload = run(capsys, "adapter", "--plan", plan["path"], "--r", "4", "--quiet")
-        for i in range(4):  # A_k is rho x 2, B_k is 2 x rho
-            save_matrix(Matrix.ones(*((3, 2), (2, 3))[i % 2]), workdir / f"adapter.f{i:02d}.mat")
+        # two blocks of A_k (rho x 2) and of B_k (2 x rho), each stacked by rows
+        save_matrix(Matrix.ones(6, 2), workdir / "adapter.a.mat")
+        save_matrix(Matrix.ones(4, 3), workdir / "adapter.b.mat")
         edit_json(payload["path"], lambda doc: {**doc, "r": 6, "rho": 3})
         self.assert_rejected(capsys, "update", "--adapter", payload["path"], "--out", "upd")
         assert not (workdir / "upd").exists()

@@ -19,6 +19,7 @@ from smoa import (
     FitProblem,
     Matrix,
     NumericalError,
+    TraceStep,
     apply_permutations,
     build_plan,
     finite_difference_check,
@@ -349,6 +350,15 @@ class TestFiniteDifference:
 
 
 class TestTraceFiles:
+    def test_trace_step_is_an_immutable_named_tuple(self, rng):
+        trace = fit(FitProblem(random_matrix(rng, 4, 4), "lora", 2),
+                    AdapterInit("gaussian", seed=6), FitConfig(max_steps=3))
+        entry = trace.steps[-1]
+        assert TraceStep._fields == ("step", "loss", "grad_norm", "step_size", "halvings")
+        assert entry == (entry.step, entry.loss, entry.grad_norm, entry.step_size, entry.halvings)
+        with pytest.raises(AttributeError):
+            entry.loss = 0.0
+
     def test_csv_and_summary(self, rng, tmp_path):
         target = random_matrix(rng, 4, 4)
         problem = FitProblem(target, "lora", 2)
