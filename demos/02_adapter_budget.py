@@ -10,7 +10,6 @@ import numpy as np
 
 from smoa import (
     AdapterInit,
-    Matrix,
     apply_forward,
     build_plan,
     gaussian_matrix,

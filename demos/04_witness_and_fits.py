@@ -9,8 +9,6 @@ and stays there, and the block fit drives the loss to zero, though its
 objective is nonconvex and an unlucky start can park in a spurious
 basin until restarted.
 """
-import numpy as np
-
 from smoa import (
     AdapterInit,
     FitConfig,

@@ -24,11 +24,12 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import envelope_fields, field, read_envelope, sha256_file, write_json
+from .fileutil import envelope_fields, field, read_envelope, write_json
 from .gen import _check_seed, _check_shape
 from .matio import _load_stack, _save_stack, load_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import BlockPlan, _block_rank, _check_rho, _check_split, _scatter_blocks, load_plan
+from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _pinned_plan,
+                         _plan_reference, _scatter_blocks)
 
 __all__ = [
     "LoraAdapter",
@@ -264,24 +265,26 @@ def save_adapter(
     The factor files sit next to the envelope: ``<stem>.a.mat`` holds the
     A stack and ``<stem>.b.mat`` the B stack, each one K-block stack file
     (see :mod:`smoa.matio`); a global adapter's are its two matrices.
-    ``plan_path`` (required for block adapters) is stored relative to the
-    envelope with the plan file's content hash, taken before the first
-    write; :func:`load_adapter` always checks a block adapter's hash.
+    ``plan_path`` (required for block adapters) is pinned by its path
+    relative to the envelope and its content hash, taken before the first
+    write; :func:`load_adapter` always checks a block adapter's pin.
     Returns the written paths, envelope first.
     """
-    target = Path(path)
     if isinstance(adapter, SmoaAdapter) and plan_path is None:
         raise ConfigurationError("block adapters need a plan_path to serialize")
-    plan_hash = None if plan_path is None else sha256_file(plan_path)
-    plan_ref = None if plan_path is None else os.path.relpath(Path(plan_path), target.parent)
+    target = Path(path)
+    return _write_adapter(adapter, target, init or AdapterInit(),
+                          _plan_reference(plan_path, target.parent))
+
+
+def _write_adapter(adapter: Adapter, target: Path, init: AdapterInit, reference: dict) -> list[Path]:
+    """:func:`save_adapter` past its checks, with the plan ``reference`` taken."""
     factor_names = [f"{target.stem}.{side}.mat" for side in "ab"]
-    init = init or AdapterInit()
     doc = {
         "format": ADAPTER_FORMAT,
         "version": ADAPTER_VERSION,
         **_restated(adapter),
-        "plan_path": plan_ref,
-        "plan_hash": plan_hash,
+        **reference,
         "factors": factor_names,
         "init": {"scheme": init.scheme, "seed": init.seed, "scale": init.scale},
         "seed": init.seed,
@@ -296,8 +299,8 @@ def save_adapter(
 def load_adapter(path: str | os.PathLike) -> Adapter:
     """Read a SMOA-ADPT v2 envelope and its two factor files.
 
-    For block adapters the plan file's current hash must equal the recorded
-    ``plan_hash``, else the stale pairing raises :class:`ConfigurationError`.
+    A block adapter's plan is read through its pin, so a plan file whose
+    hash is not the recorded ``plan_hash`` raises :class:`ConfigurationError`.
     The recorded kind, r, k, rho, d_out and d_in must be what the factors
     and plan define.
     """
@@ -312,14 +315,7 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
         if kind == "lora":
             adapter: Adapter = LoraAdapter(*(load_matrix(p) for p in paths))
         elif kind == "smoa":
-            plan_file = target.parent / field(doc, "plan_path", str, what)
-            recorded, current = field(doc, "plan_hash", str, what), sha256_file(plan_file)
-            if current != recorded:
-                raise ConfigurationError(
-                    f"stale pairing: plan {plan_file} hash {current[:12]}... does not "
-                    f"match adapter's recorded {recorded[:12]}..."
-                )
-            plan = load_plan(plan_file)
+            plan = _pinned_plan(doc, target.parent, what)
             a, b = (_load_stack(p, plan.k) for p in paths)
             adapter = SmoaAdapter(plan, a.shape[1], a, b)
         else:

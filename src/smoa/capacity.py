@@ -29,8 +29,8 @@ from .fileutil import envelope_fields, field, read_envelope, write_json
 from .gen import _check_seed, _rng
 from .matio import _load_stack, _save_stack, encode_matrix, save_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _scatter_blocks,
-                         load_plan, save_plan)
+from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _pinned_plan,
+                         _plan_reference, _scatter_blocks)
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 WITNESS_FORMAT = "SMOA-WITNESS"
-WITNESS_VERSION = 2
+WITNESS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -205,32 +205,30 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
     return _tail_from_values(witness._values, r)  # empty past the last value
 
 
-def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path:
-    """Write a SMOA-WITNESS v2 bundle: plan, target, the coefficient stack
-    as one K-block stack file (see :mod:`smoa.matio`), manifest.
+def save_witness(witness: WitnessInstance, directory: str | os.PathLike, *,
+                 plan_path: str | os.PathLike) -> Path:
+    """Write a SMOA-WITNESS v3 bundle: manifest, target, the coefficient stack
+    as one K-block stack file (see :mod:`smoa.matio`), and no plan copy.
 
-    The manifest records seed, rho, the target rank under both its names,
-    and the gap at every budget r = 1..min(d_out, d_in), all read off the
-    witness's one decomposition of its target; each gap equals
-    ``lora_gap(witness, r)``.
+    The manifest pins the witness's plan file ``plan_path`` as an adapter does,
+    by relative path and hash, and records seed, rho, the target rank and the
+    gap at every budget r = 1..min(d_out, d_in), all read off the witness's
+    one decomposition of its target; each gap equals ``lora_gap(witness, r)``.
     Nothing is written until the manifest is complete, so a numerical
-    failure leaves no partial bundle.
+    failure or an unreadable plan leaves no partial bundle.
     """
-    values, rank = witness._values, witness.reordered_target_rank
+    values, base = witness._values, Path(directory)
     manifest = {
         "format": WITNESS_FORMAT,
         "version": WITNESS_VERSION,
         "seed": witness.seed,
         "rho": witness.rho,
-        "reordered_target_rank": rank,
-        "target_rank": rank,
+        "reordered_target_rank": witness.reordered_target_rank,
         "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
-        "plan": "plan.json",
+        **_plan_reference(plan_path, base),
         "target": "target.mat",
         "coefficients": "coefficients.mat",
     }
-    base = Path(directory)
-    save_plan(witness.plan, base / "plan.json")
     save_matrix(witness.target, base / "target.mat")
     _save_stack(witness.coefficient_stack, base / "coefficients.mat")
     write_json(base / "witness.json", manifest)
@@ -238,16 +236,17 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
 
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
-    """Rebuild a witness from its plan, coefficients, rho and seed; the stored
-    target must encode to the same bytes as theirs. ``rho`` and ``seed`` are JSON
-    integers that :class:`WitnessInstance` bounds, and every C_k has rank at
-    most rho. Recorded ranks and gaps are not read back."""
+    """Rebuild a witness from its pinned plan, coefficients, rho and seed; the
+    stored target must encode to the same bytes as theirs, so a bundle pinned
+    to another plan file is refused. ``rho`` and ``seed`` are JSON integers
+    that :class:`WitnessInstance` bounds, and every C_k has rank at most rho.
+    Recorded ranks and gaps are not read back."""
     base = Path(directory)
     what = f"witness manifest {base / 'witness.json'}"
     manifest = read_envelope(base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, what)
     rho, seed = field(manifest, "rho", int, what), field(manifest, "seed", int, what)
     with envelope_fields(what):
-        plan = load_plan(base / field(manifest, "plan", str, what))
+        plan = _pinned_plan(manifest, base, what)
         stored = (base / field(manifest, "target", str, what)).read_bytes()
         coefficients = _load_stack(base / field(manifest, "coefficients", str, what), plan.k)
         witness = WitnessInstance(plan, coefficients, rho, seed)

@@ -21,38 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (
-    AdapterInit,
-    init_lora,
-    init_smoa,
-    load_adapter,
-    lora_update,
-    save_adapter,
-    smoa_update,
-    update,
-)
-from .capacity import (
-    achieved_rank,
-    load_witness,
-    lora_gap,
-    make_witness,
-    rank_ceiling,
-    save_witness,
-    smoa_exact_fit,
-)
+from .adapters import (AdapterInit, _restated, _write_adapter, init_lora, init_smoa, load_adapter,
+                       lora_update, save_adapter, smoa_update, update)
+from .capacity import (achieved_rank, load_witness, lora_gap, make_witness, rank_ceiling,
+                       save_witness, smoa_exact_fit)
 from .diagnostics import ActivationSample, full_report, save_report
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    FormatError,
-    NumericalError,
-    RangeError,
-)
+from .errors import ConfigurationError, DimensionError, FormatError, NumericalError, RangeError
 from .fileutil import field, read_json, sha256_file, write_csv, write_json
 from .gen import (_check_seed, _check_shape, diagonal_matrix, gaussian_matrix,
                   low_rank_plus_noise, spiked_matrix)
 from .matio import load_matrix, save_matrix
-from .preprocess import _block_rank, _check_rho, _check_split, build_plan, load_plan, save_plan
+from .preprocess import (_block_rank, _check_rho, _check_split, _plan_reference, build_plan,
+                         load_plan, save_plan)
 from .spectrum import _rank_from_values, singular_values
 from .trainer import FitConfig, FitProblem, fit, save_trace
 
@@ -156,9 +136,10 @@ def cmd_adapter(args) -> dict:
     else:
         adapter = init_lora(plan.d_out, plan.d_in, args.r, init)
     path = _out_dir(args) / args.name
-    written = save_adapter(adapter, path, init=init, plan_path=args.plan)
+    reference = _plan_reference(args.plan, path.parent)
+    written = _write_adapter(adapter, path, init, reference)
     _note(args, f"wrote {len(written)} files under {path.parent}")
-    envelope = read_json(path, "adapter file")
+    envelope = {**_restated(adapter), **reference}
     return {
         "path": str(path),
         **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")},
@@ -235,7 +216,7 @@ def cmd_witness(args) -> dict:
     plan = load_plan(args.plan)
     witness = make_witness(plan, args.rho, args.seed)
     directory = _out_dir(args) / args.dir
-    manifest = save_witness(witness, directory)
+    manifest = save_witness(witness, directory, plan_path=args.plan)
     _note(args, f"wrote witness bundle under {directory}")
     return {
         "dir": str(directory),

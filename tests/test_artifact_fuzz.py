@@ -2,8 +2,9 @@
 
 A pristine set of artifacts (weight matrix, plan, block and global adapter
 envelopes, adapter factor, witness bundle, sweep spec) is built once. Each example damages one file,
-drives ``main`` in process on it, and restores the file. The plan is damaged twice over: as
-read by ``ceiling``, and as the plan that the block adapter's hash pins, read by ``update``.
+drives ``main`` in process on it, and restores the file. The plan is damaged three times over: as
+read by ``ceiling``, as the plan that the block adapter's hash pins, read by ``update``, and as
+the plan that the witness manifest's hash pins, read by ``gap``.
 """
 import contextlib
 import io
@@ -18,21 +19,23 @@ from hypothesis import strategies as st
 
 from smoa.cli import main
 
+PLAN_FIELDS = ("format", "version", "k", "p_out", "p_in", "anchors", "row_intervals",
+               "col_intervals")
+
 # file under the root, command that reads it, and the fields that command reads
 ARTIFACTS = {
-    "plan": ("plan.json", ["ceiling", "--plan", "{root}/plan.json", "--r", "2"],
-             ("format", "version", "k", "p_out", "p_in", "anchors", "row_intervals",
-              "col_intervals")),
-    "pinned-plan": ("plan.json", ["update", "--adapter", "{root}/adapter.json"],
-                    ("format", "version", "k", "p_out", "p_in", "anchors", "row_intervals",
-                     "col_intervals")),
+    "plan": ("plan.json", ["ceiling", "--plan", "{root}/plan.json", "--r", "2"], PLAN_FIELDS),
+    "pinned-plan": ("plan.json", ["update", "--adapter", "{root}/adapter.json"], PLAN_FIELDS),
+    "witness-pinned-plan": ("plan.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
+                            PLAN_FIELDS),
     "smoa-adapter": ("adapter.json", ["update", "--adapter", "{root}/adapter.json"],
                      ("format", "version", "factors", "kind", "plan_path", "plan_hash",
                       "r", "k", "rho", "d_out", "d_in")),
     "lora-adapter": ("lora.json", ["update", "--adapter", "{root}/lora.json"],
                      ("format", "version", "factors", "kind", "r", "k", "rho", "d_out", "d_in")),
     "witness-manifest": ("witness/witness.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
-                         ("format", "version", "plan", "target", "coefficients", "rho", "seed")),
+                         ("format", "version", "plan_path", "plan_hash", "target", "coefficients",
+                          "rho", "seed")),
     "sweep-spec": ("spec.json", ["sweep", "--spec", "{root}/spec.json"],
                    ("dims", "ks", "rs", "trials", "seed")),
     # binary matrix files: damaged bytes only
@@ -44,8 +47,7 @@ ARTIFACTS = {
 
 # written for the record but never read back
 PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "seed"), ("smoa-adapter", "init"),
-              ("witness-manifest", "gaps"), ("witness-manifest", "target_rank"),
-              ("witness-manifest", "reordered_target_rank")]
+              ("witness-manifest", "gaps"), ("witness-manifest", "reordered_target_rank")]
 
 # integer fields, or lists of them whose first entry is replaced, that a huge
 # value must not get past; huge trials and seeds are valid, and would run long
@@ -171,12 +173,14 @@ class TestDamagedArtifacts:
     @settings(deadline=None, max_examples=30)
     @given(st.data())
     def test_edited_pinned_plan_is_stale(self, root, data):
-        """Any other bytes in the plan a block adapter's hash pins, a valid plan
-        or not, are a stale pairing: a cut, a changed byte or an insert."""
+        """Any other bytes in the plan that a block adapter's or a witness
+        manifest's hash pins, a valid plan or not, are a stale pairing: a cut,
+        a changed byte or an insert."""
         pristine = (root / "plan.json").read_bytes()
         pos = data.draw(st.integers(0, len(pristine) - 1))
         payload = pristine[:pos] + data.draw(st.binary(max_size=4)) + pristine[pos + 1:]
         assume(payload != pristine)
-        code, stdout, stderr, written = run_damaged(root, "pinned-plan", payload)
+        pinned = data.draw(st.sampled_from(["pinned-plan", "witness-pinned-plan"]))
+        code, stdout, stderr, written = run_damaged(root, pinned, payload)
         assert (code, stdout, written) == (2, "", [])
         assert stderr.startswith("error: stale pairing") and stderr.count("\n") == 1

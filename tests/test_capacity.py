@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from smoa import (
     AdapterInit,
@@ -30,6 +30,7 @@ from smoa import (
     make_witness,
     numerical_rank,
     rank_ceiling,
+    save_plan,
     save_witness,
     singular_values,
     smoa_exact_fit,
@@ -39,8 +40,16 @@ from smoa import (
 )
 
 import smoa.capacity
+from smoa.fileutil import sha256_file
 
 from conftest import random_matrix
+
+
+def save_bundle(witness, directory):
+    """Save the witness's plan beside ``directory``, then the bundle pinned to it."""
+    plan_path = directory.parent / "plan.json"
+    save_plan(witness.plan, plan_path)
+    return save_witness(witness, directory, plan_path=plan_path)
 
 
 def exact_rank_matrix(rng, rows, cols, rank):
@@ -215,7 +224,7 @@ class TestWitness:
         assert calls == {}
 
         def save_and_read_gaps():
-            save_witness(witness, tmp_path / "bundle")
+            save_bundle(witness, tmp_path / "bundle")
             return [lora_gap(witness, r) for r in range(1, 9)], witness.reordered_target_rank
 
         (gaps, rank), calls = count_decompositions(save_and_read_gaps)
@@ -469,7 +478,7 @@ class TestWitnessFiles:
     def test_bundle_roundtrip(self, rng, tmp_path):
         plan = build_plan(random_matrix(rng, 8, 8), 2)
         witness = make_witness(plan, rho=2, seed=19)
-        manifest_path = save_witness(witness, tmp_path / "bundle")
+        manifest_path = save_bundle(witness, tmp_path / "bundle")
         assert manifest_path.name == "witness.json"
         loaded = load_witness(tmp_path / "bundle")
         assert np.array_equal(loaded.target.data, witness.target.data)
@@ -481,9 +490,9 @@ class TestWitnessFiles:
     def test_manifest_gaps_cover_all_budgets(self, rng, tmp_path):
         plan = build_plan(random_matrix(rng, 6, 6), 2)
         witness = make_witness(plan, rho=1, seed=23)
-        save_witness(witness, tmp_path / "bundle")
+        save_bundle(witness, tmp_path / "bundle")
         manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
-        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 2
+        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 3
         assert manifest["coefficients"] == "coefficients.mat"
         assert sorted(manifest["gaps"], key=int) == [str(r) for r in range(1, 7)]
         for r in range(1, 7):
@@ -494,10 +503,10 @@ class TestWitnessFiles:
         self, rng, tmp_path, count_decompositions, rows, cols, k, rho
     ):
         witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho=rho, seed=29)
-        _, calls = count_decompositions(save_witness, witness, tmp_path / "bundle")
+        _, calls = count_decompositions(save_bundle, witness, tmp_path / "bundle")
         assert calls == {"svdvals": 1}
         manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
-        assert manifest["target_rank"] == numerical_rank(witness.target)
+        assert manifest["reordered_target_rank"] == numerical_rank(witness.target)
         for r in range(1, min(rows, cols) + 1):
             assert manifest["gaps"][str(r)] == lora_gap(witness, r)
 
@@ -506,7 +515,7 @@ class TestWitnessFiles:
         target is derived on each use, so the witness keeps no copy of it."""
         witness = make_witness(build_plan(random_matrix(rng, 8, 12), 2), rho=2, seed=37)
         lora_gap(witness, 2)
-        save_witness(witness, tmp_path / "bundle")
+        save_bundle(witness, tmp_path / "bundle")
         held = vars(witness)
         assert "_values" in held
         assert all(getattr(value, "shape", None) != (8, 12) for value in held.values())
@@ -519,25 +528,25 @@ class TestWitnessFiles:
 
         monkeypatch.setattr(smoa.capacity, "singular_values", fail)
         with pytest.raises(NumericalError):
-            save_witness(witness, tmp_path / "bundle")
+            save_bundle(witness, tmp_path / "bundle")
         assert not (tmp_path / "bundle").exists() or not any((tmp_path / "bundle").iterdir())
 
     @pytest.mark.parametrize("key,value", [("rho", 5), ("rho", -1), ("seed", -1)],
                              ids=["rho-above-block-side", "rho-negative", "seed-negative"])
     def test_out_of_range_rho_or_seed_is_range_error(self, rng, tmp_path, key, value):
         witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=3)
-        manifest = save_witness(witness, tmp_path / "bundle")
+        manifest = save_bundle(witness, tmp_path / "bundle")
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
         with pytest.raises(RangeError):
             load_witness(tmp_path / "bundle")
 
     @pytest.mark.parametrize("rows,cols,k,rho", [(8, 8, 2, 0), (12, 8, 2, 3), (16, 24, 4, 2)],
                              ids=["rho-zero", "tall-blocks", "wide-blocks-k4"])
-    def test_bundle_is_four_files_and_roundtrips_bitwise(self, rng, tmp_path, rows, cols, k, rho):
+    def test_bundle_is_three_files_and_roundtrips_bitwise(self, rng, tmp_path, rows, cols, k, rho):
         witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho=rho, seed=41)
-        save_witness(witness, tmp_path / "bundle")
+        save_bundle(witness, tmp_path / "bundle")
         assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
-            "coefficients.mat", "plan.json", "target.mat", "witness.json"]
+            "coefficients.mat", "target.mat", "witness.json"]
         stored = load_matrix(tmp_path / "bundle" / "coefficients.mat").data
         assert stored.tobytes() == np.concatenate(list(witness.coefficient_stack)).tobytes()
         loaded = load_witness(tmp_path / "bundle")
@@ -550,3 +559,41 @@ class TestWitnessFiles:
         (bundle / "witness.json").write_text(json.dumps({"format": "OTHER", "version": 1}))
         with pytest.raises(FormatError):
             load_witness(bundle)
+
+    def test_manifest_pins_the_plan_by_relative_path_and_hash(self, rng, tmp_path):
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=43)
+        manifest = json.loads(save_bundle(witness, tmp_path / "bundle").read_text())
+        assert manifest["plan_path"] == "../plan.json"
+        assert manifest["plan_hash"] == sha256_file(tmp_path / "plan.json")
+        assert "plan" not in manifest and "target_rank" not in manifest
+        assert manifest["reordered_target_rank"] == witness.reordered_target_rank
+
+    def test_edited_plan_is_a_stale_pairing(self, rng, tmp_path):
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=53)
+        save_bundle(witness, tmp_path / "bundle")
+        save_plan(witness.plan, tmp_path / "plan.json", source_hash="rebuilt")
+        with pytest.raises(ConfigurationError, match="stale pairing"):
+            load_witness(tmp_path / "bundle")
+
+    def test_bundle_pinned_to_another_plan_is_refused(self, rng, tmp_path):
+        """The hash matches the file named, but that file is not the witness's plan."""
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=59)
+        other = tmp_path / "other.json"
+        save_plan(build_plan(random_matrix(rng, 8, 8), 2), other)
+        save_witness(witness, tmp_path / "bundle", plan_path=other)
+        with pytest.raises(FormatError, match="does not match its plan and coefficients"):
+            load_witness(tmp_path / "bundle")
+
+    def test_missing_plan_writes_no_bundle(self, rng, tmp_path):
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=61)
+        with pytest.raises(FileNotFoundError):
+            save_witness(witness, tmp_path / "bundle", plan_path=tmp_path / "absent.json")
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_manifest_versions_refused(self, rng, tmp_path, version):
+        manifest = save_bundle(make_witness(build_plan(random_matrix(rng, 8, 8), 2), 1, 67),
+                               tmp_path / "bundle")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "version": version}))
+        with pytest.raises(FormatError, match=f"unsupported .* version {version}"):
+            load_witness(tmp_path / "bundle")

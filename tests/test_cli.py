@@ -167,13 +167,28 @@ class TestPlanAndAdapter:
             return sha256_file(path)
 
         monkeypatch.setattr("smoa.cli.sha256_file", counting)
-        monkeypatch.setattr("smoa.adapters.sha256_file", counting)
+        monkeypatch.setattr("smoa.preprocess.sha256_file", counting)
         code, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         assert code == 0
         assert calls == [seeded_plan]
         assert payload["plan_hash"] == sha256_file(seeded_plan)
         with open(payload["path"], encoding="utf-8") as handle:
             assert json.load(handle)["plan_hash"] == payload["plan_hash"]
+
+    @pytest.mark.parametrize("kind", ["smoa", "lora"])
+    def test_adapter_stdout_restates_the_envelope(self, workdir, seeded_plan, capsys, kind):
+        """The payload comes from the adapter and its plan pin, and is the
+        line that reading the written envelope back gives."""
+        code = main(["adapter", "--plan", seeded_plan, "--r", "2", "--kind", kind,
+                     "--init", "gaussian", "--quiet"])
+        line = capsys.readouterr().out
+        assert code == 0
+        with open(workdir / "adapter.json", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        expected = {"path": "adapter.json",
+                    "params": load_adapter("adapter.json").trainable_parameters,
+                    **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")}}
+        assert line == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_update_artifact(self, workdir, seeded_plan, capsys):
         _, adapter_payload = run(
@@ -271,6 +286,39 @@ class TestRankCeilingGap:
 
         assert gap_payload["gap"] == pytest.approx(lora_gap(witness, 4), rel=1e-12)
         assert gap_payload["gap"] > 0.0
+
+    def test_witness_in_the_plans_directory_keeps_the_plan(self, workdir, seeded_plan, capsys):
+        """``--dir .`` next to the plan writes three files and leaves the plan,
+        and so every adapter pinned to it, as they were."""
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
+        pristine = Path(seeded_plan).read_bytes()
+        before = set(os.listdir(workdir))
+        code, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--dir", ".",
+                            "--quiet")
+        assert code == 0
+        assert set(os.listdir(workdir)) - before == {"witness.json", "target.mat",
+                                                      "coefficients.mat"}
+        assert Path(seeded_plan).read_bytes() == pristine
+        with open(payload["manifest"], encoding="utf-8") as handle:
+            assert json.load(handle)["plan_path"] == "plan.json"
+        assert load_adapter(adapter["path"]).rho == 1
+        assert run(capsys, "gap", "--witness", payload["dir"], "--r", "2", "--quiet")[0] == 0
+
+    def test_gap_on_a_rebuilt_plan_is_stale(self, workdir, seeded_matrix, seeded_plan, capsys):
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        assert run(capsys, "plan", "--w0", seeded_matrix, "--k", "4", "--quiet")[0] == 0
+        code = main(["gap", "--witness", witness["dir"], "--r", "2", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: stale pairing") and captured.err.count("\n") == 1
+
+    def test_gap_without_its_plan_is_io_error(self, workdir, seeded_plan, capsys):
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        os.remove(seeded_plan)
+        code = main(["gap", "--witness", witness["dir"], "--r", "2", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("io error: ") and "Traceback" not in captured.err
 
     def test_witness_decomposes_target_once(self, workdir, seeded_plan, capsys,
                                             count_decompositions):
@@ -471,8 +519,10 @@ class TestMalformedInput:
         with_field("rho", [2]),
         without("coefficients"),
         with_field("coefficients", ["coefficients.mat"]),
+        without("plan_path"),
+        with_field("plan_hash", None),
     ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients",
-            "coefficients-list"])
+            "coefficients-list", "missing-plan-path", "plan-hash-null"])
     def test_witness(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         edit_json(payload["manifest"], edit)
@@ -507,7 +557,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("artifact", ["adapter", "lora", "witness"])
     def test_version_1_exits_two_on_one_line(self, workdir, seeded_plan, capsys, artifact):
-        """Adapter and witness files are version 2; a version 1 file is refused."""
+        """Adapter files are version 2 and witness manifests version 3; a
+        version 1 file is refused."""
         if artifact == "witness":
             _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
             envelope, argv = payload["manifest"], ["gap", "--witness", payload["dir"], "--r", "2"]
@@ -522,6 +573,17 @@ class TestMalformedInput:
         assert captured.err.startswith("error: unsupported ") and captured.err.count("\n") == 1
         assert "version 1" in captured.err and "Traceback" not in captured.err
         assert not (workdir / "upd").exists()
+
+    def test_witness_version_2_exits_two_on_one_line(self, workdir, seeded_plan, capsys):
+        """A version 2 manifest, which named a plan copy inside its bundle, is refused."""
+        _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        edit_json(payload["manifest"], lambda doc: {**without("plan_path")(doc), "version": 2,
+                                                    "plan": "plan.json"})
+        code = main(["gap", "--witness", payload["dir"], "--r", "2", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: unsupported ") and captured.err.count("\n") == 1
+        assert "version 2" in captured.err
 
     @pytest.mark.parametrize("stack", ["adapter.a.mat", "adapter.b.mat",
                                        "witness/coefficients.mat"])
@@ -810,7 +872,7 @@ class TestExitCodes:
         def fail(_):
             raise OSError("plan unreadable")
 
-        monkeypatch.setattr("smoa.adapters.sha256_file", fail)
+        monkeypatch.setattr("smoa.preprocess.sha256_file", fail)
         code = main(["fit", "--target", seeded_matrix, "--kind", "smoa", "--r", "2",
                      "--plan", seeded_plan, "--max-steps", "5", "--out", "fits", "--quiet"])
         captured = capsys.readouterr()

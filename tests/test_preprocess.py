@@ -1,5 +1,6 @@
 """Reordering plans: score oracle, block anchors, plan file roundtrips."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from smoa import (
     FitProblem,
     FormatError,
     Matrix,
-    Permutation,
     RangeError,
     SmoaAdapter,
     WitnessInstance,
-    apply_permutations,
     build_plan,
     coordinate_scores,
     full_rank_ceiling,
@@ -268,18 +267,19 @@ class TestPlanFiles:
         save_plan(plan, path, source_hash="deadbeef")
         assert json.loads(path.read_text())["source_hash"] == "deadbeef"
 
-    def test_anchor_paths_resolved_relative_to_plan(self, rng, tmp_path):
+    @pytest.mark.parametrize("entry", ["anchor1.mat", "/anchor1.mat"], ids=["relative", "absolute"])
+    def test_anchor_given_as_a_path_refused(self, rng, tmp_path, entry):
+        """A plan holds its anchors inline; a matrix file named in their place,
+        even one that exists, is a malformed anchor entry."""
         plan = build_plan(random_matrix(rng, 4, 4), 2)
         path = tmp_path / "plan.json"
         save_plan(plan, path)
+        save_matrix(plan.anchors[1], tmp_path / "anchor1.mat")
         doc = json.loads(path.read_text())
-        for g, anchor in enumerate(plan.anchors):
-            save_matrix(anchor, tmp_path / f"anchor{g}.mat")
-            doc["anchors"][g] = f"anchor{g}.mat"
+        doc["anchors"][1] = entry
         path.write_text(json.dumps(doc))
-        loaded = load_plan(path)
-        for a, b in zip(loaded.anchors, plan.anchors):
-            assert np.array_equal(a.data, b.data)
+        with pytest.raises(FormatError, match=re.escape(f"plan file {path} anchor 2 is missing")):
+            load_plan(path)
 
     def test_rejects_wrong_format_marker(self, tmp_path):
         path = tmp_path / "plan.json"

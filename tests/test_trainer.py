@@ -27,7 +27,6 @@ from smoa import (
     gradient,
     init_lora,
     init_smoa,
-    load_adapter,
     loss,
     lora_update,
     make_witness,
@@ -35,7 +34,6 @@ from smoa import (
     smoa_update,
     svd,
     tail_energy,
-    update,
 )
 
 from conftest import random_matrix
