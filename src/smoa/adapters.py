@@ -24,12 +24,13 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import envelope_fields, field, read_envelope, write_json
+from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
+                       read_pinned, write_json)
 from .gen import _check_seed, _check_shape
-from .matio import _load_stack, _save_stack, load_matrix
+from .matio import _decode_stack, _encode_stack, decode_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _pinned_plan,
-                         _plan_reference, _scatter_blocks)
+from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
+                         _scatter_blocks)
 
 __all__ = [
     "LoraAdapter",
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 ADAPTER_FORMAT = "SMOA-ADPT"
-ADAPTER_VERSION = 2
+ADAPTER_VERSION = 3
 
 Scheme = Literal["zero-update", "gaussian", "spectral"]
 
@@ -260,63 +261,63 @@ def save_adapter(
     init: AdapterInit | None = None,
     plan_path: str | os.PathLike | None = None,
 ) -> list[Path]:
-    """Write a SMOA-ADPT v2 envelope plus two factor files.
+    """Write a SMOA-ADPT v3 envelope plus two factor files.
 
     The factor files sit next to the envelope: ``<stem>.a.mat`` holds the
     A stack and ``<stem>.b.mat`` the B stack, each one K-block stack file
-    (see :mod:`smoa.matio`); a global adapter's are its two matrices.
-    ``plan_path`` (required for block adapters) is pinned by its path
-    relative to the envelope and its content hash, taken before the first
-    write; :func:`load_adapter` always checks a block adapter's pin.
+    (see :mod:`smoa.matio`); a global adapter's are its two matrices. The
+    envelope pins both (``a``, ``b``) and a block adapter's plan file
+    ``plan_path`` (``plan``, null for a global adapter; see :mod:`smoa.fileutil`).
     Returns the written paths, envelope first.
     """
-    if isinstance(adapter, SmoaAdapter) and plan_path is None:
-        raise ConfigurationError("block adapters need a plan_path to serialize")
-    target = Path(path)
-    return _write_adapter(adapter, target, init or AdapterInit(),
-                          _plan_reference(plan_path, target.parent))
+    target, plan_pin = Path(path), None
+    if isinstance(adapter, SmoaAdapter):
+        if plan_path is None:
+            raise ConfigurationError("block adapters need a plan_path to serialize")
+        plan_pin = pin(plan_path, Path(plan_path).read_bytes(), target.parent)
+    return _write_adapter(adapter, target, init or AdapterInit(), plan_pin)
 
 
-def _write_adapter(adapter: Adapter, target: Path, init: AdapterInit, reference: dict) -> list[Path]:
-    """:func:`save_adapter` past its checks, with the plan ``reference`` taken."""
-    factor_names = [f"{target.stem}.{side}.mat" for side in "ab"]
+def _write_adapter(adapter: Adapter, target: Path, init: AdapterInit,
+                   plan_pin: dict | None) -> list[Path]:
+    """:func:`save_adapter` past its checks, with the plan pin taken."""
+    written = [target, *(target.with_name(f"{target.stem}.{side}.mat") for side in "ab")]
+    payloads = [_encode_stack(stack) for stack in _factor_stacks(adapter)]
     doc = {
         "format": ADAPTER_FORMAT,
         "version": ADAPTER_VERSION,
         **_restated(adapter),
-        **reference,
-        "factors": factor_names,
+        "plan": plan_pin,
+        **{side: pin(p, payload, target.parent)
+           for side, p, payload in zip("ab", written[1:], payloads)},
         "init": {"scheme": init.scheme, "seed": init.seed, "scale": init.scale},
-        "seed": init.seed,
     }
-    written = [target, *(target.parent / name for name in factor_names)]
-    for factor_path, stack in zip(written[1:], _factor_stacks(adapter)):
-        _save_stack(stack, factor_path)
+    for factor_path, payload in zip(written[1:], payloads):
+        atomic_write_bytes(factor_path, payload)
     write_json(target, doc)
     return written
 
 
 def load_adapter(path: str | os.PathLike) -> Adapter:
-    """Read a SMOA-ADPT v2 envelope and its two factor files.
+    """Read a SMOA-ADPT v3 envelope and its two factor files.
 
-    A block adapter's plan is read through its pin, so a plan file whose
-    hash is not the recorded ``plan_hash`` raises :class:`ConfigurationError`.
-    The recorded kind, r, k, rho, d_out and d_in must be what the factors
-    and plan define.
+    Every pinned file (both factor files, and a block adapter's plan) is
+    read once and must hash to its recorded pin, else
+    :class:`ConfigurationError` reports a stale pairing. The recorded kind,
+    r, k, rho, d_out and d_in must be what the factors and plan define.
     """
     target = Path(path)
     what = f"adapter file {target}"
-    doc = read_envelope(target, ADAPTER_FORMAT, ADAPTER_VERSION, what)
+    doc = read_envelope(target.read_bytes(), ADAPTER_FORMAT, ADAPTER_VERSION, what)
     with envelope_fields(what):
-        paths = [target.parent / name for name in field(doc, "factors", list, what, str)]
-        if len(paths) != 2:
-            raise FormatError(f"{what} lists {len(paths)} factor files, expected 2")
         kind = field(doc, "kind", str, what)
         if kind == "lora":
-            adapter: Adapter = LoraAdapter(*(load_matrix(p) for p in paths))
+            a, b = (decode_matrix(read_pinned(doc, side, target.parent, what)[1]) for side in "ab")
+            adapter: Adapter = LoraAdapter(a, b)
         elif kind == "smoa":
-            plan = _pinned_plan(doc, target.parent, what)
-            a, b = (_load_stack(p, plan.k) for p in paths)
+            plan = _decode_plan(*read_pinned(doc, "plan", target.parent, what))
+            a, b = (_decode_stack(*read_pinned(doc, side, target.parent, what), plan.k)
+                    for side in "ab")
             adapter = SmoaAdapter(plan, a.shape[1], a, b)
         else:
             raise FormatError(f"unknown adapter kind {kind!r}")

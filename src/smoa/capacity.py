@@ -25,12 +25,13 @@ import numpy as np
 
 from .adapters import SmoaAdapter
 from .errors import FormatError
-from .fileutil import envelope_fields, field, read_envelope, write_json
+from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
+                       read_pinned, write_json)
 from .gen import _check_seed, _rng
-from .matio import _load_stack, _save_stack, encode_matrix, save_matrix
+from .matio import _decode_stack, _encode_stack, encode_matrix
 from .matrices import Matrix, _frozen_stack
-from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _pinned_plan,
-                         _plan_reference, _scatter_blocks)
+from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
+                         _scatter_blocks)
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 WITNESS_FORMAT = "SMOA-WITNESS"
-WITNESS_VERSION = 3
+WITNESS_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -207,17 +208,25 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
 
 def save_witness(witness: WitnessInstance, directory: str | os.PathLike, *,
                  plan_path: str | os.PathLike) -> Path:
-    """Write a SMOA-WITNESS v3 bundle: manifest, target, the coefficient stack
+    """Write a SMOA-WITNESS v4 bundle: manifest, target, the coefficient stack
     as one K-block stack file (see :mod:`smoa.matio`), and no plan copy.
 
-    The manifest pins the witness's plan file ``plan_path`` as an adapter does,
-    by relative path and hash, and records seed, rho, the target rank and the
-    gap at every budget r = 1..min(d_out, d_in), all read off the witness's
-    one decomposition of its target; each gap equals ``lora_gap(witness, r)``.
-    Nothing is written until the manifest is complete, so a numerical
-    failure or an unreadable plan leaves no partial bundle.
+    The manifest pins the plan file ``plan_path``, the target and the
+    coefficients (see :mod:`smoa.fileutil`) and records seed, rho, the target
+    rank and the gap ``lora_gap(witness, r)`` at every budget r = 1..min(d_out,
+    d_in), all read off one decomposition of the target. Nothing is written
+    until the manifest is complete, so a numerical failure or an unreadable
+    plan leaves no partial bundle.
     """
-    values, base = witness._values, Path(directory)
+    base = Path(directory)
+    return _write_witness(witness, base, pin(plan_path, Path(plan_path).read_bytes(), base))
+
+
+def _write_witness(witness: WitnessInstance, base: Path, plan_pin: dict) -> Path:
+    """:func:`save_witness` with the plan pin taken."""
+    values = witness._values
+    files = {"target": encode_matrix(witness.target),
+             "coefficients": _encode_stack(witness.coefficient_stack)}
     manifest = {
         "format": WITNESS_FORMAT,
         "version": WITNESS_VERSION,
@@ -225,30 +234,30 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike, *,
         "rho": witness.rho,
         "reordered_target_rank": witness.reordered_target_rank,
         "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
-        **_plan_reference(plan_path, base),
-        "target": "target.mat",
-        "coefficients": "coefficients.mat",
+        "plan": plan_pin,
+        **{key: pin(base / f"{key}.mat", payload, base) for key, payload in files.items()},
     }
-    save_matrix(witness.target, base / "target.mat")
-    _save_stack(witness.coefficient_stack, base / "coefficients.mat")
+    for key, payload in files.items():
+        atomic_write_bytes(base / f"{key}.mat", payload)
     write_json(base / "witness.json", manifest)
     return base / "witness.json"
 
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
-    """Rebuild a witness from its pinned plan, coefficients, rho and seed; the
-    stored target must encode to the same bytes as theirs, so a bundle pinned
-    to another plan file is refused. ``rho`` and ``seed`` are JSON integers
-    that :class:`WitnessInstance` bounds, and every C_k has rank at most rho.
-    Recorded ranks and gaps are not read back."""
+    """Rebuild a witness from its pinned plan, coefficients, rho and seed; every
+    pinned file must hash to its pin, and the pinned target must encode to the
+    same bytes as the target the plan and coefficients define. ``rho`` and
+    ``seed`` are JSON integers that :class:`WitnessInstance` bounds, and every
+    C_k has rank at most rho. Recorded ranks and gaps are not read back."""
     base = Path(directory)
     what = f"witness manifest {base / 'witness.json'}"
-    manifest = read_envelope(base / "witness.json", WITNESS_FORMAT, WITNESS_VERSION, what)
+    manifest = read_envelope((base / "witness.json").read_bytes(), WITNESS_FORMAT,
+                             WITNESS_VERSION, what)
     rho, seed = field(manifest, "rho", int, what), field(manifest, "seed", int, what)
     with envelope_fields(what):
-        plan = _pinned_plan(manifest, base, what)
-        stored = (base / field(manifest, "target", str, what)).read_bytes()
-        coefficients = _load_stack(base / field(manifest, "coefficients", str, what), plan.k)
+        plan = _decode_plan(*read_pinned(manifest, "plan", base, what))
+        stored = read_pinned(manifest, "target", base, what)[1]
+        coefficients = _decode_stack(*read_pinned(manifest, "coefficients", base, what), plan.k)
         witness = WitnessInstance(plan, coefficients, rho, seed)
     ranks, _ = _rank_from_values(singular_values(witness.coefficient_stack), plan.block_shape, None)
     if max(ranks) > rho:

@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import (AdapterInit, _restated, _write_adapter, init_lora, init_smoa, load_adapter,
-                       lora_update, save_adapter, smoa_update, update)
-from .capacity import (achieved_rank, load_witness, lora_gap, make_witness, rank_ceiling,
-                       save_witness, smoa_exact_fit)
+                       lora_update, smoa_update, update)
+from .capacity import (_write_witness, achieved_rank, load_witness, lora_gap, make_witness,
+                       rank_ceiling, smoa_exact_fit)
 from .diagnostics import ActivationSample, full_report, save_report
 from .errors import ConfigurationError, DimensionError, FormatError, NumericalError, RangeError
-from .fileutil import field, read_json, sha256_file, write_csv, write_json
+from .fileutil import field, pin, read_json, sha256_bytes, write_csv, write_json
 from .gen import (_check_seed, _check_shape, diagonal_matrix, gaussian_matrix,
                   low_rank_plus_noise, spiked_matrix)
-from .matio import load_matrix, save_matrix
-from .preprocess import (_block_rank, _check_rho, _check_split, _plan_reference, build_plan,
+from .matio import decode_matrix, load_matrix, save_matrix
+from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan, build_plan,
                          load_plan, save_plan)
 from .spectrum import _rank_from_values, singular_values
 from .trainer import FitConfig, FitProblem, fit, save_trace
@@ -74,6 +74,12 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
+def _read_plan(path: str) -> tuple[BlockPlan, bytes]:
+    """The plan file at ``path`` and the bytes it was decoded from, for a pin."""
+    payload = Path(path).read_bytes()
+    return _decode_plan(path, payload), payload
+
+
 def _write_report_artifact(args, name: str, payload: dict, csv_header: list[str], csv_rows: list[list]) -> str:
     out = _out_dir(args)
     if args.format == "csv":
@@ -98,7 +104,7 @@ def cmd_gen(args) -> dict:
     else:  # low-rank-plus-noise
         matrix = low_rank_plus_noise(args.rows, args.cols, args.rank, args.noise, args.seed)
     path = _out_dir(args) / args.name
-    save_matrix(matrix, path)
+    payload = save_matrix(matrix, path)
     _note(args, f"wrote {path}")
     return {
         "path": str(path),
@@ -106,14 +112,14 @@ def cmd_gen(args) -> dict:
         "cols": matrix.cols,
         "kind": kind,
         "seed": args.seed,
-        "hash": sha256_file(path),
+        "hash": sha256_bytes(payload),
     }
 
 
 def cmd_plan(args) -> dict:
-    w0 = load_matrix(args.w0)
-    plan = build_plan(w0, args.k)
-    source_hash = sha256_file(args.w0)
+    payload = Path(args.w0).read_bytes()
+    plan = build_plan(decode_matrix(payload), args.k)
+    source_hash = sha256_bytes(payload)
     path = _out_dir(args) / args.name
     save_plan(plan, path, source_hash=source_hash)
     _note(args, f"wrote {path}")
@@ -129,17 +135,17 @@ def cmd_plan(args) -> dict:
 
 
 def cmd_adapter(args) -> dict:
-    plan = load_plan(args.plan)
+    plan, plan_bytes = _read_plan(args.plan)
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
     if args.kind == "smoa":
         adapter = init_smoa(plan, args.r, init)
     else:
         adapter = init_lora(plan.d_out, plan.d_in, args.r, init)
     path = _out_dir(args) / args.name
-    reference = _plan_reference(args.plan, path.parent)
-    written = _write_adapter(adapter, path, init, reference)
+    plan_pin = pin(args.plan, plan_bytes, path.parent) if args.kind == "smoa" else None
+    written = _write_adapter(adapter, path, init, plan_pin)
     _note(args, f"wrote {len(written)} files under {path.parent}")
-    envelope = {**_restated(adapter), **reference}
+    envelope = {**_restated(adapter), "plan_hash": plan_pin and plan_pin["hash"]}
     return {
         "path": str(path),
         **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")},
@@ -152,14 +158,14 @@ def cmd_update(args) -> dict:
     delta = update(adapter)
     rank = achieved_rank(delta, args.epsilon)
     path = _out_dir(args) / args.name
-    save_matrix(delta, path)
+    payload = save_matrix(delta, path)
     _note(args, f"wrote {path}")
     return {
         "path": str(path),
         "rows": delta.rows,
         "cols": delta.cols,
         "achieved_rank": rank,
-        "hash": sha256_file(path),
+        "hash": sha256_bytes(payload),
     }
 
 
@@ -213,10 +219,10 @@ def cmd_ceiling(args) -> dict:
 
 
 def cmd_witness(args) -> dict:
-    plan = load_plan(args.plan)
+    plan, plan_bytes = _read_plan(args.plan)
     witness = make_witness(plan, args.rho, args.seed)
     directory = _out_dir(args) / args.dir
-    manifest = save_witness(witness, directory, plan_path=args.plan)
+    manifest = _write_witness(witness, directory, pin(args.plan, plan_bytes, directory))
     _note(args, f"wrote witness bundle under {directory}")
     return {
         "dir": str(directory),
@@ -246,7 +252,7 @@ def cmd_fit(args) -> dict:
     """Fit, then write the adapter before the trace and summary; an I/O
     failure on the second write leaves the adapter file in place."""
     target = load_matrix(args.target)
-    plan = load_plan(args.plan) if args.plan is not None else None
+    plan, plan_bytes = _read_plan(args.plan) if args.plan is not None else (None, None)
     problem = FitProblem(target=target, kind=args.kind, r=args.r, plan=plan)
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
     config = FitConfig(step_size=args.step_size, max_steps=args.max_steps, grad_tol=args.grad_tol)
@@ -255,7 +261,8 @@ def cmd_fit(args) -> dict:
     trace_path = out / f"{args.prefix}.trace.csv"
     summary_path = out / f"{args.prefix}.summary.json"
     adapter_path = out / f"{args.prefix}.adapter.json"
-    save_adapter(trace.adapter, adapter_path, init=init, plan_path=args.plan)
+    plan_pin = pin(args.plan, plan_bytes, out) if args.kind == "smoa" else None
+    _write_adapter(trace.adapter, adapter_path, init, plan_pin)
     save_trace(trace, trace_path, summary_path)
     _note(args, f"fit finished after {trace.step_count} steps")
     return {
@@ -311,7 +318,7 @@ def _sweep_seeds(master: int, cell: int, trial: int) -> list[int]:
 
 def cmd_sweep(args) -> dict:
     what = f"sweep spec {args.spec}"
-    spec = read_json(args.spec, what)
+    spec = read_json(Path(args.spec).read_bytes(), what)
     dims, ks, rs = (field(spec, key, list, what, int) for key in ("dims", "ks", "rs"))
     trials, master = field(spec, "trials", int, what), field(spec, "seed", int, what)
     if trials < 1:

@@ -1,9 +1,13 @@
-"""Atomic file writes, content hashing, the text codec for artifact files
-and one exact-type reader for their fields.
+"""Atomic file writes, content hashing, the text codec for artifact files,
+one exact-type reader for their fields and the one pin rule.
 
 Every JSON artifact is written with indent 1 and sorted keys, and every
 CSV float cell is the shortest decimal that parses back to the same
 double.
+
+The pin rule: an artifact names each file it depends on by ``{"path": <relative
+to the artifact>, "hash": <sha256 of the bytes>}``, hashed from the bytes in hand;
+:func:`read_pinned` reads a pinned file once and checks those same bytes.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 
 
 def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
@@ -65,18 +69,16 @@ def sha256_bytes(payload: bytes) -> str:
 
 
 def sha256_file(path: str | os.PathLike) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+    return sha256_bytes(Path(path).read_bytes())
 
 
-def read_json(path: str | os.PathLike, what: str) -> dict:
-    """Parse a file holding one JSON object; ``what`` names it in error
-    messages. Anything else raises :class:`FormatError`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+def read_json(payload: bytes, what: str) -> dict:
+    """Parse strict UTF-8 bytes holding one JSON object; ``what`` names them
+    in error messages. Anything else raises :class:`FormatError`."""
+    try:
+        doc = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
@@ -97,17 +99,34 @@ def field(doc: dict, key: str, kind: type, what: str, item: type | None = None):
     return value
 
 
-def read_envelope(path: str | os.PathLike, fmt: str, version: int, what: str) -> dict:
+def read_envelope(payload: bytes, fmt: str, version: int, what: str) -> dict:
     """Parse a JSON artifact envelope: an object whose ``format`` is
     ``fmt`` and whose ``version`` is the JSON integer ``version``. Anything
     else raises :class:`FormatError`.
     """
-    doc = read_json(path, what)
+    doc = read_json(payload, what)
     if field(doc, "format", str, what) != fmt:
         raise FormatError(f"{what} is not {fmt}: got format {doc['format']!r}")
     if field(doc, "version", int, what) != version:
         raise FormatError(f"unsupported {what} version {doc['version']!r}")
     return doc
+
+
+def pin(path: str | os.PathLike, payload: bytes, directory: str | os.PathLike) -> dict:
+    """The pin by which an artifact in ``directory`` names ``path``, holding ``payload``."""
+    return {"path": os.path.relpath(path, directory), "hash": sha256_bytes(payload)}
+
+
+def read_pinned(doc: dict, key: str, directory: Path, what: str) -> tuple[Path, bytes]:
+    """The path and bytes of the file that ``doc[key]`` pins, read once; bytes whose
+    hash is not the recorded one are a stale pairing (:class:`ConfigurationError`)."""
+    entry, label = field(doc, key, dict, what), f"{what} pin {key!r}"
+    path = directory / field(entry, "path", str, label)
+    recorded, payload = field(entry, "hash", str, label), path.read_bytes()
+    if (current := sha256_bytes(payload)) != recorded:
+        raise ConfigurationError(f"stale pairing: {key} {path} hash {current[:12]}... does "
+                                 f"not match the {recorded[:12]}... recorded in {what}")
+    return path, payload
 
 
 @contextmanager

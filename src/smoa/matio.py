@@ -73,8 +73,11 @@ def decode_matrix(payload: bytes) -> Matrix:
     return Matrix(data)
 
 
-def save_matrix(m: Matrix, path: str | os.PathLike) -> None:
-    atomic_write_bytes(path, encode_matrix(m))
+def save_matrix(m: Matrix, path: str | os.PathLike) -> bytes:
+    """Write ``m`` and return the bytes written, for the caller to hash."""
+    payload = encode_matrix(m)
+    atomic_write_bytes(path, payload)
+    return payload
 
 
 def load_matrix(path: str | os.PathLike) -> Matrix:
@@ -82,15 +85,15 @@ def load_matrix(path: str | os.PathLike) -> Matrix:
         return decode_matrix(handle.read())
 
 
-def _save_stack(stack: np.ndarray, path: str | os.PathLike) -> None:
-    """Write a (K, m, n) stack as one (K*m) x n matrix file."""
+def _encode_stack(stack: np.ndarray) -> bytes:
+    """A (K, m, n) stack encoded as one (K*m) x n matrix."""
     k, m, n = stack.shape
-    save_matrix(Matrix(stack.reshape(k * m, n)), path)
+    return encode_matrix(Matrix(stack.reshape(k * m, n)))
 
 
-def _load_stack(path: str | os.PathLike, k: int) -> np.ndarray:
-    """The (K, m, n) stack a matrix file holds; K must divide its row count."""
-    matrix = load_matrix(path)
+def _decode_stack(path: str | os.PathLike, payload: bytes, k: int) -> np.ndarray:
+    """The (K, m, n) stack held by matrix bytes read from ``path``; K divides the rows."""
+    matrix = decode_matrix(payload)
     if matrix.rows % k:
         raise FormatError(f"{path} holds {matrix.rows} rows, not a stack of {k} equal blocks")
     return matrix.data.reshape(k, matrix.rows // k, matrix.cols)

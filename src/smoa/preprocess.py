@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, RangeError
-from .fileutil import envelope_fields, field, read_envelope, sha256_file, write_json
+from .fileutil import envelope_fields, field, read_envelope, write_json
 from .matio import matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
 from .spectrum import SpectralDecomposition, svd
@@ -197,8 +196,14 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None 
 
 def load_plan(path: str | os.PathLike) -> BlockPlan:
     """Read a SMOA-PLAN v1 file; every anchor is an inline CSV block."""
+    with open(path, "rb") as handle:
+        return _decode_plan(path, handle.read())
+
+
+def _decode_plan(path: str | os.PathLike, payload: bytes) -> BlockPlan:
+    """The plan that the SMOA-PLAN v1 bytes read from ``path`` hold."""
     what = f"plan file {path}"
-    doc = read_envelope(path, PLAN_FORMAT, PLAN_VERSION, what)
+    doc = read_envelope(payload, PLAN_FORMAT, PLAN_VERSION, what)
     with envelope_fields(what):
         anchors = [matrix_from_csv(field(entry, "csv", str, f"{what} anchor {g + 1}"))
                    for g, entry in enumerate(field(doc, "anchors", list, what))]
@@ -212,22 +217,3 @@ def load_plan(path: str | os.PathLike) -> BlockPlan:
             if field(doc, key, list, what) != _intervals_to_file(getattr(plan, key)):
                 raise FormatError(f"plan {key} {doc[key]!r} are not the equal split for k={plan.k}")
         return plan
-
-
-def _plan_reference(plan_path: str | os.PathLike | None, directory: Path) -> dict:
-    """The fields by which an artifact in ``directory`` pins a plan file: its
-    path relative to ``directory`` and its content hash, or nulls without one."""
-    if plan_path is None:
-        return {"plan_path": None, "plan_hash": None}
-    return {"plan_path": os.path.relpath(plan_path, directory), "plan_hash": sha256_file(plan_path)}
-
-
-def _pinned_plan(doc: dict, directory: Path, what: str) -> BlockPlan:
-    """Load the plan that :func:`_plan_reference` pinned in ``doc``; a plan file
-    whose hash is not the recorded one is a stale pairing (:class:`ConfigurationError`)."""
-    plan_file = directory / field(doc, "plan_path", str, what)
-    recorded, current = field(doc, "plan_hash", str, what), sha256_file(plan_file)
-    if current != recorded:
-        raise ConfigurationError(f"stale pairing: plan {plan_file} hash {current[:12]}... does "
-                                 f"not match the {recorded[:12]}... recorded in {what}")
-    return load_plan(plan_file)

@@ -6,7 +6,11 @@ the gate can be read at a glance.
 """
 from __future__ import annotations
 
+import builtins
+import io
+import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,5 +82,37 @@ def count_decompositions(monkeypatch):
         counts.clear()
         result = fn(*args, **kwargs)
         return result, dict(counts)
+
+    return run
+
+
+@pytest.fixture
+def count_reads(monkeypatch):
+    """``run(fn, *args)`` returns ``fn``'s result, how many times it opened
+    each file for reading, and the set of files it wrote, both by resolved
+    path. A write is an ``os.replace`` onto its target, as every atomic
+    write ends; an open of a file descriptor counts as neither."""
+    reads: Counter[Path] = Counter()
+    written: set[Path] = set()
+    real_open, real_replace = io.open, os.replace
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and not set(mode) & set("wax+"):
+            reads[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_replace(src, dst, *args, **kwargs):
+        written.add(Path(dst).resolve())
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "replace", recording_replace)
+
+    def run(fn, *args, **kwargs):
+        reads.clear()
+        written.clear()
+        result = fn(*args, **kwargs)
+        return result, dict(reads), set(written)
 
     return run

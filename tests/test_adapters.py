@@ -304,8 +304,11 @@ class TestAdapterFiles:
         path = tmp_path / "adapter.json"
         save_adapter(lora, path, init=AdapterInit("zero-update", seed=5))
         doc = json.loads(path.read_text())
-        assert doc["format"] == "SMOA-ADPT" and doc["version"] == 2
-        assert doc["factors"] == ["adapter.a.mat", "adapter.b.mat"]
+        assert doc["format"] == "SMOA-ADPT" and doc["version"] == 3
+        for side in "ab":
+            assert doc[side] == {"path": f"adapter.{side}.mat",
+                                 "hash": sha256_file(tmp_path / f"adapter.{side}.mat")}
+        assert doc["plan"] is None and "seed" not in doc
         assert doc["kind"] == "lora" and doc["r"] == 2
         assert doc["d_out"] == 4 and doc["d_in"] == 6
         assert doc["init"] == {"scheme": "zero-update", "seed": 5, "scale": 1.0}
@@ -338,10 +341,10 @@ class TestAdapterFiles:
         path = tmp_path / "adapter.json"
         save_adapter(adapter, path, plan_path=plan_path)
         doc = json.loads(path.read_text())
-        assert doc["plan_hash"] == sha256_file(plan_path)
-        doc["plan_hash"] = None
+        assert doc["plan"] == {"path": "plan.json", "hash": sha256_file(plan_path)}
+        doc["plan"]["hash"] = None
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="plan_hash"):
+        with pytest.raises(FormatError, match="pin 'plan' field 'hash'"):
             load_adapter(path)
 
     def test_load_bounds_rho_by_block_dims(self, rng, tmp_path):
@@ -354,6 +357,8 @@ class TestAdapterFiles:
         save_matrix(random_matrix(rng, 6, 2), tmp_path / "adapter.a.mat")
         save_matrix(random_matrix(rng, 4, 3), tmp_path / "adapter.b.mat")
         doc = json.loads(path.read_text())
+        for side in "ab":  # re-pinned, so the load reaches the rho bound
+            doc[side]["hash"] = sha256_file(tmp_path / f"adapter.{side}.mat")
         path.write_text(json.dumps({**doc, "r": 6, "rho": 3}))
         with pytest.raises(RangeError, match="rho=3 out of range 0..2"):
             load_adapter(path)
@@ -403,12 +408,20 @@ class TestAdapterFiles:
         assert loaded.a.tobytes() == adapter.a.tobytes()
         assert loaded.b.tobytes() == adapter.b.tobytes()
 
-    def test_factor_list_of_three_rejected(self, rng, tmp_path):
+    def test_factor_pin_missing_rejected(self, rng, tmp_path):
         path = tmp_path / "adapter.json"
         save_adapter(init_lora(4, 4, 2, AdapterInit("gaussian")), path)
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "factors": [*doc["factors"], "adapter.a.mat"]}))
-        with pytest.raises(FormatError, match="lists 3 factor files, expected 2"):
+        path.write_text(json.dumps({key: value for key, value in doc.items() if key != "b"}))
+        with pytest.raises(FormatError, match="missing field 'b'"):
+            load_adapter(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_envelope_versions_refused(self, tmp_path, version):
+        path = tmp_path / "adapter.json"
+        save_adapter(init_lora(4, 4, 2, AdapterInit("gaussian")), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
+        with pytest.raises(FormatError, match=f"unsupported .* version {version}"):
             load_adapter(path)
 
     def test_rejects_wrong_format(self, tmp_path):

@@ -1,12 +1,15 @@
 """Property tests: damaged artifacts and sweep specs never crash the CLI.
 
 A pristine set of artifacts (weight matrix, plan, block and global adapter
-envelopes, adapter factor, witness bundle, sweep spec) is built once. Each example damages one file,
-drives ``main`` in process on it, and restores the file. The plan is damaged three times over: as
-read by ``ceiling``, as the plan that the block adapter's hash pins, read by ``update``, and as
-the plan that the witness manifest's hash pins, read by ``gap``.
+envelopes, adapter factor, witness bundle, sweep spec) is built once, with a sibling of each
+pinned file. Each example damages one file, drives ``main`` in process on it, and restores the
+file. The plan is damaged three times over: as read by ``ceiling``, as the plan that the block
+adapter's pin names, read by ``update``, and as the plan that the witness manifest's pin names,
+read by ``gap``. Damaged bytes in a pinned factor or coefficient file are re-pinned, so they
+reach the decoder; a valid sibling swapped in unpinned is a stale pairing.
 """
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -29,13 +32,12 @@ ARTIFACTS = {
     "witness-pinned-plan": ("plan.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
                             PLAN_FIELDS),
     "smoa-adapter": ("adapter.json", ["update", "--adapter", "{root}/adapter.json"],
-                     ("format", "version", "factors", "kind", "plan_path", "plan_hash",
-                      "r", "k", "rho", "d_out", "d_in")),
+                     ("format", "version", "a", "b", "kind", "plan", "r", "k", "rho", "d_out",
+                      "d_in")),
     "lora-adapter": ("lora.json", ["update", "--adapter", "{root}/lora.json"],
-                     ("format", "version", "factors", "kind", "r", "k", "rho", "d_out", "d_in")),
+                     ("format", "version", "a", "b", "kind", "r", "k", "rho", "d_out", "d_in")),
     "witness-manifest": ("witness/witness.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
-                         ("format", "version", "plan_path", "plan_hash", "target", "coefficients",
-                          "rho", "seed")),
+                         ("format", "version", "plan", "target", "coefficients", "rho", "seed")),
     "sweep-spec": ("spec.json", ["sweep", "--spec", "{root}/spec.json"],
                    ("dims", "ks", "rs", "trials", "seed")),
     # binary matrix files: damaged bytes only
@@ -45,8 +47,27 @@ ARTIFACTS = {
                             ["gap", "--witness", "{root}/witness", "--r", "2"], ()),
 }
 
+# binary files whose damaged bytes get re-pinned: the envelope and its pin key
+REPINNED = {"adapter-factor": ("adapter.json", "a"),
+            "witness-coefficient": ("witness/witness.json", "coefficients")}
+
+UPDATE = ["update", "--adapter", "{root}/adapter.json"]
+GAP = ["gap", "--witness", "{root}/witness", "--r", "2"]
+
+# pinned file, a valid same-shape sibling from another artifact, and the command that reads the pin
+SWAPS = {
+    "smoa-a": ("adapter.a.mat", "two.a.mat", UPDATE),
+    "smoa-b": ("adapter.b.mat", "two.b.mat", UPDATE),
+    "lora-a": ("lora.a.mat", "lora2.a.mat", ["update", "--adapter", "{root}/lora.json"]),
+    "lora-b": ("lora.b.mat", "lora2.b.mat", ["update", "--adapter", "{root}/lora.json"]),
+    "witness-target": ("witness/target.mat", "witness2/target.mat", GAP),
+    "witness-coefficients": ("witness/coefficients.mat", "witness2/coefficients.mat", GAP),
+    "adapter-plan": ("plan.json", "plan2.json", UPDATE),
+    "witness-plan": ("plan.json", "plan2.json", GAP),
+}
+
 # written for the record but never read back
-PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "seed"), ("smoa-adapter", "init"),
+PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "init"),
               ("witness-manifest", "gaps"), ("witness-manifest", "reordered_target_rank")]
 
 # integer fields, or lists of them whose first entry is replaced, that a huge
@@ -79,6 +100,16 @@ def root(tmp_path_factory):
         ["adapter", "--plan", str(root / "plan.json"), "--r", "2", "--kind", "lora",
          "--name", "lora.json"],
         ["witness", "--plan", str(root / "plan.json"), "--rho", "1"],
+        # siblings: same shapes, other seeds
+        ["gen", "--rows", "8", "--cols", "8", "--kind", "gaussian", "--seed", "6",
+         "--name", "w2.mat"],
+        ["plan", "--w0", str(root / "w2.mat"), "--k", "2", "--name", "plan2.json"],
+        ["adapter", "--plan", str(root / "plan.json"), "--r", "2", "--init", "gaussian",
+         "--seed", "1", "--name", "two.json"],
+        ["adapter", "--plan", str(root / "plan.json"), "--r", "2", "--kind", "lora",
+         "--init", "gaussian", "--seed", "1", "--name", "lora2.json"],
+        ["witness", "--plan", str(root / "plan.json"), "--rho", "1", "--seed", "1",
+         "--dir", "witness2"],
     ):
         assert quiet_main([*argv, "--out", str(root), "--quiet"])[0] == 0
     (root / "spec.json").write_text(
@@ -86,23 +117,37 @@ def root(tmp_path_factory):
     return root
 
 
-def run_damaged(root, name, payload):
-    """Run the command that reads artifact ``name`` with its file holding
-    ``payload``; return (code, stdout, stderr, files left under --out)."""
-    rel, argv, _ = ARTIFACTS[name]
-    path = root / rel
-    pristine = path.read_bytes()
+def run_with(root, rel, argv, payload, repin=None):
+    """Run ``argv`` with file ``rel`` under ``root`` holding ``payload``; with
+    ``repin = (envelope, key)``, that envelope's pin ``key`` records the hash of
+    ``payload``. Return (code, stdout, stderr, files left under --out)."""
+    edits = {root / rel: payload}
+    if repin is not None:
+        envelope, key = root / repin[0], repin[1]
+        doc = json.loads(envelope.read_text())
+        doc[key]["hash"] = hashlib.sha256(payload).hexdigest()
+        edits[envelope] = json.dumps(doc).encode()
+    pristine = {path: path.read_bytes() for path in edits}
     scratch = Path(tempfile.mkdtemp(dir=root))
     try:
-        path.write_bytes(payload)
+        for path, data in edits.items():
+            path.write_bytes(data)
         out = scratch / "out"
         code, stdout, stderr = quiet_main(
             [a.format(root=root) for a in argv] + ["--out", str(out), "--quiet"])
         written = sorted(p.name for p in out.rglob("*")) if out.exists() else []
         return code, stdout, stderr, written
     finally:
-        path.write_bytes(pristine)
+        for path, data in pristine.items():
+            path.write_bytes(data)
         shutil.rmtree(scratch)
+
+
+def run_damaged(root, name, payload):
+    """Run the command that reads artifact ``name`` with its file holding
+    ``payload``, re-pinned if ``name`` is in ``REPINNED``."""
+    rel, argv, _ = ARTIFACTS[name]
+    return run_with(root, rel, argv, payload, REPINNED.get(name))
 
 
 @st.composite
@@ -182,5 +227,14 @@ class TestDamagedArtifacts:
         assume(payload != pristine)
         pinned = data.draw(st.sampled_from(["pinned-plan", "witness-pinned-plan"]))
         code, stdout, stderr, written = run_damaged(root, pinned, payload)
+        assert (code, stdout, written) == (2, "", [])
+        assert stderr.startswith("error: stale pairing") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(SWAPS))
+    def test_swapped_in_valid_file_is_stale(self, root, name):
+        """A valid file of the right shape from a sibling artifact, copied over
+        a pinned file, is a stale pairing."""
+        rel, sibling, argv = SWAPS[name]
+        code, stdout, stderr, written = run_with(root, rel, argv, (root / sibling).read_bytes())
         assert (code, stdout, written) == (2, "", [])
         assert stderr.startswith("error: stale pairing") and stderr.count("\n") == 1

@@ -492,8 +492,8 @@ class TestWitnessFiles:
         witness = make_witness(plan, rho=1, seed=23)
         save_bundle(witness, tmp_path / "bundle")
         manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
-        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 3
-        assert manifest["coefficients"] == "coefficients.mat"
+        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 4
+        assert manifest["coefficients"]["path"] == "coefficients.mat"
         assert sorted(manifest["gaps"], key=int) == [str(r) for r in range(1, 7)]
         for r in range(1, 7):
             assert manifest["gaps"][str(r)] == pytest.approx(lora_gap(witness, r), rel=1e-12)
@@ -561,11 +561,15 @@ class TestWitnessFiles:
             load_witness(bundle)
 
     def test_manifest_pins_the_plan_by_relative_path_and_hash(self, rng, tmp_path):
+        """So are the target and the coefficients, by the hash of the bytes written."""
         witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=43)
         manifest = json.loads(save_bundle(witness, tmp_path / "bundle").read_text())
-        assert manifest["plan_path"] == "../plan.json"
-        assert manifest["plan_hash"] == sha256_file(tmp_path / "plan.json")
-        assert "plan" not in manifest and "target_rank" not in manifest
+        assert manifest["plan"] == {"path": "../plan.json",
+                                    "hash": sha256_file(tmp_path / "plan.json")}
+        for key in ("target", "coefficients"):
+            assert manifest[key] == {"path": f"{key}.mat",
+                                     "hash": sha256_file(tmp_path / "bundle" / f"{key}.mat")}
+        assert "plan_path" not in manifest and "target_rank" not in manifest
         assert manifest["reordered_target_rank"] == witness.reordered_target_rank
 
     def test_edited_plan_is_a_stale_pairing(self, rng, tmp_path):
@@ -590,7 +594,7 @@ class TestWitnessFiles:
             save_witness(witness, tmp_path / "bundle", plan_path=tmp_path / "absent.json")
         assert not (tmp_path / "bundle").exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_manifest_versions_refused(self, rng, tmp_path, version):
         manifest = save_bundle(make_witness(build_plan(random_matrix(rng, 8, 8), 2), 1, 67),
                                tmp_path / "bundle")

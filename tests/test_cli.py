@@ -159,22 +159,6 @@ class TestPlanAndAdapter:
         assert code == 0
         assert lora_payload["params"] == 2 * smoa_payload["params"]
 
-    def test_adapter_hashes_plan_once(self, workdir, seeded_plan, capsys, monkeypatch):
-        calls = []
-
-        def counting(path):
-            calls.append(str(path))
-            return sha256_file(path)
-
-        monkeypatch.setattr("smoa.cli.sha256_file", counting)
-        monkeypatch.setattr("smoa.preprocess.sha256_file", counting)
-        code, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
-        assert code == 0
-        assert calls == [seeded_plan]
-        assert payload["plan_hash"] == sha256_file(seeded_plan)
-        with open(payload["path"], encoding="utf-8") as handle:
-            assert json.load(handle)["plan_hash"] == payload["plan_hash"]
-
     @pytest.mark.parametrize("kind", ["smoa", "lora"])
     def test_adapter_stdout_restates_the_envelope(self, workdir, seeded_plan, capsys, kind):
         """The payload comes from the adapter and its plan pin, and is the
@@ -187,7 +171,10 @@ class TestPlanAndAdapter:
             envelope = json.load(handle)
         expected = {"path": "adapter.json",
                     "params": load_adapter("adapter.json").trainable_parameters,
-                    **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")}}
+                    "plan_hash": envelope["plan"] and envelope["plan"]["hash"],
+                    **{key: envelope[key] for key in ("kind", "r", "k", "rho")}}
+        if kind == "smoa":
+            assert expected["plan_hash"] == sha256_file(seeded_plan)
         assert line == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_update_artifact(self, workdir, seeded_plan, capsys):
@@ -216,6 +203,34 @@ class TestPlanAndAdapter:
         assert code == 0
         code, _ = run(capsys, "update", "--adapter", adapter_payload["path"], "--quiet")
         assert code == 2
+
+
+class TestFileReads:
+    # command, and the files it reads
+    CHAIN = [
+        (["gen", "--rows", "8", "--cols", "8", "--kind", "gaussian", "--seed", "5"], []),
+        (["plan", "--w0", "matrix.mat", "--k", "2"], ["matrix.mat"]),
+        (["adapter", "--plan", "plan.json", "--r", "2", "--init", "gaussian"], ["plan.json"]),
+        (["update", "--adapter", "adapter.json"],
+         ["adapter.json", "plan.json", "adapter.a.mat", "adapter.b.mat"]),
+        (["witness", "--plan", "plan.json", "--rho", "1"], ["plan.json"]),
+        (["gap", "--witness", "witness", "--r", "2"],
+         ["witness/witness.json", "plan.json", "witness/target.mat", "witness/coefficients.mat"]),
+        (["fit", "--target", "witness/target.mat", "--kind", "smoa", "--r", "2",
+          "--plan", "plan.json", "--max-steps", "5"], ["witness/target.mat", "plan.json"]),
+    ]
+
+    def test_chain_reads_each_input_once(self, workdir, capsys, count_reads):
+        """Each command opens each file it reads exactly once, hashing and
+        decoding the same bytes, and never re-opens a file it wrote."""
+        root = workdir.resolve()
+        for argv, inputs in self.CHAIN:
+            code, reads, written = count_reads(main, [*argv, "--quiet"])
+            assert code == 0, capsys.readouterr().err
+            reads = {str(path.relative_to(root)): n for path, n in reads.items()
+                     if path.is_relative_to(root)}
+            assert reads == dict.fromkeys(inputs, 1), argv[0]
+            assert written and not written & {root / path for path in reads}, argv[0]
 
 
 class TestRankCeilingGap:
@@ -300,7 +315,7 @@ class TestRankCeilingGap:
                                                       "coefficients.mat"}
         assert Path(seeded_plan).read_bytes() == pristine
         with open(payload["manifest"], encoding="utf-8") as handle:
-            assert json.load(handle)["plan_path"] == "plan.json"
+            assert json.load(handle)["plan"]["path"] == "plan.json"
         assert load_adapter(adapter["path"]).rho == 1
         assert run(capsys, "gap", "--witness", payload["dir"], "--r", "2", "--quiet")[0] == 0
 
@@ -474,6 +489,18 @@ def with_field(key, value):
     return lambda doc: {**doc, key: value}
 
 
+def in_pin(key, edit):
+    return lambda doc: {**doc, key: edit(doc[key])}
+
+
+def repin(envelope, key):
+    """Record in ``envelope`` the hash of the file its pin ``key`` names, as
+    that file now is, so a load reads past the pin to the file's content."""
+    base = Path(envelope).parent
+    edit_json(envelope, in_pin(key, lambda entry: {
+        **entry, "hash": sha256_file(base / entry["path"])}))
+
+
 class TestMalformedInput:
     """Damaged artifacts and bad dimensions exit 2 with a one-line error."""
 
@@ -519,8 +546,8 @@ class TestMalformedInput:
         with_field("rho", [2]),
         without("coefficients"),
         with_field("coefficients", ["coefficients.mat"]),
-        without("plan_path"),
-        with_field("plan_hash", None),
+        in_pin("plan", without("path")),
+        in_pin("plan", with_field("hash", None)),
     ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients",
             "coefficients-list", "missing-plan-path", "plan-hash-null"])
     def test_witness(self, workdir, seeded_plan, capsys, edit):
@@ -557,7 +584,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("artifact", ["adapter", "lora", "witness"])
     def test_version_1_exits_two_on_one_line(self, workdir, seeded_plan, capsys, artifact):
-        """Adapter files are version 2 and witness manifests version 3; a
+        """Adapter files are version 3 and witness manifests version 4; a
         version 1 file is refused."""
         if artifact == "witness":
             _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
@@ -577,8 +604,7 @@ class TestMalformedInput:
     def test_witness_version_2_exits_two_on_one_line(self, workdir, seeded_plan, capsys):
         """A version 2 manifest, which named a plan copy inside its bundle, is refused."""
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
-        edit_json(payload["manifest"], lambda doc: {**without("plan_path")(doc), "version": 2,
-                                                    "plan": "plan.json"})
+        edit_json(payload["manifest"], lambda doc: {**doc, "version": 2, "plan": "plan.json"})
         code = main(["gap", "--witness", payload["dir"], "--r", "2", "--quiet"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
@@ -592,8 +618,12 @@ class TestMalformedInput:
         _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         save_matrix(Matrix.ones(3, 4), workdir / stack)
-        argv = (["gap", "--witness", witness["dir"], "--r", "2"] if stack.startswith("witness")
-                else ["update", "--adapter", adapter["path"]])
+        if stack.startswith("witness"):
+            repin(witness["manifest"], "coefficients")
+            argv = ["gap", "--witness", witness["dir"], "--r", "2"]
+        else:
+            repin(adapter["path"], stack.split(".")[1])
+            argv = ["update", "--adapter", adapter["path"]]
         code = main([*argv, "--quiet"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
@@ -604,20 +634,24 @@ class TestMalformedInput:
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         target = Path(payload["dir"]) / "target.mat"
         save_matrix(load_matrix(target) * 2.0, target)
-        self.assert_rejected(capsys, "gap", "--witness", payload["dir"], "--r", "2")
+        repin(payload["manifest"], "target")
+        code = main(["gap", "--witness", payload["dir"], "--r", "2", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith("does not match its plan and coefficients\n")
 
     @pytest.mark.parametrize("edit", [
         without("r"),
         lambda doc: [doc],
-        with_field("factors", 4),
+        with_field("b", 4),
         with_field("rho", None),
         with_field("rho", 1.5),
         with_field("r", "2"),
         with_field("k", "x"),
         with_field("d_in", 99),
-        with_field("plan_hash", None),
-        with_field("factors", "ab"),
-    ], ids=["missing-r", "json-list", "factors-not-a-list", "rho-null", "rho-float",
+        in_pin("plan", with_field("hash", None)),
+        with_field("a", "adapter.a.mat"),
+    ], ids=["missing-r", "json-list", "factor-pin-a-number", "rho-null", "rho-float",
             "r-string", "k-string", "d-in-not-the-plan's", "plan-hash-null", "factors-string"])
     def test_adapter(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
@@ -693,6 +727,8 @@ class TestMalformedInput:
         # two blocks of A_k (rho x 2) and of B_k (2 x rho), each stacked by rows
         save_matrix(Matrix.ones(6, 2), workdir / "adapter.a.mat")
         save_matrix(Matrix.ones(4, 3), workdir / "adapter.b.mat")
+        repin(payload["path"], "a")
+        repin(payload["path"], "b")
         edit_json(payload["path"], lambda doc: {**doc, "r": 6, "rho": 3})
         self.assert_rejected(capsys, "update", "--adapter", payload["path"], "--out", "upd")
         assert not (workdir / "upd").exists()
@@ -869,10 +905,15 @@ class TestExitCodes:
 
     def test_fit_unhashable_plan_writes_nothing(self, workdir, seeded_matrix, seeded_plan,
                                                 capsys, monkeypatch):
-        def fail(_):
-            raise OSError("plan unreadable")
+        """The one read of the plan, whose bytes are both decoded and pinned, fails."""
+        read_bytes = Path.read_bytes
 
-        monkeypatch.setattr("smoa.preprocess.sha256_file", fail)
+        def fail(path):
+            if str(path) == seeded_plan:
+                raise OSError("plan unreadable")
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", fail)
         code = main(["fit", "--target", seeded_matrix, "--kind", "smoa", "--r", "2",
                      "--plan", seeded_plan, "--max-steps", "5", "--out", "fits", "--quiet"])
         captured = capsys.readouterr()

@@ -166,12 +166,13 @@ class TestTextCodec:
         assert path.read_text() == (
             '{\n "a": {\n  "x": true,\n  "y": null\n },\n "b": [\n  1,\n  0.1\n ]\n}\n'
         )
-        assert read_json(path, "doc") == {"a": {"x": True, "y": None}, "b": [1, 0.1]}
+        assert read_json(path.read_bytes(), "doc") == {"a": {"x": True, "y": None}, "b": [1, 0.1]}
 
-    @pytest.mark.parametrize("payload", [b"[1, 2]", b"{", b"\xff\xfe{"],
-                             ids=["json-list", "truncated", "not-utf8"])
-    def test_read_json_rejects(self, tmp_path, payload):
-        path = tmp_path / "d.json"
-        path.write_bytes(payload)
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b"{", b"\xff\xfe{", b'"\xed\xa0\x80"',
+                                         '{"a": 1}'.encode("utf-16")],
+                             ids=["json-list", "truncated", "not-utf8", "lone-surrogate",
+                                  "utf-16"])
+    def test_read_json_rejects(self, payload):
+        """Bytes are strict UTF-8: no UTF-16 or UTF-32 guess, no encoded surrogate."""
         with pytest.raises(FormatError, match="^doc "):
-            read_json(path, "doc")
+            read_json(payload, "doc")
