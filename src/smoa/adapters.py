@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
 from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
-                       read_pinned, write_json)
+                       read_pinned, sha256_bytes, write_json)
 from .gen import _check_seed, _check_shape
 from .matio import _decode_stack, _encode_stack, decode_matrix
 from .matrices import Matrix, _frozen_stack
 from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
-                         _scatter_blocks)
+                         _plan_pin, _scatter_blocks)
 
 __all__ = [
     "LoraAdapter",
@@ -254,33 +254,21 @@ def _restated(adapter: Adapter) -> dict:
             "d_out": adapter.d_out, "d_in": adapter.d_in}
 
 
-def save_adapter(
-    adapter: Adapter,
-    path: str | os.PathLike,
-    *,
-    init: AdapterInit | None = None,
-    plan_path: str | os.PathLike | None = None,
-) -> list[Path]:
+def save_adapter(adapter: Adapter, path: str | os.PathLike, *,
+                 init: AdapterInit | None = None) -> list[Path]:
     """Write a SMOA-ADPT v3 envelope plus two factor files.
 
     The factor files sit next to the envelope: ``<stem>.a.mat`` holds the
     A stack and ``<stem>.b.mat`` the B stack, each one K-block stack file
     (see :mod:`smoa.matio`); a global adapter's are its two matrices. The
-    envelope pins both (``a``, ``b``) and a block adapter's plan file
-    ``plan_path`` (``plan``, null for a global adapter; see :mod:`smoa.fileutil`).
-    Returns the written paths, envelope first.
+    envelope pins both (``a``, ``b``) and a block adapter's plan by its
+    ``file`` (``plan``, null for a global adapter; see :mod:`smoa.fileutil`).
+    A block adapter whose plan has no file raises :class:`ConfigurationError`
+    and writes nothing. Returns the written paths, envelope first.
     """
-    target, plan_pin = Path(path), None
-    if isinstance(adapter, SmoaAdapter):
-        if plan_path is None:
-            raise ConfigurationError("block adapters need a plan_path to serialize")
-        plan_pin = pin(plan_path, Path(plan_path).read_bytes(), target.parent)
-    return _write_adapter(adapter, target, init or AdapterInit(), plan_pin)
-
-
-def _write_adapter(adapter: Adapter, target: Path, init: AdapterInit,
-                   plan_pin: dict | None) -> list[Path]:
-    """:func:`save_adapter` past its checks, with the plan pin taken."""
+    target = Path(path)
+    plan_pin = _plan_pin(adapter.plan, target.parent) if isinstance(adapter, SmoaAdapter) else None
+    init = init or AdapterInit()
     written = [target, *(target.with_name(f"{target.stem}.{side}.mat") for side in "ab")]
     payloads = [_encode_stack(stack) for stack in _factor_stacks(adapter)]
     doc = {
@@ -288,7 +276,7 @@ def _write_adapter(adapter: Adapter, target: Path, init: AdapterInit,
         "version": ADAPTER_VERSION,
         **_restated(adapter),
         "plan": plan_pin,
-        **{side: pin(p, payload, target.parent)
+        **{side: pin(p, sha256_bytes(payload), target.parent)
            for side, p, payload in zip("ab", written[1:], payloads)},
         "init": {"scheme": init.scheme, "seed": init.seed, "scale": init.scale},
     }
@@ -316,7 +304,7 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
             adapter: Adapter = LoraAdapter(a, b)
         elif kind == "smoa":
             plan = _decode_plan(*read_pinned(doc, "plan", target.parent, what))
-            a, b = (_decode_stack(*read_pinned(doc, side, target.parent, what), plan.k)
+            a, b = (_decode_stack(*read_pinned(doc, side, target.parent, what)[:2], plan.k)
                     for side in "ab")
             adapter = SmoaAdapter(plan, a.shape[1], a, b)
         else:

@@ -26,12 +26,12 @@ import numpy as np
 from .adapters import SmoaAdapter
 from .errors import FormatError
 from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
-                       read_pinned, write_json)
+                       read_pinned, sha256_bytes, write_json)
 from .gen import _check_seed, _rng
 from .matio import _decode_stack, _encode_stack, encode_matrix
 from .matrices import Matrix, _frozen_stack
 from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
-                         _scatter_blocks)
+                         _plan_pin, _scatter_blocks)
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
@@ -206,24 +206,19 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
     return _tail_from_values(witness._values, r)  # empty past the last value
 
 
-def save_witness(witness: WitnessInstance, directory: str | os.PathLike, *,
-                 plan_path: str | os.PathLike) -> Path:
+def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path:
     """Write a SMOA-WITNESS v4 bundle: manifest, target, the coefficient stack
     as one K-block stack file (see :mod:`smoa.matio`), and no plan copy.
 
-    The manifest pins the plan file ``plan_path``, the target and the
+    The manifest pins the witness plan's ``file``, the target and the
     coefficients (see :mod:`smoa.fileutil`) and records seed, rho, the target
     rank and the gap ``lora_gap(witness, r)`` at every budget r = 1..min(d_out,
     d_in), all read off one decomposition of the target. Nothing is written
-    until the manifest is complete, so a numerical failure or an unreadable
-    plan leaves no partial bundle.
+    until the manifest is complete, so a numerical failure or a plan with no
+    file (:class:`ConfigurationError`) leaves no partial bundle.
     """
     base = Path(directory)
-    return _write_witness(witness, base, pin(plan_path, Path(plan_path).read_bytes(), base))
-
-
-def _write_witness(witness: WitnessInstance, base: Path, plan_pin: dict) -> Path:
-    """:func:`save_witness` with the plan pin taken."""
+    plan_pin = _plan_pin(witness.plan, base)
     values = witness._values
     files = {"target": encode_matrix(witness.target),
              "coefficients": _encode_stack(witness.coefficient_stack)}
@@ -235,7 +230,8 @@ def _write_witness(witness: WitnessInstance, base: Path, plan_pin: dict) -> Path
         "reordered_target_rank": witness.reordered_target_rank,
         "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
         "plan": plan_pin,
-        **{key: pin(base / f"{key}.mat", payload, base) for key, payload in files.items()},
+        **{key: pin(base / f"{key}.mat", sha256_bytes(payload), base)
+           for key, payload in files.items()},
     }
     for key, payload in files.items():
         atomic_write_bytes(base / f"{key}.mat", payload)
@@ -257,7 +253,8 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     with envelope_fields(what):
         plan = _decode_plan(*read_pinned(manifest, "plan", base, what))
         stored = read_pinned(manifest, "target", base, what)[1]
-        coefficients = _decode_stack(*read_pinned(manifest, "coefficients", base, what), plan.k)
+        coefficients = _decode_stack(*read_pinned(manifest, "coefficients", base, what)[:2],
+                                     plan.k)
         witness = WitnessInstance(plan, coefficients, rho, seed)
     ranks, _ = _rank_from_values(singular_values(witness.coefficient_stack), plan.block_shape, None)
     if max(ranks) > rho:

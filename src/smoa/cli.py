@@ -21,18 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (AdapterInit, _restated, _write_adapter, init_lora, init_smoa, load_adapter,
-                       lora_update, smoa_update, update)
-from .capacity import (_write_witness, achieved_rank, load_witness, lora_gap, make_witness,
-                       rank_ceiling, smoa_exact_fit)
+from .adapters import (AdapterInit, _restated, init_lora, init_smoa, load_adapter,
+                       lora_update, save_adapter, smoa_update, update)
+from .capacity import (achieved_rank, load_witness, lora_gap, make_witness, rank_ceiling,
+                       save_witness, smoa_exact_fit)
 from .diagnostics import ActivationSample, full_report, save_report
 from .errors import ConfigurationError, DimensionError, FormatError, NumericalError, RangeError
-from .fileutil import field, pin, read_json, sha256_bytes, write_csv, write_json
+from .fileutil import field, read_json, sha256_bytes, write_csv, write_json
 from .gen import (_check_seed, _check_shape, diagonal_matrix, gaussian_matrix,
                   low_rank_plus_noise, spiked_matrix)
 from .matio import decode_matrix, load_matrix, save_matrix
-from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan, build_plan,
-                         load_plan, save_plan)
+from .preprocess import _block_rank, _check_rho, _check_split, build_plan, load_plan, save_plan
 from .spectrum import _rank_from_values, singular_values
 from .trainer import FitConfig, FitProblem, fit, save_trace
 
@@ -72,12 +71,6 @@ def _parse_values(text: str) -> list[float]:
     if not np.isfinite(values).all():
         raise ConfigurationError(f"--values must be finite, got {text!r}")
     return values
-
-
-def _read_plan(path: str) -> tuple[BlockPlan, bytes]:
-    """The plan file at ``path`` and the bytes it was decoded from, for a pin."""
-    payload = Path(path).read_bytes()
-    return _decode_plan(path, payload), payload
 
 
 def _write_report_artifact(args, name: str, payload: dict, csv_header: list[str], csv_rows: list[list]) -> str:
@@ -135,17 +128,16 @@ def cmd_plan(args) -> dict:
 
 
 def cmd_adapter(args) -> dict:
-    plan, plan_bytes = _read_plan(args.plan)
+    plan = load_plan(args.plan)
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
     if args.kind == "smoa":
         adapter = init_smoa(plan, args.r, init)
     else:
         adapter = init_lora(plan.d_out, plan.d_in, args.r, init)
     path = _out_dir(args) / args.name
-    plan_pin = pin(args.plan, plan_bytes, path.parent) if args.kind == "smoa" else None
-    written = _write_adapter(adapter, path, init, plan_pin)
+    written = save_adapter(adapter, path, init=init)
     _note(args, f"wrote {len(written)} files under {path.parent}")
-    envelope = {**_restated(adapter), "plan_hash": plan_pin and plan_pin["hash"]}
+    envelope = {**_restated(adapter), "plan_hash": plan.file[1] if args.kind == "smoa" else None}
     return {
         "path": str(path),
         **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")},
@@ -219,10 +211,9 @@ def cmd_ceiling(args) -> dict:
 
 
 def cmd_witness(args) -> dict:
-    plan, plan_bytes = _read_plan(args.plan)
-    witness = make_witness(plan, args.rho, args.seed)
+    witness = make_witness(load_plan(args.plan), args.rho, args.seed)
     directory = _out_dir(args) / args.dir
-    manifest = _write_witness(witness, directory, pin(args.plan, plan_bytes, directory))
+    manifest = save_witness(witness, directory)
     _note(args, f"wrote witness bundle under {directory}")
     return {
         "dir": str(directory),
@@ -252,7 +243,7 @@ def cmd_fit(args) -> dict:
     """Fit, then write the adapter before the trace and summary; an I/O
     failure on the second write leaves the adapter file in place."""
     target = load_matrix(args.target)
-    plan, plan_bytes = _read_plan(args.plan) if args.plan is not None else (None, None)
+    plan = load_plan(args.plan) if args.plan is not None else None
     problem = FitProblem(target=target, kind=args.kind, r=args.r, plan=plan)
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
     config = FitConfig(step_size=args.step_size, max_steps=args.max_steps, grad_tol=args.grad_tol)
@@ -261,8 +252,7 @@ def cmd_fit(args) -> dict:
     trace_path = out / f"{args.prefix}.trace.csv"
     summary_path = out / f"{args.prefix}.summary.json"
     adapter_path = out / f"{args.prefix}.adapter.json"
-    plan_pin = pin(args.plan, plan_bytes, out) if args.kind == "smoa" else None
-    _write_adapter(trace.adapter, adapter_path, init, plan_pin)
+    save_adapter(trace.adapter, adapter_path, init=init)
     save_trace(trace, trace_path, summary_path)
     _note(args, f"fit finished after {trace.step_count} steps")
     return {

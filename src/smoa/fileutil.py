@@ -6,8 +6,8 @@ CSV float cell is the shortest decimal that parses back to the same
 double.
 
 The pin rule: an artifact names each file it depends on by ``{"path": <relative
-to the artifact>, "hash": <sha256 of the bytes>}``, hashed from the bytes in hand;
-:func:`read_pinned` reads a pinned file once and checks those same bytes.
+to the artifact>, "hash": <sha256 of the bytes>}``, hashed from the bytes written or
+read; :func:`read_pinned` reads a pinned file once and checks those same bytes.
 """
 from __future__ import annotations
 
@@ -46,8 +46,11 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_json(path: str | os.PathLike, doc) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+def write_json(path: str | os.PathLike, doc) -> bytes:
+    """Write ``doc`` and return the bytes written, for the caller to hash."""
+    payload = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    atomic_write_bytes(path, payload)
+    return payload
 
 
 def csv_text(rows) -> str:
@@ -112,21 +115,21 @@ def read_envelope(payload: bytes, fmt: str, version: int, what: str) -> dict:
     return doc
 
 
-def pin(path: str | os.PathLike, payload: bytes, directory: str | os.PathLike) -> dict:
-    """The pin by which an artifact in ``directory`` names ``path``, holding ``payload``."""
-    return {"path": os.path.relpath(path, directory), "hash": sha256_bytes(payload)}
+def pin(path: str | os.PathLike, digest: str, directory: str | os.PathLike) -> dict:
+    """The pin by which an artifact in ``directory`` names ``path``, whose bytes hash to ``digest``."""
+    return {"path": os.path.relpath(path, directory), "hash": digest}
 
 
-def read_pinned(doc: dict, key: str, directory: Path, what: str) -> tuple[Path, bytes]:
-    """The path and bytes of the file that ``doc[key]`` pins, read once; bytes whose
-    hash is not the recorded one are a stale pairing (:class:`ConfigurationError`)."""
+def read_pinned(doc: dict, key: str, directory: Path, what: str) -> tuple[Path, bytes, str]:
+    """The path, bytes and hash of the file that ``doc[key]`` pins, read once; bytes
+    whose hash is not the recorded one are a stale pairing (:class:`ConfigurationError`)."""
     entry, label = field(doc, key, dict, what), f"{what} pin {key!r}"
     path = directory / field(entry, "path", str, label)
     recorded, payload = field(entry, "hash", str, label), path.read_bytes()
     if (current := sha256_bytes(payload)) != recorded:
         raise ConfigurationError(f"stale pairing: {key} {path} hash {current[:12]}... does "
                                  f"not match the {recorded[:12]}... recorded in {what}")
-    return path, payload
+    return path, payload, current
 
 
 @contextmanager

@@ -16,12 +16,13 @@ coordinate with no spectral energy scores m + 1 and sorts last.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, RangeError
-from .fileutil import envelope_fields, field, read_envelope, write_json
+from .fileutil import envelope_fields, field, pin, read_envelope, sha256_bytes, write_json
 from .matio import matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
 from .spectrum import SpectralDecomposition, svd
@@ -49,12 +50,17 @@ class BlockPlan:
     ``anchor_stack`` holds a copy of each block; ``anchors`` views it as
     matrices. ``row_intervals`` and ``col_intervals`` state the layout as
     0-based half-open ``(start, stop)`` pairs on the reordered axes.
+
+    ``file`` is ``(path, sha256)`` of the SMOA-PLAN file the plan was saved to
+    or read from, the file an adapter or witness over it pins; ``None`` for a
+    plan that :func:`build_plan` just derived. It defines nothing else.
     """
 
     k: int
     p_out: Permutation
     p_in: Permutation
     anchor_stack: np.ndarray
+    file: tuple[str, str] | None = dataclass_field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         _check_split(self.k, self.d_out, self.d_in)
@@ -174,8 +180,10 @@ def _intervals_to_file(intervals: tuple[tuple[int, int], ...]) -> list[list[int]
     return [[start + 1, stop] for start, stop in intervals]
 
 
-def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None = None) -> None:
-    """Write a plan as SMOA-PLAN v1 JSON with inline anchor CSV blocks.
+def save_plan(plan: BlockPlan, path: str | os.PathLike,
+              source_hash: str | None = None) -> BlockPlan:
+    """Write a plan as SMOA-PLAN v1 JSON with inline anchor CSV blocks, and
+    return it with ``file`` naming the bytes written.
 
     ``source_hash`` records the content hash of the weight file the plan
     was built from, when the caller has one.
@@ -191,17 +199,18 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike, source_hash: str | None 
         "anchors": [{"csv": matrix_to_csv(anchor)} for anchor in plan.anchors],
         "source_hash": source_hash,
     }
-    write_json(path, doc)
+    return replace(plan, file=(os.path.abspath(path), sha256_bytes(write_json(path, doc))))
 
 
 def load_plan(path: str | os.PathLike) -> BlockPlan:
     """Read a SMOA-PLAN v1 file; every anchor is an inline CSV block."""
-    with open(path, "rb") as handle:
-        return _decode_plan(path, handle.read())
+    payload = Path(path).read_bytes()
+    return _decode_plan(path, payload, sha256_bytes(payload))
 
 
-def _decode_plan(path: str | os.PathLike, payload: bytes) -> BlockPlan:
-    """The plan that the SMOA-PLAN v1 bytes read from ``path`` hold."""
+def _decode_plan(path: str | os.PathLike, payload: bytes, digest: str) -> BlockPlan:
+    """The plan held by SMOA-PLAN v1 bytes read from ``path``; their hash ``digest``
+    is taken once by the caller and kept in the plan's ``file``."""
     what = f"plan file {path}"
     doc = read_envelope(payload, PLAN_FORMAT, PLAN_VERSION, what)
     with envelope_fields(what):
@@ -212,8 +221,17 @@ def _decode_plan(path: str | os.PathLike, payload: bytes) -> BlockPlan:
             p_out=Permutation.from_one_based(field(doc, "p_out", list, what, int)),
             p_in=Permutation.from_one_based(field(doc, "p_in", list, what, int)),
             anchor_stack=anchors,
+            file=(os.path.abspath(path), digest),
         )
         for key in ("row_intervals", "col_intervals"):
             if field(doc, key, list, what) != _intervals_to_file(getattr(plan, key)):
                 raise FormatError(f"plan {key} {doc[key]!r} are not the equal split for k={plan.k}")
         return plan
+
+
+def _plan_pin(plan: BlockPlan, directory: str | os.PathLike) -> dict:
+    """The pin by which an artifact in ``directory`` names the file ``plan`` came from."""
+    if plan.file is None:
+        raise ConfigurationError("a plan pinned by an adapter or witness must come from a file: "
+                                 "save_plan or load_plan it first")
+    return pin(*plan.file, directory)

@@ -287,17 +287,26 @@ class TestAdapterFiles:
         assert np.array_equal(loaded.b.data, lora.b.data)
 
     def test_smoa_roundtrip_with_plan(self, rng, tmp_path):
-        w = random_matrix(rng, 6, 6)
-        plan = build_plan(w, 2)
-        plan_path = tmp_path / "plan.json"
-        save_plan(plan, plan_path)
+        plan = save_plan(build_plan(random_matrix(rng, 6, 6), 2), tmp_path / "plan.json")
         adapter = init_smoa(plan, 4, AdapterInit("gaussian", seed=8))
         path = tmp_path / "adapter.json"
-        save_adapter(adapter, path, plan_path=plan_path)
+        save_adapter(adapter, path)
         loaded = load_adapter(path)
         assert isinstance(loaded, SmoaAdapter)
         assert loaded.rho == 2 and loaded.plan.k == 2
         assert_array_equal(smoa_update(loaded).data, smoa_update(adapter).data)
+
+    def test_adapter_pins_the_file_its_plan_came_from(self, rng, tmp_path):
+        """Saved in another directory, a block adapter pins its plan's file by
+        relative path and hash, and reloads to the same update bytes."""
+        plan_path = tmp_path / "plans" / "plan.json"
+        plan = save_plan(build_plan(random_matrix(rng, 8, 8), 2), plan_path)
+        adapter = init_smoa(plan, 4, AdapterInit("gaussian", seed=3))
+        path = tmp_path / "adapters" / "adapter.json"
+        save_adapter(adapter, path)
+        assert json.loads(path.read_text())["plan"] == {"path": "../plans/plan.json",
+                                                       "hash": sha256_file(plan_path)}
+        assert smoa_update(load_adapter(path)).data.tobytes() == smoa_update(adapter).data.tobytes()
 
     def test_envelope_fields(self, rng, tmp_path):
         lora = init_lora(4, 6, 2, AdapterInit("zero-update", seed=5))
@@ -313,20 +322,22 @@ class TestAdapterFiles:
         assert doc["d_out"] == 4 and doc["d_in"] == 6
         assert doc["init"] == {"scheme": "zero-update", "seed": 5, "scale": 1.0}
 
-    def test_smoa_requires_plan_path(self, rng, tmp_path):
+    def test_smoa_plan_without_file_writes_nothing(self, rng, tmp_path):
+        """A block adapter pins the file its plan came from; a plan just
+        built has none, so the save refuses before writing."""
         plan = build_plan(random_matrix(rng, 4, 4), 2)
+        assert plan.file is None
         adapter = init_smoa(plan, 2, AdapterInit("gaussian"))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="must come from a file"):
             save_adapter(adapter, tmp_path / "adapter.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_stale_plan_hash_rejected(self, rng, tmp_path):
-        w = random_matrix(rng, 4, 4)
-        plan = build_plan(w, 2)
         plan_path = tmp_path / "plan.json"
-        save_plan(plan, plan_path)
+        plan = save_plan(build_plan(random_matrix(rng, 4, 4), 2), plan_path)
         adapter = init_smoa(plan, 2, AdapterInit("gaussian", seed=4))
         path = tmp_path / "adapter.json"
-        save_adapter(adapter, path, plan_path=plan_path)
+        save_adapter(adapter, path)
         # regenerate the plan from a different matrix: hash changes
         save_plan(build_plan(random_matrix(rng, 4, 4), 2), plan_path)
         with pytest.raises(ConfigurationError, match="stale"):
@@ -334,12 +345,11 @@ class TestAdapterFiles:
 
     def test_missing_hash_skips_staleness_check(self, rng, tmp_path):
         """No longer skipped: a block adapter without a plan hash is rejected."""
-        plan = build_plan(random_matrix(rng, 4, 4), 2)
         plan_path = tmp_path / "plan.json"
-        save_plan(plan, plan_path)
+        plan = save_plan(build_plan(random_matrix(rng, 4, 4), 2), plan_path)
         adapter = init_smoa(plan, 2, AdapterInit("gaussian"))
         path = tmp_path / "adapter.json"
-        save_adapter(adapter, path, plan_path=plan_path)
+        save_adapter(adapter, path)
         doc = json.loads(path.read_text())
         assert doc["plan"] == {"path": "plan.json", "hash": sha256_file(plan_path)}
         doc["plan"]["hash"] = None
@@ -349,10 +359,9 @@ class TestAdapterFiles:
 
     def test_load_bounds_rho_by_block_dims(self, rng, tmp_path):
         """A hand-saved rho = 3 adapter over 2x2 blocks is refused on load."""
-        plan = build_plan(random_matrix(rng, 4, 4), 2)
-        plan_path, path = tmp_path / "plan.json", tmp_path / "adapter.json"
-        save_plan(plan, plan_path)
-        save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path, plan_path=plan_path)
+        plan = save_plan(build_plan(random_matrix(rng, 4, 4), 2), tmp_path / "plan.json")
+        path = tmp_path / "adapter.json"
+        save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path)
         # two blocks of A_k (rho x 2) and of B_k (2 x rho), each stacked by rows
         save_matrix(random_matrix(rng, 6, 2), tmp_path / "adapter.a.mat")
         save_matrix(random_matrix(rng, 4, 3), tmp_path / "adapter.b.mat")
@@ -376,11 +385,9 @@ class TestAdapterFiles:
     def test_resave_with_fewer_factors_leaves_no_orphans(self, rng, tmp_path):
         """Whatever K is, a save writes exactly two factor files, so a re-save
         over a K = 4 adapter leaves exactly two."""
-        plan = build_plan(random_matrix(rng, 8, 8), 4)
-        plan_path = tmp_path / "plan.json"
-        save_plan(plan, plan_path)
+        plan = save_plan(build_plan(random_matrix(rng, 8, 8), 4), tmp_path / "plan.json")
         path = tmp_path / "adapter.json"
-        save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path, plan_path=plan_path)
+        save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path)
         assert sorted(p.name for p in tmp_path.glob("adapter.*.mat")) == [
             "adapter.a.mat", "adapter.b.mat",
         ]
@@ -395,11 +402,10 @@ class TestAdapterFiles:
     def test_block_roundtrip_is_bitwise(self, rng, tmp_path, d_out, d_in, k, r):
         """Non-square blocks: each stack file holds block k in rows
         k*m .. (k+1)*m, and the stacks load back bit for bit."""
-        plan = build_plan(random_matrix(rng, d_out, d_in), k)
-        plan_path, path = tmp_path / "plan.json", tmp_path / "adapter.json"
-        save_plan(plan, plan_path)
+        plan = save_plan(build_plan(random_matrix(rng, d_out, d_in), k), tmp_path / "plan.json")
+        path = tmp_path / "adapter.json"
         adapter = init_smoa(plan, r, AdapterInit("gaussian", seed=k))
-        save_adapter(adapter, path, plan_path=plan_path)
+        save_adapter(adapter, path)
         assert sorted(p.name for p in tmp_path.glob("*.mat")) == ["adapter.a.mat", "adapter.b.mat"]
         for side, stack in (("a", adapter.a), ("b", adapter.b)):
             stored = load_matrix(tmp_path / f"adapter.{side}.mat").data

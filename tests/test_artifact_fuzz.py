@@ -5,8 +5,9 @@ envelopes, adapter factor, witness bundle, sweep spec) is built once, with a sib
 pinned file. Each example damages one file, drives ``main`` in process on it, and restores the
 file. The plan is damaged three times over: as read by ``ceiling``, as the plan that the block
 adapter's pin names, read by ``update``, and as the plan that the witness manifest's pin names,
-read by ``gap``. Damaged bytes in a pinned factor or coefficient file are re-pinned, so they
-reach the decoder; a valid sibling swapped in unpinned is a stale pairing.
+read by ``gap``. Damaged bytes or fields in a pinned plan, factor or coefficient file are
+re-pinned, so they reach the decoder; the same edit left unpinned, or a valid sibling swapped
+in, is a stale pairing.
 """
 import contextlib
 import hashlib
@@ -47,8 +48,10 @@ ARTIFACTS = {
                             ["gap", "--witness", "{root}/witness", "--r", "2"], ()),
 }
 
-# binary files whose damaged bytes get re-pinned: the envelope and its pin key
-REPINNED = {"adapter-factor": ("adapter.json", "a"),
+# pinned files whose damaged bytes get re-pinned: the envelope and its pin key
+REPINNED = {"pinned-plan": ("adapter.json", "plan"),
+            "witness-pinned-plan": ("witness/witness.json", "plan"),
+            "adapter-factor": ("adapter.json", "a"),
             "witness-coefficient": ("witness/witness.json", "coefficients")}
 
 UPDATE = ["update", "--adapter", "{root}/adapter.json"]
@@ -72,8 +75,8 @@ PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "init"),
 
 # integer fields, or lists of them whose first entry is replaced, that a huge
 # value must not get past; huge trials and seeds are valid, and would run long
-HUGE_FIELDS = [("plan", "k"), ("plan", "p_out"), ("witness-manifest", "rho"),
-               ("sweep-spec", "dims"), ("sweep-spec", "ks"),
+HUGE_FIELDS = [("plan", "k"), ("plan", "p_out"), ("pinned-plan", "k"),
+               ("witness-manifest", "rho"), ("sweep-spec", "dims"), ("sweep-spec", "ks"),
                *(("smoa-adapter", key) for key in ("r", "k", "rho", "d_out", "d_in"))]
 HUGE_INTS = [2**63, -2**63, 2**70]
 
@@ -176,6 +179,7 @@ class TestDamagedArtifacts:
         code, stdout, stderr, written = run_damaged(root, name, json.dumps(doc).encode())
         assert (code, stdout, written) == (2, "", [])
         assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert "stale pairing" not in stderr  # the edit reached the decoder
 
     @settings(deadline=None, max_examples=30)
     @given(st.sampled_from(HUGE_FIELDS), st.sampled_from(HUGE_INTS))
@@ -226,7 +230,7 @@ class TestDamagedArtifacts:
         payload = pristine[:pos] + data.draw(st.binary(max_size=4)) + pristine[pos + 1:]
         assume(payload != pristine)
         pinned = data.draw(st.sampled_from(["pinned-plan", "witness-pinned-plan"]))
-        code, stdout, stderr, written = run_damaged(root, pinned, payload)
+        code, stdout, stderr, written = run_with(root, "plan.json", ARTIFACTS[pinned][1], payload)
         assert (code, stdout, written) == (2, "", [])
         assert stderr.startswith("error: stale pairing") and stderr.count("\n") == 1
 

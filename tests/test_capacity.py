@@ -1,4 +1,5 @@
 """Rank ceilings, separation witnesses, and the spectral gap bound."""
+import dataclasses
 import json
 
 import numpy as np
@@ -47,9 +48,8 @@ from conftest import random_matrix
 
 def save_bundle(witness, directory):
     """Save the witness's plan beside ``directory``, then the bundle pinned to it."""
-    plan_path = directory.parent / "plan.json"
-    save_plan(witness.plan, plan_path)
-    return save_witness(witness, directory, plan_path=plan_path)
+    plan = save_plan(witness.plan, directory.parent / "plan.json")
+    return save_witness(dataclasses.replace(witness, plan=plan), directory)
 
 
 def exact_rank_matrix(rng, rows, cols, rank):
@@ -219,12 +219,12 @@ class TestWitness:
     def test_derived_once(self, rng, tmp_path, count_decompositions):
         """Building a witness decomposes nothing; saving it and reading
         every gap shares one values-only decomposition of the target."""
-        plan = build_plan(random_matrix(rng, 12, 8), 2)
+        plan = save_plan(build_plan(random_matrix(rng, 12, 8), 2), tmp_path / "plan.json")
         witness, calls = count_decompositions(make_witness, plan, rho=2, seed=3)
         assert calls == {}
 
         def save_and_read_gaps():
-            save_bundle(witness, tmp_path / "bundle")
+            save_witness(witness, tmp_path / "bundle")
             return [lora_gap(witness, r) for r in range(1, 9)], witness.reordered_target_rank
 
         (gaps, rank), calls = count_decompositions(save_and_read_gaps)
@@ -513,9 +513,10 @@ class TestWitnessFiles:
     def test_witness_holds_no_dense_target(self, rng, tmp_path):
         """Gaps and a save read the witness's one cached spectrum; the dense
         target is derived on each use, so the witness keeps no copy of it."""
-        witness = make_witness(build_plan(random_matrix(rng, 8, 12), 2), rho=2, seed=37)
+        plan = save_plan(build_plan(random_matrix(rng, 8, 12), 2), tmp_path / "plan.json")
+        witness = make_witness(plan, rho=2, seed=37)
         lora_gap(witness, 2)
-        save_bundle(witness, tmp_path / "bundle")
+        save_witness(witness, tmp_path / "bundle")
         held = vars(witness)
         assert "_values" in held
         assert all(getattr(value, "shape", None) != (8, 12) for value in held.values())
@@ -580,19 +581,24 @@ class TestWitnessFiles:
             load_witness(tmp_path / "bundle")
 
     def test_bundle_pinned_to_another_plan_is_refused(self, rng, tmp_path):
-        """The hash matches the file named, but that file is not the witness's plan."""
+        """The hash matches the file named, but that file is not the witness's plan:
+        a manifest edited by hand to pin another same-shape plan by its true hash."""
         witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=59)
+        manifest = save_bundle(witness, tmp_path / "bundle")
         other = tmp_path / "other.json"
         save_plan(build_plan(random_matrix(rng, 8, 8), 2), other)
-        save_witness(witness, tmp_path / "bundle", plan_path=other)
+        doc = json.loads(manifest.read_text())
+        doc["plan"] = {"path": "../other.json", "hash": sha256_file(other)}
+        manifest.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="does not match its plan and coefficients"):
             load_witness(tmp_path / "bundle")
 
     def test_missing_plan_writes_no_bundle(self, rng, tmp_path):
+        """A witness over a plan with no file has nothing to pin: nothing is written."""
         witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=61)
-        with pytest.raises(FileNotFoundError):
-            save_witness(witness, tmp_path / "bundle", plan_path=tmp_path / "absent.json")
-        assert not (tmp_path / "bundle").exists()
+        with pytest.raises(ConfigurationError, match="must come from a file"):
+            save_witness(witness, tmp_path / "bundle")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_manifest_versions_refused(self, rng, tmp_path, version):

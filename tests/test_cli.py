@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smoa.capacity
+import smoa.cli
 from smoa import (Matrix, NumericalError, load_adapter, load_matrix, load_plan, load_witness,
                   save_matrix)
 from smoa.cli import _COMMANDS, build_parser, main
@@ -231,6 +233,33 @@ class TestFileReads:
                      if path.is_relative_to(root)}
             assert reads == dict.fromkeys(inputs, 1), argv[0]
             assert written and not written & {root / path for path in reads}, argv[0]
+
+    def test_cli_uses_the_public_savers(self, workdir, seeded_plan, capsys, monkeypatch):
+        """A command reads its plan with ``load_plan`` and writes its adapter or
+        witness with ``save_adapter`` or ``save_witness``, each once."""
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(smoa.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_plan", "save_adapter", "save_witness"):
+            monkeypatch.setattr(smoa.cli, name, counting(name))
+        plan = ["--plan", seeded_plan]
+        for argv, expected in [
+            (["adapter", *plan, "--r", "2"], {"load_plan": 1, "save_adapter": 1}),
+            (["witness", *plan, "--rho", "1"], {"load_plan": 1, "save_witness": 1}),
+            (["ceiling", *plan, "--r", "2"], {"load_plan": 1}),
+            (["fit", "--target", "witness/target.mat", "--kind", "smoa", "--r", "2", *plan,
+              "--max-steps", "5"], {"load_plan": 1, "save_adapter": 1}),
+        ]:
+            calls.clear()
+            assert main([*argv, "--quiet"]) == 0, capsys.readouterr().err
+            assert calls == expected, argv[0]
 
 
 class TestRankCeilingGap:

@@ -31,6 +31,7 @@ from smoa import (
     save_plan,
     svd,
 )
+from smoa.fileutil import sha256_file
 from smoa.gen import gaussian_matrix
 from smoa.matio import save_matrix
 
@@ -251,6 +252,18 @@ class TestPlanFiles:
         assert loaded.col_intervals == plan.col_intervals
         for a, b in zip(loaded.anchors, plan.anchors):
             assert np.array_equal(a.data, b.data)
+
+    def test_saved_and_loaded_plan_name_the_same_file(self, rng, tmp_path, monkeypatch):
+        """A built plan has no file; saving returns it with the absolute path and
+        hash of the bytes written, which a load of that path reports too."""
+        plan = build_plan(random_matrix(rng, 8, 6), 2)
+        path = tmp_path / "plan.json"
+        saved = save_plan(plan, path)
+        assert plan.file is None and "file" not in repr(saved)
+        assert saved.file == load_plan(path).file == (str(path), sha256_file(path))
+        assert saved.anchor_stack.tobytes() == plan.anchor_stack.tobytes()
+        monkeypatch.chdir(tmp_path)
+        assert load_plan("plan.json").file == saved.file
 
     def test_file_uses_one_based_closed_intervals(self, rng, tmp_path):
         plan = build_plan(random_matrix(rng, 6, 6), 3)
