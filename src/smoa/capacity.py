@@ -7,12 +7,13 @@ with s_k the smaller block dimension. Summed over blocks this ceiling U
 can exceed r while spending r / K times fewer parameters; ``separated``
 flags exactly that regime.
 
-Witnesses make the separation constructive: pick rank-rho coefficient
-matrices C_k, modulate the anchors, and assemble the block-diagonal
-target. The block family reproduces it exactly by factoring each C_k,
-while any rank-r approximation pays at least the Frobenius tail energy
-beyond r (the Eckart-Young bound). ``lora_gap`` evaluates that bound
-spectrally; no training is involved here.
+Witnesses make the separation constructive: draw rank-rho coefficient
+matrices C_k from a seed, modulate the anchors, and assemble the
+block-diagonal target. A witness is its plan, rho and seed; C_k and the
+target are derived from them. The block family reproduces the target
+exactly by factoring each C_k, while any rank-r approximation pays at
+least the Frobenius tail energy beyond r (the Eckart-Young bound).
+``lora_gap`` evaluates that bound spectrally; no training is involved here.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .errors import FormatError
 from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
                        read_pinned, sha256_bytes, write_json)
 from .gen import _check_seed, _rng
-from .matio import _decode_stack, _encode_stack, encode_matrix
-from .matrices import Matrix, _frozen_stack
+from .matio import encode_matrix
+from .matrices import Matrix
 from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
                          _plan_pin, _scatter_blocks)
 from .spectrum import (
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 WITNESS_FORMAT = "SMOA-WITNESS"
-WITNESS_VERSION = 4
+WITNESS_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -130,27 +131,33 @@ def achieved_rank(delta: Matrix, epsilon: float | None = None) -> int:
 class WitnessInstance:
     """A target the block family fits exactly at rank budget rho * K.
 
-    The read-only (K, s_out, s_in) ``coefficient_stack`` holds the rank-rho
-    coefficients C_k; ``coefficients`` views them as matrices. The target
-    in reordered coordinates is blkdiag(C_k * anchor_k) (entrywise), carried
-    back through the plan's inverse permutations. ``reordered_target_rank``
-    is the numerical rank of that block diagonal, which permutations preserve.
-    The target is derived on each use, one K-block scatter, so a witness
-    holds only what defines it; its singular values are derived once.
+    A witness is its plan, ``rho`` and ``seed``; all else is derived on each
+    use. ``coefficient_stack``, the read-only (K, s_out, s_in) rank-rho C_k =
+    L_k R_k, is one (K, rho (s_out + s_in)) standard-normal draw from ``seed``
+    (row k: L_k's entries, then R_k's) and one batched product; ``coefficients``
+    views it as matrices. The target is blkdiag(C_k * anchor_k) (entrywise)
+    carried back through the plan's inverse permutations, and its singular
+    values are derived once; ``reordered_target_rank`` is their numerical rank.
     ``rho`` lies in 0..min(block_shape) and ``seed`` >= 0, else :class:`RangeError`.
     """
 
     plan: BlockPlan
-    coefficient_stack: np.ndarray
     rho: int
     seed: int
 
     def __post_init__(self) -> None:
         _check_rho(self.rho, self.plan.block_shape)
         _check_seed(self.seed)
-        stack = _frozen_stack(self.coefficient_stack, (self.plan.k, *self.plan.block_shape),
-                              "coefficient stack")
-        object.__setattr__(self, "coefficient_stack", stack)
+
+    @property
+    def coefficient_stack(self) -> np.ndarray:
+        k, (s_out, s_in), rho = self.plan.k, self.plan.block_shape, self.rho
+        draws = _rng(self.seed).standard_normal((k, rho * (s_out + s_in)))
+        left = draws[:, :s_out * rho].reshape(k, s_out, rho)
+        right = draws[:, s_out * rho:].reshape(k, rho, s_in)
+        stack = left @ right  # rho = 0 is the empty product: zeros
+        stack.setflags(write=False)
+        return stack
 
     @property
     def coefficients(self) -> tuple[Matrix, ...]:
@@ -176,13 +183,7 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
     ``rho = 0`` gives the zero target. A ``rho`` above the smaller block
     side, or a negative ``rho`` or ``seed``, raises :class:`RangeError`.
     """
-    _check_rho(rho, plan.block_shape)
-    k, (s_out, s_in) = plan.k, plan.block_shape
-    # row k: the draws of C_k's left factor, then its right; rho = 0 is the empty product
-    draws = _rng(seed).standard_normal((k, rho * (s_out + s_in)))
-    left = draws[:, :s_out * rho].reshape(k, s_out, rho)
-    right = draws[:, s_out * rho:].reshape(k, rho, s_in)
-    return WitnessInstance(plan, left @ right, rho, seed)
+    return WitnessInstance(plan, rho, seed)
 
 
 def smoa_exact_fit(witness: WitnessInstance) -> SmoaAdapter:
@@ -207,21 +208,20 @@ def lora_gap(witness: WitnessInstance, r: int) -> float:
 
 
 def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path:
-    """Write a SMOA-WITNESS v4 bundle: manifest, target, the coefficient stack
-    as one K-block stack file (see :mod:`smoa.matio`), and no plan copy.
+    """Write a SMOA-WITNESS v5 bundle: the manifest ``witness.json`` and
+    ``target.mat``, and no plan copy.
 
-    The manifest pins the witness plan's ``file``, the target and the
-    coefficients (see :mod:`smoa.fileutil`) and records seed, rho, the target
-    rank and the gap ``lora_gap(witness, r)`` at every budget r = 1..min(d_out,
-    d_in), all read off one decomposition of the target. Nothing is written
-    until the manifest is complete, so a numerical failure or a plan with no
-    file (:class:`ConfigurationError`) leaves no partial bundle.
+    The manifest pins the witness plan's ``file`` and the target (see
+    :mod:`smoa.fileutil`) and records seed, rho, the target rank and the gap
+    ``lora_gap(witness, r)`` at every budget r = 1..min(d_out, d_in), all read
+    off one decomposition of the target. Nothing is written until the
+    manifest is complete, so a numerical failure or a plan with no file
+    (:class:`ConfigurationError`) leaves no partial bundle.
     """
     base = Path(directory)
     plan_pin = _plan_pin(witness.plan, base)
     values = witness._values
-    files = {"target": encode_matrix(witness.target),
-             "coefficients": _encode_stack(witness.coefficient_stack)}
+    target = encode_matrix(witness.target)
     manifest = {
         "format": WITNESS_FORMAT,
         "version": WITNESS_VERSION,
@@ -230,21 +230,20 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
         "reordered_target_rank": witness.reordered_target_rank,
         "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
         "plan": plan_pin,
-        **{key: pin(base / f"{key}.mat", sha256_bytes(payload), base)
-           for key, payload in files.items()},
+        "target": pin(base / "target.mat", sha256_bytes(target), base),
     }
-    for key, payload in files.items():
-        atomic_write_bytes(base / f"{key}.mat", payload)
+    atomic_write_bytes(base / "target.mat", target)
     write_json(base / "witness.json", manifest)
     return base / "witness.json"
 
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:
-    """Rebuild a witness from its pinned plan, coefficients, rho and seed; every
-    pinned file must hash to its pin, and the pinned target must encode to the
-    same bytes as the target the plan and coefficients define. ``rho`` and
-    ``seed`` are JSON integers that :class:`WitnessInstance` bounds, and every
-    C_k has rank at most rho. Recorded ranks and gaps are not read back."""
+    """Rebuild a witness from its pinned plan and its ``rho`` and ``seed``, JSON
+    integers that :class:`WitnessInstance` bounds. Every pinned file must hash to
+    its pin, and the pinned target must encode to the bytes of the target the
+    plan, rho and seed define, so an edited rho or seed is a :class:`FormatError`;
+    a rho = 0 target is zero whatever the seed, so a seed edit there still loads.
+    Recorded ranks and gaps are not read back."""
     base = Path(directory)
     what = f"witness manifest {base / 'witness.json'}"
     manifest = read_envelope((base / "witness.json").read_bytes(), WITNESS_FORMAT,
@@ -253,12 +252,7 @@ def load_witness(directory: str | os.PathLike) -> WitnessInstance:
     with envelope_fields(what):
         plan = _decode_plan(*read_pinned(manifest, "plan", base, what))
         stored = read_pinned(manifest, "target", base, what)[1]
-        coefficients = _decode_stack(*read_pinned(manifest, "coefficients", base, what)[:2],
-                                     plan.k)
-        witness = WitnessInstance(plan, coefficients, rho, seed)
-    ranks, _ = _rank_from_values(singular_values(witness.coefficient_stack), plan.block_shape, None)
-    if max(ranks) > rho:
-        raise FormatError(f"witness coefficients in {base} have ranks {ranks}, above rho={rho}")
+        witness = WitnessInstance(plan, rho, seed)
     if stored != encode_matrix(witness.target):
-        raise FormatError(f"witness target in {base} does not match its plan and coefficients")
+        raise FormatError(f"witness target in {base} does not match its plan, rho and seed")
     return witness

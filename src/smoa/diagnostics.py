@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, EstimationError, RangeError
-from .fileutil import write_csv, write_json
+from .fileutil import atomic_write_text, csv_text, write_json
 from .gen import _check_shape, _rng
 from .matrices import Matrix
 from .spectrum import SpectralDecomposition, _rank_from_values, singular_values, svd
@@ -308,6 +308,7 @@ def save_report(
     ``nu_histogram.csv`` holds bin edges, counts, and the bulk density
     prediction at the bin center; ``overlaps.csv`` holds one row per
     singular direction with the Monte Carlo band repeated alongside.
+    Nothing is written until both panels are rendered: a failure leaves no file.
     """
     if histogram_path is not None:
         if bins < 1:
@@ -331,7 +332,7 @@ def save_report(
             "band_draws": report.band_draws,
         },
     }
-    write_json(json_path, doc)
+    panels = []  # (path, CSV text)
     if histogram_path is not None:
         nu = np.asarray(report.normalized_values)
         top = max(float(nu.max()) if nu.size else 0.0, report.bulk_edge) * 1.02
@@ -339,8 +340,8 @@ def save_report(
         counts, _ = np.histogram(nu, bins=edges)
         centers = (edges[:-1] + edges[1:]) / 2
         density = mp_singular_density(centers, _aspect_ratio(report.rows, report.cols))
-        write_csv(histogram_path, ["bin_left", "bin_right", "count", "mp_density"],
-                  zip(edges[:-1], edges[1:], counts, density))
+        panels.append((histogram_path, csv_text([["bin_left", "bin_right", "count", "mp_density"],
+                                                 *zip(edges[:-1], edges[1:], counts, density)])))
     if overlaps_path is not None:
         rows = []
         if report.overlaps and report.bulk_overlap_mean is not None:
@@ -349,4 +350,8 @@ def save_report(
             lo, hi = mean - 3 * sigma, mean + 3 * sigma
             rows = [[k, report.normalized_values[k - 1], score, mean, lo, hi]
                     for k, score in report.overlaps]
-        write_csv(overlaps_path, ["k", "nu_k", "score", "bulk_mean", "bulk_lo", "bulk_hi"], rows)
+        panels.append((overlaps_path, csv_text([["k", "nu_k", "score", "bulk_mean", "bulk_lo",
+                                                 "bulk_hi"], *rows])))
+    write_json(json_path, doc)
+    for path, text in panels:
+        atomic_write_text(path, text)

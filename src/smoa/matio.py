@@ -11,9 +11,9 @@ double exactly.
 Both formats round-trip finite doubles bit for bit; a file holding a NaN
 or infinite entry is a :class:`FormatError`.
 
-A (K, m, n) stack of blocks, such as an adapter's factors or a witness's
-coefficients, is stored as one (K*m) x n binary matrix whose rows
-k*m .. (k+1)*m hold block k.
+A (K, m, n) stack of blocks, such as an adapter's A or B factors, is
+stored as one (K*m) x n binary matrix whose rows k*m .. (k+1)*m hold
+block k.
 """
 from __future__ import annotations
 

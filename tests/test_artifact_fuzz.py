@@ -5,9 +5,9 @@ envelopes, adapter factor, witness bundle, sweep spec) is built once, with a sib
 pinned file. Each example damages one file, drives ``main`` in process on it, and restores the
 file. The plan is damaged three times over: as read by ``ceiling``, as the plan that the block
 adapter's pin names, read by ``update``, and as the plan that the witness manifest's pin names,
-read by ``gap``. Damaged bytes or fields in a pinned plan, factor or coefficient file are
-re-pinned, so they reach the decoder; the same edit left unpinned, or a valid sibling swapped
-in, is a stale pairing.
+read by ``gap``. Damaged bytes or fields in a pinned plan or factor file are re-pinned, so
+they reach the decoder; the same edit left unpinned, or a valid sibling swapped in, is a stale
+pairing.
 """
 import contextlib
 import hashlib
@@ -38,21 +38,18 @@ ARTIFACTS = {
     "lora-adapter": ("lora.json", ["update", "--adapter", "{root}/lora.json"],
                      ("format", "version", "a", "b", "kind", "r", "k", "rho", "d_out", "d_in")),
     "witness-manifest": ("witness/witness.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
-                         ("format", "version", "plan", "target", "coefficients", "rho", "seed")),
+                         ("format", "version", "plan", "target", "rho", "seed")),
     "sweep-spec": ("spec.json", ["sweep", "--spec", "{root}/spec.json"],
                    ("dims", "ks", "rs", "trials", "seed")),
     # binary matrix files: damaged bytes only
     "weight-matrix": ("w0.mat", ["plan", "--w0", "{root}/w0.mat", "--k", "2"], ()),
     "adapter-factor": ("adapter.a.mat", ["update", "--adapter", "{root}/adapter.json"], ()),
-    "witness-coefficient": ("witness/coefficients.mat",
-                            ["gap", "--witness", "{root}/witness", "--r", "2"], ()),
 }
 
 # pinned files whose damaged bytes get re-pinned: the envelope and its pin key
 REPINNED = {"pinned-plan": ("adapter.json", "plan"),
             "witness-pinned-plan": ("witness/witness.json", "plan"),
-            "adapter-factor": ("adapter.json", "a"),
-            "witness-coefficient": ("witness/witness.json", "coefficients")}
+            "adapter-factor": ("adapter.json", "a")}
 
 UPDATE = ["update", "--adapter", "{root}/adapter.json"]
 GAP = ["gap", "--witness", "{root}/witness", "--r", "2"]
@@ -64,7 +61,6 @@ SWAPS = {
     "lora-a": ("lora.a.mat", "lora2.a.mat", ["update", "--adapter", "{root}/lora.json"]),
     "lora-b": ("lora.b.mat", "lora2.b.mat", ["update", "--adapter", "{root}/lora.json"]),
     "witness-target": ("witness/target.mat", "witness2/target.mat", GAP),
-    "witness-coefficients": ("witness/coefficients.mat", "witness2/coefficients.mat", GAP),
     "adapter-plan": ("plan.json", "plan2.json", UPDATE),
     "witness-plan": ("plan.json", "plan2.json", GAP),
 }

@@ -261,7 +261,22 @@ class TestWitness:
     def test_constructor_bounds_rho_and_seed(self, rng, rho, seed):
         witness = make_witness(build_plan(random_matrix(rng, 4, 4), 2), rho=1, seed=1)
         with pytest.raises(RangeError):
-            WitnessInstance(witness.plan, witness.coefficient_stack, rho, seed)
+            WitnessInstance(witness.plan, rho, seed)
+
+    def test_coefficient_stack_is_the_seeds_draw(self, rng):
+        """A witness is its plan, rho and seed: its read-only stack is, bit for
+        bit, one (K, rho (s_out + s_in)) draw from ``default_rng(seed)`` whose
+        row k holds L_k's entries then R_k's, multiplied out as L_k R_k."""
+        plan = build_plan(random_matrix(rng, 8, 12), 2)  # blocks 4x6
+        witness = make_witness(plan, 2, 0)
+        assert [f.name for f in dataclasses.fields(WitnessInstance)] == ["plan", "rho", "seed"]
+        draws = np.random.default_rng(0).standard_normal((2, 2 * (4 + 6)))
+        expected = np.stack([draws[g, :8].reshape(4, 2) @ draws[g, 8:].reshape(2, 6)
+                             for g in range(2)])
+        stack = witness.coefficient_stack
+        assert stack.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("rows,cols,k,rho", [(12, 18, 3, 2), (8, 8, 2, 0)],
                              ids=["rectangular-k3", "rho-zero"])
@@ -379,7 +394,9 @@ class TestAchievedRank:
 def _stores(rng):
     """One of each stacked store over an 8x12 plan with K = 2. Each comes
     with a constructor taking the stacks as keywords, its valid stacks,
-    and its tuple view as a list of ``(field, index, matrix)``."""
+    and its tuple view as a list of ``(field, index, matrix)``. A witness
+    draws its one stack from its seed, so its constructor takes no stack and
+    its valid stack is the one it draws."""
     plan = build_plan(random_matrix(rng, 8, 12), 2)
     adapter = init_smoa(plan, 4, AdapterInit("gaussian", seed=3))
     witness = make_witness(plan, rho=2, seed=5)
@@ -394,18 +411,20 @@ def _stores(rng):
          lambda ad: [(f, g, m) for g, pair in enumerate(ad.factors)
                      for f, m in zip("ab", pair)]),
         (witness,
-         lambda **s: WitnessInstance(plan, rho=2, seed=5, **s),
+         lambda **_: WitnessInstance(plan, rho=2, seed=5),
          {"coefficient_stack": witness.coefficient_stack},
          lambda w: [("coefficient_stack", g, m) for g, m in enumerate(w.coefficients)]),
     ]
 
 
 STORES = ["plan", "adapter", "witness"]
+BUILT = STORES[:2]  # the stores whose constructor takes their stacks
 
 
 class TestStackedStores:
-    """BlockPlan, SmoaAdapter and WitnessInstance hold their K blocks as
-    read-only (K, ., .) arrays and view them as tuples of matrices."""
+    """BlockPlan and SmoaAdapter hold their K blocks, and WitnessInstance
+    draws its K blocks, as read-only (K, ., .) arrays viewed as tuples of
+    matrices."""
 
     @pytest.mark.parametrize("which", range(3), ids=STORES)
     def test_views_equal_stack_slices(self, rng, which):
@@ -431,7 +450,7 @@ class TestStackedStores:
             stack[0, 0, 0] += 1.0
             assert held[0, 0, 0] != stack[0, 0, 0]
 
-    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    @pytest.mark.parametrize("which", range(2), ids=BUILT)
     def test_sequence_of_matrices_accepted(self, rng, which):
         _, make, stacks, _ = _stores(rng)[which]
         store = make(**{f: [Matrix(m) for m in stack] for f, stack in stacks.items()})
@@ -439,7 +458,7 @@ class TestStackedStores:
             assert_array_equal(getattr(store, field), stack)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    @pytest.mark.parametrize("which", range(2), ids=BUILT)
     def test_non_finite_stack_rejected(self, rng, which, bad):
         _, make, stacks, _ = _stores(rng)[which]
         for field in stacks:
@@ -448,7 +467,7 @@ class TestStackedStores:
             with pytest.raises(NumericalError):
                 make(**{**stacks, field: poisoned})
 
-    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    @pytest.mark.parametrize("which", range(2), ids=BUILT)
     def test_wrong_k_rejected(self, rng, which):
         _, make, stacks, _ = _stores(rng)[which]
         for field, stack in stacks.items():
@@ -456,7 +475,7 @@ class TestStackedStores:
                 with pytest.raises(DimensionError):
                     make(**{**stacks, field: wrong})
 
-    @pytest.mark.parametrize("which", range(3), ids=STORES)
+    @pytest.mark.parametrize("which", range(2), ids=BUILT)
     def test_wrong_block_shape_rejected(self, rng, which):
         _, make, stacks, _ = _stores(rng)[which]
         for field, stack in stacks.items():
@@ -492,8 +511,8 @@ class TestWitnessFiles:
         witness = make_witness(plan, rho=1, seed=23)
         save_bundle(witness, tmp_path / "bundle")
         manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
-        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 4
-        assert manifest["coefficients"]["path"] == "coefficients.mat"
+        assert manifest["format"] == "SMOA-WITNESS" and manifest["version"] == 5
+        assert manifest["target"]["path"] == "target.mat" and "coefficients" not in manifest
         assert sorted(manifest["gaps"], key=int) == [str(r) for r in range(1, 7)]
         for r in range(1, 7):
             assert manifest["gaps"][str(r)] == pytest.approx(lora_gap(witness, r), rel=1e-12)
@@ -518,7 +537,7 @@ class TestWitnessFiles:
         lora_gap(witness, 2)
         save_witness(witness, tmp_path / "bundle")
         held = vars(witness)
-        assert "_values" in held
+        assert set(held) == {"plan", "rho", "seed", "_values"}
         assert all(getattr(value, "shape", None) != (8, 12) for value in held.values())
 
     def test_numerical_failure_writes_nothing(self, rng, tmp_path, monkeypatch):
@@ -543,13 +562,13 @@ class TestWitnessFiles:
 
     @pytest.mark.parametrize("rows,cols,k,rho", [(8, 8, 2, 0), (12, 8, 2, 3), (16, 24, 4, 2)],
                              ids=["rho-zero", "tall-blocks", "wide-blocks-k4"])
-    def test_bundle_is_three_files_and_roundtrips_bitwise(self, rng, tmp_path, rows, cols, k, rho):
+    def test_bundle_is_two_files_and_roundtrips_bitwise(self, rng, tmp_path, rows, cols, k, rho):
         witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho=rho, seed=41)
         save_bundle(witness, tmp_path / "bundle")
         assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
-            "coefficients.mat", "target.mat", "witness.json"]
-        stored = load_matrix(tmp_path / "bundle" / "coefficients.mat").data
-        assert stored.tobytes() == np.concatenate(list(witness.coefficient_stack)).tobytes()
+            "target.mat", "witness.json"]
+        stored = load_matrix(tmp_path / "bundle" / "target.mat").data
+        assert stored.tobytes() == witness.target.data.tobytes()
         loaded = load_witness(tmp_path / "bundle")
         assert loaded.coefficient_stack.tobytes() == witness.coefficient_stack.tobytes()
         assert loaded.target.data.tobytes() == witness.target.data.tobytes()
@@ -562,14 +581,15 @@ class TestWitnessFiles:
             load_witness(bundle)
 
     def test_manifest_pins_the_plan_by_relative_path_and_hash(self, rng, tmp_path):
-        """So are the target and the coefficients, by the hash of the bytes written."""
+        """So is the target, by the hash of the bytes written; nothing else is pinned."""
         witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=43)
         manifest = json.loads(save_bundle(witness, tmp_path / "bundle").read_text())
         assert manifest["plan"] == {"path": "../plan.json",
                                     "hash": sha256_file(tmp_path / "plan.json")}
-        for key in ("target", "coefficients"):
-            assert manifest[key] == {"path": f"{key}.mat",
-                                     "hash": sha256_file(tmp_path / "bundle" / f"{key}.mat")}
+        assert manifest["target"] == {"path": "target.mat",
+                                      "hash": sha256_file(tmp_path / "bundle" / "target.mat")}
+        assert {key for key, value in manifest.items() if type(value) is dict} == {
+            "plan", "target", "gaps"}
         assert "plan_path" not in manifest and "target_rank" not in manifest
         assert manifest["reordered_target_rank"] == witness.reordered_target_rank
 
@@ -590,8 +610,25 @@ class TestWitnessFiles:
         doc = json.loads(manifest.read_text())
         doc["plan"] = {"path": "../other.json", "hash": sha256_file(other)}
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="does not match its plan and coefficients"):
+        with pytest.raises(FormatError, match="does not match its plan, rho and seed"):
             load_witness(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("key,value", [("seed", 999), ("rho", 2)], ids=["seed", "rho"])
+    def test_edited_seed_or_rho_is_refused(self, rng, tmp_path, key, value):
+        """Another seed or an in-range rho draws another target than the one stored."""
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=1, seed=5)
+        manifest = save_bundle(witness, tmp_path / "bundle")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        with pytest.raises(FormatError, match="does not match its plan, rho and seed"):
+            load_witness(tmp_path / "bundle")
+
+    def test_zero_rho_loads_under_any_seed(self, rng, tmp_path):
+        """A rho = 0 witness is the zero target whatever its seed."""
+        witness = make_witness(build_plan(random_matrix(rng, 8, 8), 2), rho=0, seed=5)
+        manifest = save_bundle(witness, tmp_path / "bundle")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "seed": 999}))
+        loaded = load_witness(tmp_path / "bundle")
+        assert loaded.seed == 999 and not loaded.target.data.any()
 
     def test_missing_plan_writes_no_bundle(self, rng, tmp_path):
         """A witness over a plan with no file has nothing to pin: nothing is written."""
@@ -600,7 +637,7 @@ class TestWitnessFiles:
             save_witness(witness, tmp_path / "bundle")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_earlier_manifest_versions_refused(self, rng, tmp_path, version):
         manifest = save_bundle(make_witness(build_plan(random_matrix(rng, 8, 8), 2), 1, 67),
                                tmp_path / "bundle")

@@ -217,7 +217,7 @@ class TestFileReads:
          ["adapter.json", "plan.json", "adapter.a.mat", "adapter.b.mat"]),
         (["witness", "--plan", "plan.json", "--rho", "1"], ["plan.json"]),
         (["gap", "--witness", "witness", "--r", "2"],
-         ["witness/witness.json", "plan.json", "witness/target.mat", "witness/coefficients.mat"]),
+         ["witness/witness.json", "plan.json", "witness/target.mat"]),
         (["fit", "--target", "witness/target.mat", "--kind", "smoa", "--r", "2",
           "--plan", "plan.json", "--max-steps", "5"], ["witness/target.mat", "plan.json"]),
     ]
@@ -332,7 +332,7 @@ class TestRankCeilingGap:
         assert gap_payload["gap"] > 0.0
 
     def test_witness_in_the_plans_directory_keeps_the_plan(self, workdir, seeded_plan, capsys):
-        """``--dir .`` next to the plan writes three files and leaves the plan,
+        """``--dir .`` next to the plan writes two files and leaves the plan,
         and so every adapter pinned to it, as they were."""
         _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         pristine = Path(seeded_plan).read_bytes()
@@ -340,8 +340,7 @@ class TestRankCeilingGap:
         code, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--dir", ".",
                             "--quiet")
         assert code == 0
-        assert set(os.listdir(workdir)) - before == {"witness.json", "target.mat",
-                                                      "coefficients.mat"}
+        assert set(os.listdir(workdir)) - before == {"witness.json", "target.mat"}
         assert Path(seeded_plan).read_bytes() == pristine
         with open(payload["manifest"], encoding="utf-8") as handle:
             assert json.load(handle)["plan"]["path"] == "plan.json"
@@ -368,6 +367,16 @@ class TestRankCeilingGap:
                                             count_decompositions):
         code, calls = count_decompositions(
             main, ["witness", "--plan", seeded_plan, "--rho", "2", "--quiet"])
+        assert code == 0
+        assert calls == {"svdvals": 1}
+
+    def test_gap_decomposes_target_once(self, workdir, seeded_plan, capsys,
+                                        count_decompositions):
+        """Loading checks the target by its bytes, so the gap's values-only
+        decomposition of the target is the only one."""
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "2", "--quiet")
+        code, calls = count_decompositions(
+            main, ["gap", "--witness", witness["dir"], "--r", "2", "--quiet"])
         assert code == 0
         assert calls == {"svdvals": 1}
 
@@ -573,12 +582,10 @@ class TestMalformedInput:
         without("rho"),
         lambda doc: [doc],
         with_field("rho", [2]),
-        without("coefficients"),
-        with_field("coefficients", ["coefficients.mat"]),
         in_pin("plan", without("path")),
         in_pin("plan", with_field("hash", None)),
-    ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-coefficients",
-            "coefficients-list", "missing-plan-path", "plan-hash-null"])
+    ], ids=["missing-rho", "json-list", "rho-not-a-number", "missing-plan-path",
+            "plan-hash-null"])
     def test_witness(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         edit_json(payload["manifest"], edit)
@@ -613,7 +620,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("artifact", ["adapter", "lora", "witness"])
     def test_version_1_exits_two_on_one_line(self, workdir, seeded_plan, capsys, artifact):
-        """Adapter files are version 3 and witness manifests version 4; a
+        """Adapter files are version 3 and witness manifests version 5; a
         version 1 file is refused."""
         if artifact == "witness":
             _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
@@ -640,26 +647,19 @@ class TestMalformedInput:
         assert captured.err.startswith("error: unsupported ") and captured.err.count("\n") == 1
         assert "version 2" in captured.err
 
-    @pytest.mark.parametrize("stack", ["adapter.a.mat", "adapter.b.mat",
-                                       "witness/coefficients.mat"])
+    @pytest.mark.parametrize("stack", ["adapter.a.mat", "adapter.b.mat"])
     def test_stack_rows_not_divisible_by_k(self, workdir, seeded_plan, capsys, stack):
         """A stack file whose row count the plan's K = 2 does not divide."""
         _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
-        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         save_matrix(Matrix.ones(3, 4), workdir / stack)
-        if stack.startswith("witness"):
-            repin(witness["manifest"], "coefficients")
-            argv = ["gap", "--witness", witness["dir"], "--r", "2"]
-        else:
-            repin(adapter["path"], stack.split(".")[1])
-            argv = ["update", "--adapter", adapter["path"]]
-        code = main([*argv, "--quiet"])
+        repin(adapter["path"], stack.split(".")[1])
+        code = main(["update", "--adapter", adapter["path"], "--quiet"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {stack} holds 3 rows, not a stack of 2 equal blocks\n"
 
     def test_witness_target_replaced(self, workdir, seeded_plan, capsys):
-        """A valid target.mat that is not the coefficients' target is stale."""
+        """A valid target.mat that is not the target its plan, rho and seed define is refused."""
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         target = Path(payload["dir"]) / "target.mat"
         save_matrix(load_matrix(target) * 2.0, target)
@@ -667,7 +667,19 @@ class TestMalformedInput:
         code = main(["gap", "--witness", payload["dir"], "--r", "2", "--quiet"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err.endswith("does not match its plan and coefficients\n")
+        assert captured.err.endswith("does not match its plan, rho and seed\n")
+
+    @pytest.mark.parametrize("field,value", [("seed", 999), ("rho", 1)], ids=["seed", "rho"])
+    def test_witness_edited_seed_or_rho(self, workdir, seeded_plan, capsys, field, value):
+        """A rho = 2 bundle whose manifest names another seed or rho draws another target."""
+        _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "2", "--quiet")
+        edit_json(payload["manifest"], with_field(field, value))
+        code = main(["gap", "--witness", payload["dir"], "--r", "2", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("does not match its plan, rho and seed\n")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("edit", [
         without("r"),

@@ -411,3 +411,10 @@ class TestReportFiles:
     def test_bins_guard(self, report, tmp_path):
         with pytest.raises(ConfigurationError):
             save_report(report, tmp_path / "r.json", histogram_path=tmp_path / "h.csv", bins=0)
+
+    def test_unallocatable_bins_write_nothing(self, report, tmp_path):
+        """Bin edges too many to allocate fail before any file of the report is written."""
+        with pytest.raises(MemoryError):
+            save_report(report, tmp_path / "report.json", histogram_path=tmp_path / "h.csv",
+                        overlaps_path=tmp_path / "o.csv", bins=99999999999999999)
+        assert list(tmp_path.iterdir()) == []

@@ -200,7 +200,7 @@ RHO_ENTRY_POINTS = {
     "SmoaAdapter": lambda rho: SmoaAdapter(_PLAN, rho, np.zeros((2, rho, 4)),
                                            np.zeros((2, 4, rho))),
     "make_witness": lambda rho: make_witness(_PLAN, rho, 0),
-    "WitnessInstance": lambda rho: WitnessInstance(_PLAN, np.zeros((2, 4, 4)), rho, 0),
+    "WitnessInstance": lambda rho: WitnessInstance(_PLAN, rho, 0),
     "rank_ceiling": lambda rho: rank_ceiling(_PLAN, 2 * rho),
 }
 

@@ -1,11 +1,15 @@
-"""The README's Python examples run, in order, against the public API, and
-its exit-code sentence lists the codes the CLI defines."""
+"""The README's Python examples run, in order, against the public API, its
+exit-code sentence lists the codes the CLI defines, and it names every
+artifact format with its version."""
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
 import smoa.cli
+import smoa.matio
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +37,16 @@ def test_exit_codes_listed_once_each():
                            if name.startswith("EXIT_"))})
     assert exit_codes(README.read_text(encoding="utf-8")) == defined
     assert exit_codes(smoa.cli.__doc__) == defined
+
+
+def test_every_format_named_with_its_version():
+    """Each ``<NAME>_FORMAT`` constant in ``src/`` with its ``<NAME>_VERSION``,
+    and the matrix file's ``MAGIC`` with its ``VERSION``, as ``<FORMAT> v<VERSION>``."""
+    formats = {f"{smoa.matio.MAGIC.decode()} v{smoa.matio.VERSION}"}
+    for info in pkgutil.iter_modules(smoa.__path__):
+        constants = vars(importlib.import_module(f"smoa.{info.name}"))
+        formats |= {f"{value} v{constants[name[:-len('FORMAT')] + 'VERSION']}"
+                    for name, value in constants.items() if name.endswith("_FORMAT")}
+    text = README.read_text(encoding="utf-8")
+    assert len(formats) == 4
+    assert sorted(name for name in formats if name not in text) == []
