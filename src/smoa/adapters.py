@@ -24,10 +24,10 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
-                       read_pinned, sha256_bytes, write_json)
+from .fileutil import (atomic_write_bytes, envelope_fields, pin, read_envelope, read_pinned,
+                       sha256_bytes, write_json)
 from .gen import _check_seed, _check_shape
-from .matio import _decode_stack, _encode_stack, decode_matrix
+from .matio import _decode_stack, _encode_stack
 from .matrices import Matrix, _frozen_stack
 from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
                          _plan_pin, _scatter_blocks)
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 ADAPTER_FORMAT = "SMOA-ADPT"
-ADAPTER_VERSION = 3
+ADAPTER_VERSION = 4
 
 Scheme = Literal["zero-update", "gaussian", "spectral"]
 
@@ -244,27 +244,19 @@ def param_count(kind: str, d_in: int, d_out: int, r: int, k: int | None = None) 
     return _block_rank(k, r) * (d_in + d_out)
 
 
-def _restated(adapter: Adapter) -> dict:
-    """The envelope fields that an adapter's factors and plan define."""
-    if isinstance(adapter, SmoaAdapter):
-        plan = adapter.plan
-        return {"kind": "smoa", "r": adapter.r, "k": plan.k, "rho": adapter.rho,
-                "d_out": plan.d_out, "d_in": plan.d_in}
-    return {"kind": "lora", "r": adapter.r, "k": None, "rho": None,
-            "d_out": adapter.d_out, "d_in": adapter.d_in}
-
-
 def save_adapter(adapter: Adapter, path: str | os.PathLike, *,
                  init: AdapterInit | None = None) -> list[Path]:
-    """Write a SMOA-ADPT v3 envelope plus two factor files.
+    """Write a SMOA-ADPT v4 envelope plus two factor files.
 
     The factor files sit next to the envelope: ``<stem>.a.mat`` holds the
     A stack and ``<stem>.b.mat`` the B stack, each one K-block stack file
     (see :mod:`smoa.matio`); a global adapter's are its two matrices. The
-    envelope pins both (``a``, ``b``) and a block adapter's plan by its
-    ``file`` (``plan``, null for a global adapter; see :mod:`smoa.fileutil`).
-    A block adapter whose plan has no file raises :class:`ConfigurationError`
-    and writes nothing. Returns the written paths, envelope first.
+    envelope holds its format and version, the pins (see
+    :mod:`smoa.fileutil`) of both stacks (``a``, ``b``) and of a block
+    adapter's plan by its ``file`` (``plan``, null for a global adapter),
+    and the ``init`` provenance: nothing the pinned files define. A block
+    adapter whose plan has no file raises :class:`ConfigurationError` and
+    writes nothing. Returns the written paths, envelope first.
     """
     target = Path(path)
     plan_pin = _plan_pin(adapter.plan, target.parent) if isinstance(adapter, SmoaAdapter) else None
@@ -274,7 +266,6 @@ def save_adapter(adapter: Adapter, path: str | os.PathLike, *,
     doc = {
         "format": ADAPTER_FORMAT,
         "version": ADAPTER_VERSION,
-        **_restated(adapter),
         "plan": plan_pin,
         **{side: pin(p, sha256_bytes(payload), target.parent)
            for side, p, payload in zip("ab", written[1:], payloads)},
@@ -287,29 +278,26 @@ def save_adapter(adapter: Adapter, path: str | os.PathLike, *,
 
 
 def load_adapter(path: str | os.PathLike) -> Adapter:
-    """Read a SMOA-ADPT v3 envelope and its two factor files.
+    """Read a SMOA-ADPT v4 envelope and its two factor files.
 
     Every pinned file (both factor files, and a block adapter's plan) is
     read once and must hash to its recorded pin, else
-    :class:`ConfigurationError` reports a stale pairing. The recorded kind,
-    r, k, rho, d_out and d_in must be what the factors and plan define.
+    :class:`ConfigurationError` reports a stale pairing. The plan pin names
+    the family: a plan makes a block adapter over its K blocks, and a null
+    ``plan`` a global adapter, the K = 1 stack; a missing ``plan`` is a
+    :class:`FormatError`. The adapter's constructor checks the factor shapes
+    against each other and the plan, and rho against the block sides.
     """
     target = Path(path)
     what = f"adapter file {target}"
     doc = read_envelope(target.read_bytes(), ADAPTER_FORMAT, ADAPTER_VERSION, what)
+    if "plan" not in doc:
+        raise FormatError(f"{what} is missing field 'plan'")
     with envelope_fields(what):
-        kind = field(doc, "kind", str, what)
-        if kind == "lora":
-            a, b = (decode_matrix(read_pinned(doc, side, target.parent, what)[1]) for side in "ab")
-            adapter: Adapter = LoraAdapter(a, b)
-        elif kind == "smoa":
-            plan = _decode_plan(*read_pinned(doc, "plan", target.parent, what))
-            a, b = (_decode_stack(*read_pinned(doc, side, target.parent, what)[:2], plan.k)
-                    for side in "ab")
-            adapter = SmoaAdapter(plan, a.shape[1], a, b)
-        else:
-            raise FormatError(f"unknown adapter kind {kind!r}")
-    for key, value in _restated(adapter).items():
-        if field(doc, key, type(value), what) != value:
-            raise FormatError(f"{what} says {key}={doc[key]!r}, its factors give {value!r}")
-    return adapter
+        plan = None if doc["plan"] is None else _decode_plan(
+            *read_pinned(doc, "plan", target.parent, what))
+        a, b = (_decode_stack(*read_pinned(doc, side, target.parent, what)[:2],
+                              1 if plan is None else plan.k) for side in "ab")
+    if plan is None:
+        return LoraAdapter(Matrix(a[0]), Matrix(b[0]))
+    return SmoaAdapter(plan, a.shape[1], a, b)

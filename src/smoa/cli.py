@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (AdapterInit, _restated, init_lora, init_smoa, load_adapter,
-                       lora_update, save_adapter, smoa_update, update)
+from .adapters import (AdapterInit, init_lora, init_smoa, load_adapter, lora_update,
+                       save_adapter, smoa_update, update)
 from .capacity import (achieved_rank, load_witness, lora_gap, make_witness, rank_ceiling,
                        save_witness, smoa_exact_fit)
 from .diagnostics import ActivationSample, full_report, save_report
@@ -132,15 +132,18 @@ def cmd_adapter(args) -> dict:
     init = AdapterInit(scheme=args.init, seed=args.seed, scale=args.scale)
     if args.kind == "smoa":
         adapter = init_smoa(plan, args.r, init)
+        blocks = {"k": plan.k, "rho": adapter.rho, "plan_hash": plan.file[1]}
     else:
         adapter = init_lora(plan.d_out, plan.d_in, args.r, init)
+        blocks = {"k": None, "rho": None, "plan_hash": None}
     path = _out_dir(args) / args.name
     written = save_adapter(adapter, path, init=init)
     _note(args, f"wrote {len(written)} files under {path.parent}")
-    envelope = {**_restated(adapter), "plan_hash": plan.file[1] if args.kind == "smoa" else None}
     return {
         "path": str(path),
-        **{key: envelope[key] for key in ("kind", "r", "k", "rho", "plan_hash")},
+        "kind": args.kind,
+        "r": adapter.r,
+        **blocks,
         "params": adapter.trainable_parameters,
     }
 
@@ -242,6 +245,8 @@ def cmd_gap(args) -> dict:
 def cmd_fit(args) -> dict:
     """Fit, then write the adapter before the trace and summary; an I/O
     failure on the second write leaves the adapter file in place."""
+    if args.kind == "lora" and args.plan is not None:
+        raise ConfigurationError("--plan applies to --kind smoa only")
     target = load_matrix(args.target)
     plan = load_plan(args.plan) if args.plan is not None else None
     problem = FitProblem(target=target, kind=args.kind, r=args.r, plan=plan)

@@ -62,8 +62,8 @@ class FitProblem:
     """One fitting task: approximate ``target`` with an adapter update.
 
     ``kind`` picks the family, ``r`` the nominal rank budget (for the
-    block family rho = r / plan.k), ``plan`` is required when kind is
-    ``smoa``.
+    block family rho = r / plan.k); ``plan`` is given exactly when kind
+    is ``smoa``.
     """
 
     target: Matrix
@@ -74,14 +74,12 @@ class FitProblem:
     def __post_init__(self) -> None:
         if self.kind not in ("lora", "smoa"):
             raise ConfigurationError(f"unknown adapter kind {self.kind!r}")
-        if self.kind == "smoa":
-            if self.plan is None:
-                raise ConfigurationError("block fits need a plan")
-            if self.target.shape != (self.plan.d_out, self.plan.d_in):
-                raise DimensionError(
-                    f"target {self.target.shape} does not match plan "
-                    f"{(self.plan.d_out, self.plan.d_in)}"
-                )
+        if (self.plan is not None) != (self.kind == "smoa"):
+            raise ConfigurationError("block (smoa) fits need a plan, global (lora) fits take none")
+        if self.kind == "smoa" and self.target.shape != (self.plan.d_out, self.plan.d_in):
+            raise DimensionError(
+                f"target {self.target.shape} does not match plan {(self.plan.d_out, self.plan.d_in)}"
+            )
         _block_rank(self.plan.k if self.kind == "smoa" else 1, self.r)
 
 
@@ -257,7 +255,7 @@ def _check_adapter(problem: FitProblem, adapter: Adapter) -> None:
             )
     elif (adapter.plan.k, adapter.plan.p_out, adapter.plan.p_in) != (
         problem.plan.k, problem.plan.p_out, problem.plan.p_in
-    ):
+    ) or not np.array_equal(adapter.plan.anchor_stack, problem.plan.anchor_stack):
         raise ConfigurationError("adapter was built over a different plan")
 
 

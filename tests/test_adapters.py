@@ -204,6 +204,15 @@ class TestInit:
         with pytest.raises(RangeError):
             SmoaAdapter(plan, 3, np.zeros((2, 3, 2)), np.zeros((2, 2, 3)))
 
+    def test_constructor_refuses_rho_zero(self, rng):
+        plan = build_plan(random_matrix(rng, 4, 4), 2)
+        with pytest.raises(ConfigurationError, match="rho must be a positive integer, got 0"):
+            SmoaAdapter(plan, 0, np.zeros((2, 0, 2)), np.zeros((2, 2, 0)))
+
+    def test_lora_factors_must_chain(self):
+        with pytest.raises(DimensionError, match=r"factor shapes \(4, 3\) @ \(2, 4\) do not chain"):
+            LoraAdapter(Matrix.ones(2, 4), Matrix.ones(4, 3))
+
     def test_k_must_divide_r(self, rng):
         plan = build_plan(random_matrix(rng, 6, 6), 3)
         with pytest.raises(ConfigurationError):
@@ -309,18 +318,22 @@ class TestAdapterFiles:
         assert smoa_update(load_adapter(path)).data.tobytes() == smoa_update(adapter).data.tobytes()
 
     def test_envelope_fields(self, rng, tmp_path):
-        lora = init_lora(4, 6, 2, AdapterInit("zero-update", seed=5))
-        path = tmp_path / "adapter.json"
-        save_adapter(lora, path, init=AdapterInit("zero-update", seed=5))
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "SMOA-ADPT" and doc["version"] == 3
-        for side in "ab":
-            assert doc[side] == {"path": f"adapter.{side}.mat",
-                                 "hash": sha256_file(tmp_path / f"adapter.{side}.mat")}
-        assert doc["plan"] is None and "seed" not in doc
-        assert doc["kind"] == "lora" and doc["r"] == 2
-        assert doc["d_out"] == 4 and doc["d_in"] == 6
-        assert doc["init"] == {"scheme": "zero-update", "seed": 5, "scale": 1.0}
+        """Either family's envelope is its format, version, three pins and
+        ``init``: nothing the pinned plan and factor files define."""
+        plan = save_plan(build_plan(random_matrix(rng, 4, 6), 2), tmp_path / "plan.json")
+        init = AdapterInit("zero-update", seed=5)
+        for adapter in (init_lora(4, 6, 2, init), init_smoa(plan, 2, init)):
+            path = tmp_path / "adapter.json"
+            save_adapter(adapter, path, init=init)
+            doc = json.loads(path.read_text())
+            assert sorted(doc) == ["a", "b", "format", "init", "plan", "version"]
+            assert doc["format"] == "SMOA-ADPT" and doc["version"] == 4
+            for side in "ab":
+                assert doc[side] == {"path": f"adapter.{side}.mat",
+                                     "hash": sha256_file(tmp_path / f"adapter.{side}.mat")}
+            assert doc["plan"] == (None if isinstance(adapter, LoraAdapter) else
+                                   {"path": "plan.json", "hash": sha256_file(plan.file[0])})
+            assert doc["init"] == {"scheme": "zero-update", "seed": 5, "scale": 1.0}
 
     def test_smoa_plan_without_file_writes_nothing(self, rng, tmp_path):
         """A block adapter pins the file its plan came from; a plan just
@@ -358,7 +371,7 @@ class TestAdapterFiles:
             load_adapter(path)
 
     def test_load_bounds_rho_by_block_dims(self, rng, tmp_path):
-        """A hand-saved rho = 3 adapter over 2x2 blocks is refused on load."""
+        """Re-pinned rho = 3 factor stacks over 2x2 blocks are refused on load."""
         plan = save_plan(build_plan(random_matrix(rng, 4, 4), 2), tmp_path / "plan.json")
         path = tmp_path / "adapter.json"
         save_adapter(init_smoa(plan, 4, AdapterInit("gaussian")), path)
@@ -368,19 +381,42 @@ class TestAdapterFiles:
         doc = json.loads(path.read_text())
         for side in "ab":  # re-pinned, so the load reaches the rho bound
             doc[side]["hash"] = sha256_file(tmp_path / f"adapter.{side}.mat")
-        path.write_text(json.dumps({**doc, "r": 6, "rho": 3}))
+        path.write_text(json.dumps(doc))
         with pytest.raises(RangeError, match="rho=3 out of range 0..2"):
             load_adapter(path)
 
-    def test_r_cross_check(self, rng, tmp_path):
-        lora = init_lora(4, 4, 2, AdapterInit("gaussian"))
+    def test_missing_plan_key_is_not_global(self, rng, tmp_path):
+        """Only a null ``plan`` marks a global adapter; a missing one is refused."""
         path = tmp_path / "adapter.json"
-        save_adapter(lora, path)
+        save_adapter(init_lora(4, 4, 2, AdapterInit("gaussian")), path)
         doc = json.loads(path.read_text())
-        doc["r"] = 3
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError):
+        path.write_text(json.dumps({key: value for key, value in doc.items() if key != "plan"}))
+        with pytest.raises(FormatError, match="missing field 'plan'"):
             load_adapter(path)
+
+    @pytest.mark.parametrize("k,r", [(2, 2), (2, 4), (4, 4)])
+    def test_block_adapter_with_null_plan_fails_its_shapes(self, rng, tmp_path, k, r):
+        """The plan pin names the family: read as the global K = 1 stack,
+        K >= 2 stacked pairs (A: K rho rows, B: rho columns) do not chain."""
+        plan = save_plan(build_plan(random_matrix(rng, 8, 8), k), tmp_path / "plan.json")
+        path = tmp_path / "adapter.json"
+        save_adapter(init_smoa(plan, r, AdapterInit("gaussian")), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "plan": None}))
+        with pytest.raises(DimensionError, match="do not chain"):
+            load_adapter(path)
+
+    def test_one_block_adapter_with_null_plan_loads_as_global(self, rng, tmp_path):
+        """A K = 1 block adapter's stacks are a global adapter's two matrices,
+        so with its plan pin set to null it loads as that global adapter."""
+        plan = save_plan(build_plan(random_matrix(rng, 4, 6), 1), tmp_path / "plan.json")
+        adapter = init_smoa(plan, 2, AdapterInit("gaussian", seed=2))
+        path = tmp_path / "adapter.json"
+        save_adapter(adapter, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "plan": None}))
+        loaded = load_adapter(path)
+        assert isinstance(loaded, LoraAdapter)
+        assert loaded.a.data.tobytes() == adapter.a[0].tobytes()
+        assert loaded.b.data.tobytes() == adapter.b[0].tobytes()
 
     def test_resave_with_fewer_factors_leaves_no_orphans(self, rng, tmp_path):
         """Whatever K is, a save writes exactly two factor files, so a re-save
@@ -422,7 +458,7 @@ class TestAdapterFiles:
         with pytest.raises(FormatError, match="missing field 'b'"):
             load_adapter(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_envelope_versions_refused(self, tmp_path, version):
         path = tmp_path / "adapter.json"
         save_adapter(init_lora(4, 4, 2, AdapterInit("gaussian")), path)

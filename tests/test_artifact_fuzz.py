@@ -33,10 +33,9 @@ ARTIFACTS = {
     "witness-pinned-plan": ("plan.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
                             PLAN_FIELDS),
     "smoa-adapter": ("adapter.json", ["update", "--adapter", "{root}/adapter.json"],
-                     ("format", "version", "a", "b", "kind", "plan", "r", "k", "rho", "d_out",
-                      "d_in")),
+                     ("format", "version", "a", "b", "plan")),
     "lora-adapter": ("lora.json", ["update", "--adapter", "{root}/lora.json"],
-                     ("format", "version", "a", "b", "kind", "r", "k", "rho", "d_out", "d_in")),
+                     ("format", "version", "a", "b", "plan")),
     "witness-manifest": ("witness/witness.json", ["gap", "--witness", "{root}/witness", "--r", "2"],
                          ("format", "version", "plan", "target", "rho", "seed")),
     "sweep-spec": ("spec.json", ["sweep", "--spec", "{root}/spec.json"],
@@ -66,14 +65,14 @@ SWAPS = {
 }
 
 # written for the record but never read back
-PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "init"),
+PROVENANCE = [("plan", "source_hash"), ("smoa-adapter", "init"), ("lora-adapter", "init"),
               ("witness-manifest", "gaps"), ("witness-manifest", "reordered_target_rank")]
 
 # integer fields, or lists of them whose first entry is replaced, that a huge
 # value must not get past; huge trials and seeds are valid, and would run long
 HUGE_FIELDS = [("plan", "k"), ("plan", "p_out"), ("pinned-plan", "k"),
                ("witness-manifest", "rho"), ("sweep-spec", "dims"), ("sweep-spec", "ks"),
-               *(("smoa-adapter", key) for key in ("r", "k", "rho", "d_out", "d_in"))]
+               ("smoa-adapter", "version")]
 HUGE_INTS = [2**63, -2**63, 2**70]
 
 DROP = object()

@@ -163,19 +163,22 @@ class TestPlanAndAdapter:
 
     @pytest.mark.parametrize("kind", ["smoa", "lora"])
     def test_adapter_stdout_restates_the_envelope(self, workdir, seeded_plan, capsys, kind):
-        """The payload comes from the adapter and its plan pin, and is the
-        line that reading the written envelope back gives."""
+        """The payload is the line that loading the written envelope back
+        gives: the family, budget and blocks of the adapter and its plan pin."""
         code = main(["adapter", "--plan", seeded_plan, "--r", "2", "--kind", kind,
                      "--init", "gaussian", "--quiet"])
         line = capsys.readouterr().out
         assert code == 0
         with open(workdir / "adapter.json", encoding="utf-8") as handle:
             envelope = json.load(handle)
-        expected = {"path": "adapter.json",
-                    "params": load_adapter("adapter.json").trainable_parameters,
+        adapter = load_adapter("adapter.json")
+        block = kind == "smoa"
+        expected = {"path": "adapter.json", "kind": kind, "r": adapter.r,
+                    "k": adapter.plan.k if block else None,
+                    "rho": adapter.rho if block else None,
                     "plan_hash": envelope["plan"] and envelope["plan"]["hash"],
-                    **{key: envelope[key] for key in ("kind", "r", "k", "rho")}}
-        if kind == "smoa":
+                    "params": adapter.trainable_parameters}
+        if block:
             assert expected["plan_hash"] == sha256_file(seeded_plan)
         assert line == json.dumps(expected, sort_keys=True) + "\n"
 
@@ -305,6 +308,20 @@ class TestRankCeilingGap:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["smoa", "lora"])
+    def test_rank_of_adapter_is_its_updates(self, workdir, seeded_plan, capsys, kind):
+        """``rank --adapter`` reads the rank that ``update`` reports and that
+        ``rank --matrix`` reads off the written update."""
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--kind", kind,
+                         "--init", "gaussian", "--quiet")
+        _, written = run(capsys, "update", "--adapter", adapter["path"], "--quiet")
+        code, by_adapter = run(capsys, "rank", "--adapter", adapter["path"], "--quiet")
+        assert code == 0
+        _, by_matrix = run(capsys, "rank", "--matrix", written["path"], "--quiet")
+        assert by_adapter["source"] == adapter["path"]
+        assert by_adapter["rank"] == written["achieved_rank"] == by_matrix["rank"]
+        assert by_adapter["rank"] == {"smoa": 8, "lora": 2}[kind]
+
     def test_ceiling_payload(self, workdir, seeded_plan, capsys):
         code, payload = run(capsys, "ceiling", "--plan", seeded_plan, "--r", "4", "--quiet")
         assert code == 0
@@ -417,6 +434,18 @@ class TestFit:
             capsys, "fit", "--target", seeded_matrix, "--kind", "smoa", "--r", "2", "--quiet",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("plan", ["absent.json", "matrix.mat"], ids=["missing", "a-matrix"])
+    def test_lora_with_plan_is_refused_before_any_read(self, workdir, seeded_matrix, capsys,
+                                                       count_reads, plan):
+        """A global fit takes no plan: ``--plan`` with ``--kind lora`` exits 2
+        before any file is read, so a missing plan file is no I/O error."""
+        code, reads, written = count_reads(main, ["fit", "--target", seeded_matrix, "--kind",
+                                                  "lora", "--r", "2", "--plan", plan, "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, written) == (2, "", set())
+        assert not [path for path in reads if path.is_relative_to(workdir.resolve())]
+        assert captured.err == "error: --plan applies to --kind smoa only\n"
 
 
 class TestDiagnose:
@@ -620,7 +649,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("artifact", ["adapter", "lora", "witness"])
     def test_version_1_exits_two_on_one_line(self, workdir, seeded_plan, capsys, artifact):
-        """Adapter files are version 3 and witness manifests version 5; a
+        """Adapter files are version 4 and witness manifests version 5; a
         version 1 file is refused."""
         if artifact == "witness":
             _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
@@ -682,18 +711,16 @@ class TestMalformedInput:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("edit", [
-        without("r"),
+        without("plan"),
         lambda doc: [doc],
         with_field("b", 4),
-        with_field("rho", None),
-        with_field("rho", 1.5),
-        with_field("r", "2"),
-        with_field("k", "x"),
-        with_field("d_in", 99),
+        with_field("plan", None),
+        with_field("plan", "plan.json"),
+        with_field("version", 3),
         in_pin("plan", with_field("hash", None)),
         with_field("a", "adapter.a.mat"),
-    ], ids=["missing-r", "json-list", "factor-pin-a-number", "rho-null", "rho-float",
-            "r-string", "k-string", "d-in-not-the-plan's", "plan-hash-null", "factors-string"])
+    ], ids=["missing-plan", "json-list", "factor-pin-a-number", "block-plan-null",
+            "plan-string", "version-3", "plan-hash-null", "factors-string"])
     def test_adapter(self, workdir, seeded_plan, capsys, edit):
         _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
         edit_json(payload["path"], edit)
@@ -706,11 +733,6 @@ class TestMalformedInput:
     def test_plan_overflow(self, workdir, seeded_plan, capsys, edit):
         edit_json(seeded_plan, edit)
         self.assert_rejected(capsys, "ceiling", "--plan", seeded_plan, "--r", "2")
-
-    def test_adapter_rho_overflows(self, workdir, seeded_plan, capsys):
-        _, payload = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
-        edit_json(payload["path"], with_field("rho", HUGE))
-        self.assert_rejected(capsys, "update", "--adapter", payload["path"])
 
     def test_sweep_spec_dims_overflow(self, workdir, capsys):
         spec = {"dims": [HUGE], "ks": [2], "rs": [2], "trials": 1, "seed": 1}
@@ -737,10 +759,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field,value", [
         ("ks", [0]), ("dims", [0]), ("rs", [-2]), ("seed", -1),
         ("dims", "64"), ("dims", [64.7]), ("trials", True), ("seed", 1.9), ("dims", {"16": 1}),
-        ("rs", [3]),
+        ("rs", [3]), ("trials", 0),
     ], ids=["ks-zero", "dims-zero", "rs-negative", "seed-negative",
             "dims-string", "dims-float", "trials-bool", "seed-float", "dims-object",
-            "rs-not-a-multiple-of-k"])
+            "rs-not-a-multiple-of-k", "trials-zero"])
     def test_sweep_spec_values(self, workdir, capsys, field, value):
         spec = {"dims": [8], "ks": [2], "rs": [2], "trials": 1, "seed": 1, field: value}
         (workdir / "spec.json").write_text(json.dumps(spec))
@@ -854,6 +876,15 @@ class TestMalformedInput:
         self.assert_rejected(
             capsys, "gen", "--rows", "4", "--cols", "4", "--kind", "diagonal", "--values", values,
         )
+        assert not (workdir / "matrix.mat").exists()
+
+    @pytest.mark.parametrize("values", ["1,x", "one"])
+    def test_non_numeric_values_list(self, workdir, capsys, values):
+        code = main(["gen", "--rows", "4", "--cols", "4", "--kind", "diagonal",
+                     "--values", values, "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: bad --values list {values!r}\n"
         assert not (workdir / "matrix.mat").exists()
 
     def test_rejected_update_writes_nothing(self, workdir, seeded_plan, capsys):

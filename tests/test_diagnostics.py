@@ -22,6 +22,7 @@ from smoa import (
     estimate_noise_scale,
     full_report,
     gaussian_matrix,
+    low_rank_plus_noise,
     mp_bulk_edge,
     mp_median,
     mp_singular_density,
@@ -130,6 +131,20 @@ class TestBulkLaw:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
         ).stdout
         assert out.strip() == "False"
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("count", [-1, 5])
+    @pytest.mark.parametrize("make,name", [(spiked_matrix, "spikes"), (low_rank_plus_noise, "rank")],
+                             ids=["spiked", "low-rank"])
+    def test_count_out_of_range(self, make, name, count):
+        with pytest.raises(RangeError, match=f"{name}={count} out of range 0..4"):
+            make(4, 6, count, 1.0, 0)
+
+    @pytest.mark.parametrize("make", [spiked_matrix, low_rank_plus_noise], ids=["spiked", "low-rank"])
+    def test_zero_count_is_the_seeds_unit_noise(self, make):
+        """No spike and no signal: the seed's unit Gaussian draw, bit for bit."""
+        assert make(4, 6, 0, 1.0, 3).data.tobytes() == gaussian_matrix(4, 6, 3).data.tobytes()
 
 
 class TestBulkEdge:

@@ -1,4 +1,5 @@
 """Binary and CSV matrix serialization: roundtrips, errors, determinism."""
+import os
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from smoa import FormatError, Matrix
-from smoa.fileutil import csv_text, read_json, write_csv, write_json
+from smoa.fileutil import atomic_write_bytes, csv_text, read_json, write_csv, write_json
 from smoa.matio import (
     decode_matrix,
     encode_matrix,
@@ -129,6 +130,11 @@ class TestCsvFormat:
         with pytest.raises(FormatError):
             matrix_from_csv("rows=1 cols=2\n1.0,2.0\n")
 
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_empty_text(self, text):
+        with pytest.raises(FormatError, match="empty matrix text"):
+            matrix_from_csv(text)
+
     @settings(deadline=None, max_examples=50)
     @given(st.lists(finite_floats, min_size=6, max_size=6))
     def test_roundtrip_property(self, entries):
@@ -154,6 +160,16 @@ class TestTextCodec:
         rows = [[np.float64(0.1), np.int64(3)], [np.float64(1 / 3), np.int64(-2)]]
         write_csv(path, ["x", "n"], rows)
         assert path.read_text() == "x,n\n0.1,3\n0.3333333333333333,-2\n"
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """An atomic write whose final rename fails removes its temp file."""
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write_bytes(tmp_path / "m.mat", b"payload")
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "t.csv"

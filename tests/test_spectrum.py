@@ -397,6 +397,11 @@ class TestTailEnergy:
         w = random_matrix(rng, 6, 3)
         assert tail_energy(w, 0) == pytest.approx(w.norm() ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [-1, 5])
+    def test_rank_out_of_range(self, rng, r):
+        with pytest.raises(RangeError, match=rf"rank {r} out of range 0..4 for shape \(4, 6\)"):
+            tail_energy(random_matrix(rng, 4, 6), r)
+
 
 class TestBalancedFactors:
     @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4)])

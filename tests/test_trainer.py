@@ -24,6 +24,7 @@ from smoa import (
     build_plan,
     finite_difference_check,
     fit,
+    gaussian_matrix,
     gradient,
     init_lora,
     init_smoa,
@@ -57,6 +58,12 @@ class TestProblemValidation:
     def test_unknown_kind(self, rng):
         with pytest.raises(ConfigurationError):
             FitProblem(random_matrix(rng, 4, 4), "prefix", 2)
+
+    def test_lora_takes_no_plan(self, rng):
+        """A plan is given exactly when the kind is smoa."""
+        plan = build_plan(random_matrix(rng, 4, 4), 2)
+        with pytest.raises(ConfigurationError, match="global .* take none"):
+            FitProblem(random_matrix(rng, 4, 4), "lora", 2, plan)
 
     def test_config_guards(self):
         with pytest.raises(ConfigurationError):
@@ -146,6 +153,24 @@ class TestLossAndGradient:
             pytest.skip("random plans coincided")
         with pytest.raises(ConfigurationError):
             loss(problem, adapter)
+
+    @pytest.mark.parametrize("call", [loss, gradient, finite_difference_check],
+                             ids=["loss", "gradient", "finite-difference"])
+    def test_adapter_over_other_anchors_is_a_different_plan(self, call):
+        """Scaling a weight keeps its permutations but doubles its anchors, so
+        an adapter over the scaled plan does not fit the unscaled problem."""
+        w0 = gaussian_matrix(8, 8, seed=1)
+        plan, scaled = build_plan(w0, 2), build_plan(w0 * 2.0, 2)
+        assert (scaled.p_out, scaled.p_in) == (plan.p_out, plan.p_in)
+        problem = FitProblem(make_witness(plan, 2, 0).target, "smoa", 4, plan)
+        adapter = init_smoa(scaled, 4, AdapterInit("gaussian", seed=0))
+        with pytest.raises(ConfigurationError, match="different plan"):
+            call(problem, adapter)
+
+    def test_lora_adapter_shape_mismatch(self, rng):
+        problem = FitProblem(random_matrix(rng, 4, 6), "lora", 2)
+        with pytest.raises(DimensionError, match=r"adapter \(6, 4\) does not match target"):
+            loss(problem, init_lora(6, 4, 2, AdapterInit("gaussian")))
 
 
 class TestFit:
