@@ -192,16 +192,21 @@ def _factor_stacks(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
     return adapter.a, adapter.b
 
 
+def _update_blocks(adapter: SmoaAdapter) -> np.ndarray:
+    """The (K, s_out, s_in) stack of a block update's diagonal blocks in
+    reordered coordinates, ``(b_k @ a_k) * anchor_k`` (entrywise), in one
+    batched product."""
+    return (adapter.b @ adapter.a) * adapter.plan.anchor_stack
+
+
 def smoa_update(adapter: SmoaAdapter) -> Matrix:
     """Block update carried back to original coordinates.
 
-    Diagonal block k in reordered coordinates is
-    ``(b_k @ a_k) * anchor_k`` (entrywise), computed for all blocks in
-    one batched product; off-diagonal blocks are exactly zero, and the
-    blocks scatter straight to their original coordinates.
+    The diagonal blocks (:func:`_update_blocks`) scatter straight to their
+    original coordinates; off-diagonal blocks are exactly zero.
     """
     plan = adapter.plan
-    return Matrix(_scatter_blocks((adapter.b @ adapter.a) * plan.anchor_stack, plan.p_out, plan.p_in))
+    return Matrix(_scatter_blocks(_update_blocks(adapter), plan.p_out, plan.p_in))
 
 
 def update(adapter: Adapter) -> Matrix:

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import SmoaAdapter
-from .errors import FormatError
-from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope,
+from .adapters import Adapter, SmoaAdapter, _update_blocks, lora_update
+from .errors import ConfigurationError, FormatError
+from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope, read_json,
                        read_pinned, sha256_bytes, write_json)
 from .gen import _check_seed, _rng
 from .matio import encode_matrix
@@ -36,6 +36,7 @@ from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _deco
 from .spectrum import (
     _rank_from_values,
     _tail_from_values,
+    _union_values,
     balanced_factors,
     numerical_rank,
     singular_values,
@@ -127,6 +128,26 @@ def achieved_rank(delta: Matrix, epsilon: float | None = None) -> int:
     return numerical_rank(delta, epsilon)
 
 
+def _update_spectrum(adapter: Adapter, delta: Matrix | None = None
+                     ) -> tuple[np.ndarray, tuple[int, int]]:
+    """Descending singular values and shape of an adapter's update. A block
+    update is a permuted block diagonal, so its values are its K blocks'
+    (:func:`~smoa.spectrum._union_values`); a global update is decomposed
+    whole, as ``delta`` when the caller has already built it."""
+    if isinstance(adapter, SmoaAdapter):
+        plan = adapter.plan
+        return _union_values(singular_values(_update_blocks(adapter))), (plan.d_out, plan.d_in)
+    delta = lora_update(adapter) if delta is None else delta
+    return singular_values(delta), delta.shape
+
+
+def _update_rank(adapter: Adapter, epsilon: float | None = None,
+                 delta: Matrix | None = None) -> int:
+    """Numerical rank of an adapter's update, read off :func:`_update_spectrum`,
+    whose values agree with those of ``update(adapter)`` up to roundoff."""
+    return _rank_from_values(*_update_spectrum(adapter, delta), epsilon)[0]
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessInstance:
     """A target the block family fits exactly at rank budget rho * K.
@@ -136,8 +157,9 @@ class WitnessInstance:
     L_k R_k, is one (K, rho (s_out + s_in)) standard-normal draw from ``seed``
     (row k: L_k's entries, then R_k's) and one batched product; ``coefficients``
     views it as matrices. The target is blkdiag(C_k * anchor_k) (entrywise)
-    carried back through the plan's inverse permutations, and its singular
-    values are derived once; ``reordered_target_rank`` is their numerical rank.
+    carried back through the plan's inverse permutations. Its singular values
+    are those of the K blocks C_k * anchor_k, derived once in one batched call
+    and kept; ``reordered_target_rank`` is their numerical rank.
     ``rho`` lies in 0..min(block_shape) and ``seed`` >= 0, else :class:`RangeError`.
     """
 
@@ -164,13 +186,17 @@ class WitnessInstance:
         return tuple(Matrix(c) for c in self.coefficient_stack)
 
     @property
+    def _blocks(self) -> np.ndarray:
+        """The (K, s_out, s_in) stack of target blocks C_k * anchor_k."""
+        return self.coefficient_stack * self.plan.anchor_stack
+
+    @property
     def target(self) -> Matrix:
-        blocks = self.coefficient_stack * self.plan.anchor_stack
-        return Matrix(_scatter_blocks(blocks, self.plan.p_out, self.plan.p_in))
+        return Matrix(_scatter_blocks(self._blocks, self.plan.p_out, self.plan.p_in))
 
     @cached_property
     def _values(self) -> np.ndarray:
-        return singular_values(self.target)
+        return _union_values(singular_values(self._blocks))
 
     @property
     def reordered_target_rank(self) -> int:
@@ -197,6 +223,14 @@ def smoa_exact_fit(witness: WitnessInstance) -> SmoaAdapter:
     return SmoaAdapter(witness.plan, rho, *balanced_factors(witness.coefficient_stack, rho))
 
 
+def _exact_fit_residual(witness: WitnessInstance) -> float:
+    """Frobenius-squared distance from ``smoa_exact_fit(witness)``'s update to
+    the target, roundoff by construction. Both scatter K blocks through the
+    plan's permutations and are zero off them, so it is summed over the blocks."""
+    residual = _update_blocks(smoa_exact_fit(witness)) - witness._blocks
+    return float(np.sum(residual ** 2))
+
+
 def lora_gap(witness: WitnessInstance, r: int) -> float:
     """Frobenius-squared distance from the target to the rank-r set.
 
@@ -214,12 +248,15 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     The manifest pins the witness plan's ``file`` and the target (see
     :mod:`smoa.fileutil`) and records seed, rho, the target rank and the gap
     ``lora_gap(witness, r)`` at every budget r = 1..min(d_out, d_in), all read
-    off one decomposition of the target. Nothing is written until the
-    manifest is complete, so a numerical failure or a plan with no file
-    (:class:`ConfigurationError`) leaves no partial bundle.
+    off the witness's one batched decomposition of its K blocks. Nothing is
+    written until the manifest is complete, so a numerical failure or a plan
+    with no file (:class:`ConfigurationError`) leaves no partial bundle. The
+    ``coefficients.mat`` that an older (v4) bundle's ``witness.json`` in
+    ``directory`` pins is removed once the new bundle is written.
     """
     base = Path(directory)
     plan_pin = _plan_pin(witness.plan, base)
+    superseded = _superseded_coefficients(base, Path(witness.plan.file[0]))
     values = witness._values
     target = encode_matrix(witness.target)
     manifest = {
@@ -234,7 +271,32 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     }
     atomic_write_bytes(base / "target.mat", target)
     write_json(base / "witness.json", manifest)
+    if superseded is not None:
+        superseded.unlink(missing_ok=True)
     return base / "witness.json"
+
+
+def _superseded_coefficients(base: Path, keep: Path) -> Path | None:
+    """``base / "coefficients.mat"`` when an older SMOA-WITNESS manifest in
+    ``base`` (below version 5, which stores no coefficients) pins that file
+    under its ``coefficients`` key and the file still hashes to the pin, and
+    it is not ``keep``, the plan the new bundle pins; ``None`` otherwise,
+    including when there is no readable manifest."""
+    manifest = base / "witness.json"
+    if not manifest.is_file():
+        return None
+    what = f"witness manifest {manifest}"
+    try:
+        old = read_json(manifest.read_bytes(), what)
+        if (field(old, "format", str, what) != WITNESS_FORMAT
+                or field(old, "version", int, what) >= WITNESS_VERSION):
+            return None
+        path = read_pinned(old, "coefficients", base, what)[0].resolve()
+    except (OSError, FormatError, ConfigurationError):
+        return None
+    if path != (base / "coefficients.mat").resolve() or path == keep.resolve():
+        return None
+    return path
 
 
 def load_witness(directory: str | os.PathLike) -> WitnessInstance:

@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (AdapterInit, init_lora, init_smoa, load_adapter, lora_update,
-                       save_adapter, smoa_update, update)
-from .capacity import (achieved_rank, load_witness, lora_gap, make_witness, rank_ceiling,
-                       save_witness, smoa_exact_fit)
+from .adapters import AdapterInit, init_lora, init_smoa, load_adapter, save_adapter, update
+from .capacity import (_exact_fit_residual, _update_rank, _update_spectrum, load_witness, lora_gap,
+                       make_witness, rank_ceiling, save_witness)
 from .diagnostics import ActivationSample, full_report, save_report
 from .errors import ConfigurationError, DimensionError, FormatError, NumericalError, RangeError
 from .fileutil import field, read_json, sha256_bytes, write_csv, write_json
@@ -151,7 +150,7 @@ def cmd_adapter(args) -> dict:
 def cmd_update(args) -> dict:
     adapter = load_adapter(args.adapter)
     delta = update(adapter)
-    rank = achieved_rank(delta, args.epsilon)
+    rank = _update_rank(adapter, args.epsilon, delta)
     path = _out_dir(args) / args.name
     payload = save_matrix(delta, path)
     _note(args, f"wrote {path}")
@@ -169,15 +168,15 @@ def cmd_rank(args) -> dict:
         raise ConfigurationError("pass exactly one of --matrix or --adapter")
     if args.matrix is not None:
         matrix = load_matrix(args.matrix)
-        source = str(args.matrix)
+        source, values, (rows, cols) = str(args.matrix), singular_values(matrix), matrix.shape
     else:
-        matrix = update(load_adapter(args.adapter))
         source = str(args.adapter)
-    rank, epsilon = _rank_from_values(singular_values(matrix), matrix.shape, args.epsilon)
+        values, (rows, cols) = _update_spectrum(load_adapter(args.adapter))
+    rank, epsilon = _rank_from_values(values, (rows, cols), args.epsilon)
     payload = {
         "source": source,
-        "rows": matrix.rows,
-        "cols": matrix.cols,
+        "rows": rows,
+        "cols": cols,
         "rank": rank,
         "epsilon": epsilon,
     }
@@ -185,7 +184,7 @@ def cmd_rank(args) -> dict:
         args, "rank",
         payload,
         ["rank", "epsilon", "rows", "cols"],
-        [[rank, float(epsilon), matrix.rows, matrix.cols]],
+        [[rank, float(epsilon), rows, cols]],
     )
     return payload
 
@@ -334,21 +333,19 @@ def cmd_sweep(args) -> dict:
             ceiling = rank_ceiling(plan, r, args.epsilon)
             lora = init_lora(d, d, r, AdapterInit("gaussian", s_lora))
             smoa = init_smoa(plan, r, AdapterInit("gaussian", s_smoa))
-            exact = smoa_exact_fit(witness)
-            smoa_residual = (smoa_update(exact) - witness.target).norm() ** 2
             rows.append([
                 "lora", d, k, r, trial,
                 lora.trainable_parameters,
-                achieved_rank(lora_update(lora), args.epsilon),
+                _update_rank(lora, args.epsilon),
                 r,
                 lora_gap(witness, r),
             ])
             rows.append([
                 "smoa", d, k, r, trial,
                 smoa.trainable_parameters,
-                achieved_rank(smoa_update(smoa), args.epsilon),
+                _update_rank(smoa, args.epsilon),
                 ceiling.total_ceiling,
-                smoa_residual,
+                _exact_fit_residual(witness),
             ])
         _note(args, f"cell d={d} k={k} r={r} done")
     path = _out_dir(args) / args.name

@@ -6,6 +6,8 @@ input, each to 1e-10. LAPACK provides the factorization through numpy:
 ``gesdd`` for full SVDs, with scipy's ``gesvd`` as the fallback when it
 does not converge, and ``gesdd`` without vectors for values only. A
 deterministic sign convention on top makes repeated runs bit-comparable.
+The spectrum of a permuted block-diagonal matrix is read off its K blocks
+in one batched values-only call, never off the scattered matrix.
 """
 from __future__ import annotations
 
@@ -112,6 +114,17 @@ def singular_values(w: Matrix | np.ndarray) -> np.ndarray:
         return np.linalg.svd(np.asarray(w), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge for shape {w.shape}") from exc
+
+
+def _union_values(values: np.ndarray) -> np.ndarray:
+    """Descending union of the rows of the ``(K, m)`` values that
+    :func:`singular_values` gives for a ``(K, s_out, s_in)`` block stack.
+    Permutations and block-diagonal structure leave singular values
+    unchanged (Golub & Van Loan, *Matrix Computations*), so these are the
+    singular values of the blocks scattered onto a permuted block diagonal:
+    min(d_out, d_in) of them for K equal blocks, without a d_out x d_in
+    decomposition."""
+    return np.sort(values, axis=None)[::-1]
 
 
 def default_tolerance(shape: tuple[int, int], sigma_max: float) -> float:

@@ -63,16 +63,22 @@ def count_decompositions(monkeypatch):
     vectors counts as ``"svd"``, as does ``scipy.linalg.svd`` (the fallback
     driver), and ``numpy.linalg.svd(..., compute_uv=False)`` as
     ``"svdvals"``. A stacked call counts once, however many matrices its
-    ``(K, m, n)`` input holds."""
+    ``(K, m, n)`` input holds. ``run.shapes`` lists each call of the last
+    run in order as ``(name, input shape)``, so a test can tell a
+    ``(K, m, n)`` stack from a dense matrix."""
     counts: Counter[str] = Counter()
     real_svd, real_np_svd = scipy.linalg.svd, np.linalg.svd
 
+    def record(name, args, kwargs):
+        counts[name] += 1
+        run.shapes.append((name, np.shape(args[0] if args else kwargs["a"])))
+
     def counting_svd(*args, **kwargs):
-        counts["svd"] += 1
+        record("svd", args, kwargs)
         return real_svd(*args, **kwargs)
 
     def counting_np_svd(*args, **kwargs):
-        counts["svd" if kwargs.get("compute_uv", True) else "svdvals"] += 1
+        record("svd" if kwargs.get("compute_uv", True) else "svdvals", args, kwargs)
         return real_np_svd(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
@@ -80,9 +86,11 @@ def count_decompositions(monkeypatch):
 
     def run(fn, *args, **kwargs):
         counts.clear()
+        run.shapes.clear()
         result = fn(*args, **kwargs)
         return result, dict(counts)
 
+    run.shapes = []
     return run
 
 

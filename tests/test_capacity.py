@@ -191,6 +191,46 @@ class TestBlockDiagonalRankAdditivity:
         assert numerical_rank(moved) == 3
 
 
+def random_plans(rng, rows, cols, k):
+    """Plans over two Gaussian weights and two of rank 3, whose anchors are
+    rank deficient, so the rank cutoff decides on values that are roundoff."""
+    for low_rank in (False, False, True, True):
+        w = exact_rank_matrix(rng, rows, cols, 3) if low_rank else random_matrix(rng, rows, cols)
+        yield build_plan(w, k)
+
+
+def assert_same_spectrum(values, dense):
+    """Block values against the dense decomposition's: same count, equal to
+    1e-12 of the largest."""
+    assert values.shape == dense.shape
+    assert np.abs(values - dense).max() <= 1e-12 * dense[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("rows,cols", [(12, 12), (12, 8)])
+class TestBlockSpectrum:
+    """A witness target and a block update are permuted block diagonals, so
+    their singular values are the union of their K blocks' values; the dense
+    decomposition of the scattered matrix is the oracle for both."""
+
+    @pytest.mark.parametrize("rho", [0, 1, 2])
+    def test_witness_values_are_the_dense_values(self, rng, rows, cols, k, rho):
+        for plan in random_plans(rng, rows, cols, k):
+            witness = make_witness(plan, rho, seed=int(rng.integers(2**31)))
+            assert_same_spectrum(witness._values, singular_values(witness.target))
+            assert witness.reordered_target_rank == numerical_rank(witness.target)
+
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_update_rank_is_the_dense_rank(self, rng, rows, cols, k, rho):
+        for plan in random_plans(rng, rows, cols, k):
+            adapter = init_smoa(plan, rho * k, AdapterInit("gaussian", int(rng.integers(2**31))))
+            values, shape = smoa.capacity._update_spectrum(adapter)
+            delta = smoa_update(adapter)
+            assert shape == delta.shape
+            assert_same_spectrum(values, singular_values(delta))
+            assert smoa.capacity._update_rank(adapter) == numerical_rank(delta)
+
+
 class TestWitness:
     @pytest.fixture
     def witness(self, rng):
@@ -218,7 +258,10 @@ class TestWitness:
 
     def test_derived_once(self, rng, tmp_path, count_decompositions):
         """Building a witness decomposes nothing; saving it and reading
-        every gap shares one values-only decomposition of the target."""
+        every gap shares one values-only decomposition of its K blocks and
+        none of the dense target. The block values carry no cross-block
+        roundoff, so the gaps agree with the dense ones to rel 1e-9, not bit
+        for bit."""
         plan = save_plan(build_plan(random_matrix(rng, 12, 8), 2), tmp_path / "plan.json")
         witness, calls = count_decompositions(make_witness, plan, rho=2, seed=3)
         assert calls == {}
@@ -229,7 +272,9 @@ class TestWitness:
 
         (gaps, rank), calls = count_decompositions(save_and_read_gaps)
         assert calls == {"svdvals": 1}
-        assert gaps == [tail_energy(witness.target, r) for r in range(1, 9)]
+        assert count_decompositions.shapes == [("svdvals", (2, 6, 4))]
+        assert gaps == pytest.approx([tail_energy(witness.target, r) for r in range(1, 9)],
+                                     rel=1e-9)
         assert rank == numerical_rank(witness.target) == 8
 
     def test_seeded_reproducibility(self, rng):
@@ -524,6 +569,7 @@ class TestWitnessFiles:
         witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho=rho, seed=29)
         _, calls = count_decompositions(save_bundle, witness, tmp_path / "bundle")
         assert calls == {"svdvals": 1}
+        assert count_decompositions.shapes == [("svdvals", (k, rows // k, cols // k))]
         manifest = json.loads((tmp_path / "bundle" / "witness.json").read_text())
         assert manifest["reordered_target_rank"] == numerical_rank(witness.target)
         for r in range(1, min(rows, cols) + 1):

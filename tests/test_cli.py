@@ -11,8 +11,9 @@ import pytest
 
 import smoa.capacity
 import smoa.cli
-from smoa import (Matrix, NumericalError, load_adapter, load_matrix, load_plan, load_witness,
-                  save_matrix)
+from smoa import (AdapterInit, Matrix, NumericalError, build_plan, gaussian_matrix, init_lora,
+                  init_smoa, load_adapter, load_matrix, load_plan, load_witness, lora_update,
+                  make_witness, numerical_rank, rank_ceiling, save_matrix, smoa_update, tail_energy)
 from smoa.cli import _COMMANDS, build_parser, main
 from smoa.fileutil import sha256_file
 
@@ -390,12 +391,81 @@ class TestRankCeilingGap:
     def test_gap_decomposes_target_once(self, workdir, seeded_plan, capsys,
                                         count_decompositions):
         """Loading checks the target by its bytes, so the gap's values-only
-        decomposition of the target is the only one."""
+        decomposition of the target's K blocks is the only one."""
         _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "2", "--quiet")
         code, calls = count_decompositions(
             main, ["gap", "--witness", witness["dir"], "--r", "2", "--quiet"])
         assert code == 0
         assert calls == {"svdvals": 1}
+        assert count_decompositions.shapes == [("svdvals", (2, 4, 4))]
+
+    @pytest.mark.parametrize("kind,shape", [("smoa", (2, 4, 4)), ("lora", (8, 8))])
+    @pytest.mark.parametrize("command", ["update", "rank"])
+    def test_update_rank_reads_its_blocks(self, workdir, seeded_plan, capsys,
+                                          count_decompositions, kind, shape, command):
+        """A block update's rank comes from one values-only decomposition of
+        its K blocks, never of the scattered update; a global update's from
+        the dense update."""
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--kind", kind,
+                         "--init", "gaussian", "--quiet")
+        code, _ = count_decompositions(main, [command, "--adapter", adapter["path"], "--quiet"])
+        assert code == 0
+        assert count_decompositions.shapes == [("svdvals", shape)]
+
+    def test_update_ranks_the_global_update_it_writes(self, workdir, seeded_plan, capsys,
+                                                      monkeypatch):
+        """``smoa update`` of a global adapter builds its dense update once:
+        the rank is read off the update it writes."""
+        built = []
+        real = smoa.capacity.lora_update
+        monkeypatch.setattr(smoa.capacity, "lora_update",
+                            lambda adapter: built.append(adapter) or real(adapter))
+        _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--kind", "lora",
+                         "--init", "gaussian", "--quiet")
+        code, payload = run(capsys, "update", "--adapter", adapter["path"], "--quiet")
+        assert code == 0 and built == []
+        assert payload["achieved_rank"] == numerical_rank(load_matrix(payload["path"])) == 2
+
+    @pytest.mark.parametrize("name,pin,version,plan,kept", [
+        ("coefficients.mat", {}, 4, None, False),
+        ("coefficients.mat", {"hash": "0" * 64}, 4, None, True),
+        ("../coefficients.mat", {}, 4, None, True),
+        ("other.mat", {}, 4, None, True),
+        ("coefficients.mat", {}, 5, None, True),
+        ("coefficients.mat", None, 4, None, True),
+        ("plan.json", {}, 4, "plan.json", True),
+        ("coefficients.mat", {}, 4, "coefficients.mat", True),
+    ], ids=["pinned", "edited-since", "outside-the-bundle", "not-the-v4-name", "version-5",
+            "not-pinned", "pins-the-plan", "plan-named-coefficients"])
+    def test_witness_over_an_older_bundle(self, workdir, seeded_matrix, seeded_plan, capsys,
+                                          name, pin, version, plan, kept):
+        """Writing a bundle over a v4 one whose manifest pins ``coefficients.mat``
+        in the bundle, as it still is, removes that file. Every other file
+        stays: one pinned under another name, outside the bundle, edited since,
+        by a version-5 manifest, or that is the plan the new bundle pins (the
+        bundle then lies in the plan's directory, under ``plan``'s name)."""
+        directory = "witness"
+        if plan is not None:
+            _, built = run(capsys, "plan", "--w0", seeded_matrix, "--k", "2", "--name", plan,
+                           "--quiet")
+            seeded_plan, directory = built["path"], "."
+        _, first = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--dir", directory,
+                       "--quiet")
+        bundle = Path(first["dir"])
+        pinned = bundle / name
+        if plan is None:
+            save_matrix(Matrix(np.eye(4)), pinned)
+        (bundle / "notes.txt").write_text("not pinned")
+        older = {"version": version}
+        if pin is not None:
+            older["coefficients"] = {"path": name, "hash": sha256_file(pinned), **pin}
+        edit_json(first["manifest"], lambda doc: {**doc, **older})
+        code, _ = run(capsys, "witness", "--plan", seeded_plan, "--rho", "2", "--dir", directory,
+                      "--quiet")
+        assert code == 0
+        assert pinned.exists() == kept
+        assert {"notes.txt", "target.mat", "witness.json"} <= set(os.listdir(bundle))
+        assert load_witness(bundle).rho == 2
 
 
 class TestFit:
@@ -512,6 +582,39 @@ class TestSweep:
                 assert params == r * 2 * d
             else:
                 assert params * k == r * 2 * d
+
+    def test_rank_and_ceiling_columns_are_the_dense_ones(self, workdir, capsys):
+        """Each trial's ranks, recomputed from its seeds on the dense
+        updates, and its ceiling match the CSV; the LoRA gap is the dense
+        tail energy of the witness target to rel 1e-9, and the exact block
+        fit's residual is roundoff."""
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps({"dims": [8, 12], "ks": [2, 4], "rs": [4], "trials": 2,
+                                    "seed": 5}))
+        assert run(capsys, "sweep", "--spec", str(spec), "--quiet")[0] == 0
+        rows = [line.split(",") for line in (workdir / "sweep.csv").read_text().splitlines()[1:]]
+        cells = [(d, k, 4) for d in (8, 12) for k in (2, 4)]
+        expected = []
+        for cell, (d, k, r) in enumerate(cells):
+            for trial in range(2):
+                s_w0, s_witness, s_lora, s_smoa = smoa.cli._sweep_seeds(5, cell, trial)
+                plan = build_plan(gaussian_matrix(d, d, s_w0), k)
+                lora = init_lora(d, d, r, AdapterInit("gaussian", s_lora))
+                smoa_adapter = init_smoa(plan, r, AdapterInit("gaussian", s_smoa))
+                witness = make_witness(plan, r // k, s_witness)
+                expected.append((["lora", d, k, r, trial], numerical_rank(lora_update(lora)), r,
+                                 tail_energy(witness.target, r)))
+                expected.append((["smoa", d, k, r, trial],
+                                 numerical_rank(smoa_update(smoa_adapter)),
+                                 rank_ceiling(plan, r).total_ceiling, None))
+        assert len(rows) == len(expected)
+        for row, (key, rank, ceiling, gap) in zip(rows, expected):
+            assert [row[0], *map(int, row[1:5])] == key
+            assert (int(row[6]), int(row[7])) == (rank, ceiling)
+            if gap is None:
+                assert 0 <= float(row[8]) <= 1e-20
+            else:
+                assert float(row[8]) == pytest.approx(gap, rel=1e-9)
 
     def test_sweep_is_deterministic(self, workdir, capsys):
         spec = workdir / "spec.json"

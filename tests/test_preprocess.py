@@ -110,6 +110,13 @@ class TestBuildPlan:
         assert_array_equal(plan.p_out.indices, np.argsort(out_scores, kind="stable"))
         assert_array_equal(plan.p_in.indices, np.argsort(in_scores, kind="stable"))
 
+    @pytest.mark.parametrize("shape", [(10, 6), (6, 10), (16, 16)])
+    def test_one_full_svd_of_the_weight(self, rng, count_decompositions, shape):
+        """``build_plan`` runs exactly one full SVD, on the dense weight."""
+        _, calls = count_decompositions(build_plan, random_matrix(rng, *shape), 2)
+        assert calls == {"svd": 1}
+        assert count_decompositions.shapes == [("svd", shape)]
+
     def test_anchors_are_diagonal_blocks_of_reordered(self, rng):
         w = random_matrix(rng, 8, 12)
         plan = build_plan(w, 4)
