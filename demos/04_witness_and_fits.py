@@ -34,7 +34,7 @@ for r in range(1, 9):
 
 exact = smoa_exact_fit(witness)
 residual = (update(exact) - target).norm() / target.norm()
-print(f"\nclosed-form block fit residual: {residual:.2e} (machine zero)")
+print(f"\nclosed-form block fit residual: {residual:.2e} (exact: the witness's own factors)")
 
 floor_cfg = FitConfig(step_size=0.05, max_steps=1000, grad_tol=1e-9, max_halvings=10)
 problem = FitProblem(target, "lora", 4)

@@ -11,8 +11,8 @@ Witnesses make the separation constructive: draw rank-rho coefficient
 matrices C_k from a seed, modulate the anchors, and assemble the
 block-diagonal target. A witness is its plan, rho and seed; C_k and the
 target are derived from them. The block family reproduces the target
-exactly by factoring each C_k, while any rank-r approximation pays at
-least the Frobenius tail energy beyond r (the Eckart-Young bound).
+bit for bit from the drawn factors L_k and R_k, while any rank-r fit
+pays at least the Frobenius tail energy beyond r (the Eckart-Young bound).
 ``lora_gap`` evaluates that bound spectrally; no training is involved here.
 """
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .spectrum import (
     _rank_from_values,
     _tail_from_values,
     _union_values,
-    balanced_factors,
     numerical_rank,
     singular_values,
 )
@@ -154,12 +153,12 @@ class WitnessInstance:
 
     A witness is its plan, ``rho`` and ``seed``; all else is derived on each
     use. ``coefficient_stack``, the read-only (K, s_out, s_in) rank-rho C_k =
-    L_k R_k, is one (K, rho (s_out + s_in)) standard-normal draw from ``seed``
-    (row k: L_k's entries, then R_k's) and one batched product; ``coefficients``
-    views it as matrices. The target is blkdiag(C_k * anchor_k) (entrywise)
-    carried back through the plan's inverse permutations. Its singular values
-    are those of the K blocks C_k * anchor_k, derived once in one batched call
-    and kept; ``reordered_target_rank`` is their numerical rank.
+    L_k R_k, is the batched product of the factor stacks ``_factors`` draws,
+    and ``coefficients`` views it as matrices; the exact fit's factors are
+    those stacks. The target is blkdiag(C_k * anchor_k) (entrywise) carried
+    back through the plan's inverse permutations. Its singular values are
+    those of the K blocks C_k * anchor_k, derived once in one batched call and
+    kept; ``reordered_target_rank`` is their numerical rank.
     ``rho`` lies in 0..min(block_shape) and ``seed`` >= 0, else :class:`RangeError`.
     """
 
@@ -172,11 +171,16 @@ class WitnessInstance:
         _check_seed(self.seed)
 
     @property
-    def coefficient_stack(self) -> np.ndarray:
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (K, s_out, rho) L and (K, rho, s_in) R stacks: views of one
+        (K, rho (s_out + s_in)) standard-normal draw from ``seed``, row k L_k then R_k."""
         k, (s_out, s_in), rho = self.plan.k, self.plan.block_shape, self.rho
         draws = _rng(self.seed).standard_normal((k, rho * (s_out + s_in)))
-        left = draws[:, :s_out * rho].reshape(k, s_out, rho)
-        right = draws[:, s_out * rho:].reshape(k, rho, s_in)
+        return draws[:, :s_out * rho].reshape(k, s_out, rho), draws[:, s_out * rho:].reshape(k, rho, s_in)
+
+    @property
+    def coefficient_stack(self) -> np.ndarray:
+        left, right = self._factors
         stack = left @ right  # rho = 0 is the empty product: zeros
         stack.setflags(write=False)
         return stack
@@ -213,19 +217,21 @@ def make_witness(plan: BlockPlan, rho: int, seed: int) -> WitnessInstance:
 
 
 def smoa_exact_fit(witness: WitnessInstance) -> SmoaAdapter:
-    """Block adapter reproducing the witness target exactly.
+    """Block adapter reproducing the witness target bit for bit.
 
-    The coefficient stack is split in one stacked decomposition into the
-    rank-rho truncated SVD of each C_k (exact, since rank(C_k) <= rho).
-    A zero witness returns a rho = 1 adapter with zero factors.
+    Its factor pairs are the witness's own draws, a_k = R_k and b_k = L_k, so
+    its update is the very batched product the target is built from and nothing
+    is decomposed. A zero witness returns a rho = 1 adapter with zero factors.
     """
-    rho = max(witness.rho, 1)
-    return SmoaAdapter(witness.plan, rho, *balanced_factors(witness.coefficient_stack, rho))
+    left, right = witness._factors
+    if witness.rho == 0:
+        left, right = np.zeros(left.shape[:2] + (1,)), np.zeros((right.shape[0], 1, right.shape[2]))
+    return SmoaAdapter(witness.plan, max(witness.rho, 1), a=right, b=left)
 
 
 def _exact_fit_residual(witness: WitnessInstance) -> float:
     """Frobenius-squared distance from ``smoa_exact_fit(witness)``'s update to
-    the target, roundoff by construction. Both scatter K blocks through the
+    the target, exactly 0.0 by construction. Both scatter K blocks through the
     plan's permutations and are zero off them, so it is summed over the blocks."""
     residual = _update_blocks(smoa_exact_fit(witness)) - witness._blocks
     return float(np.sum(residual ** 2))

@@ -378,7 +378,39 @@ class TestSeparation:
         witness = make_witness(plan, rho=0, seed=13)
         adapter = smoa_exact_fit(witness)
         assert adapter.rho == 1
+        assert (adapter.a.shape, adapter.b.shape) == ((2, 1, 2), (2, 2, 1))
+        assert not adapter.a.any() and not adapter.b.any()
         assert np.all(smoa_update(adapter).data == 0.0)
+
+    @pytest.mark.parametrize("rows,cols,k,rho", [(8, 8, 2, 2), (12, 18, 3, 1), (16, 8, 4, 2),
+                                                 (8, 8, 1, 8)])
+    def test_exact_fit_is_the_witness_draws(self, rng, rows, cols, k, rho):
+        """The exact fit's factor pairs are the witness's own draws, taken
+        here block by block: b_k = L_k and a_k = R_k, bit for bit."""
+        plan = build_plan(random_matrix(rng, rows, cols), k)
+        s_out, s_in = plan.block_shape
+        draws = np.random.default_rng(9)
+        left, right = zip(*[(draws.standard_normal((s_out, rho)), draws.standard_normal((rho, s_in)))
+                            for _ in range(k)])
+        exact = smoa_exact_fit(make_witness(plan, rho, seed=9))
+        assert exact.rho == rho
+        assert exact.b.tobytes() == np.stack(left).tobytes()
+        assert exact.a.tobytes() == np.stack(right).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_exact_fit_decomposes_nothing(self, rng, count_decompositions, k):
+        witness = make_witness(build_plan(random_matrix(rng, 16, 16), k), rho=1, seed=k)
+        _, calls = count_decompositions(smoa_exact_fit, witness)
+        assert calls == {}
+
+    @pytest.mark.parametrize("rho", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("rows,cols", [(8, 8), (12, 8), (8, 12), (24, 16)])
+    def test_exact_fit_update_is_the_target_bitwise(self, rng, rows, cols, k, rho):
+        """The exact fit's update is the very batched product the target is
+        built from, so the two agree byte for byte, not to roundoff."""
+        witness = make_witness(build_plan(random_matrix(rng, rows, cols), k), rho, seed=rows + k)
+        assert smoa_update(smoa_exact_fit(witness)).data.tobytes() == witness.target.data.tobytes()
 
     def test_gap_matches_truncation_residual(self, rng):
         """Independent oracle: the gap at r is the squared distance to

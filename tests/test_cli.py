@@ -587,7 +587,7 @@ class TestSweep:
         """Each trial's ranks, recomputed from its seeds on the dense
         updates, and its ceiling match the CSV; the LoRA gap is the dense
         tail energy of the witness target to rel 1e-9, and the exact block
-        fit's residual is roundoff."""
+        fit's residual is exactly 0.0."""
         spec = workdir / "spec.json"
         spec.write_text(json.dumps({"dims": [8, 12], "ks": [2, 4], "rs": [4], "trials": 2,
                                     "seed": 5}))
@@ -612,9 +612,21 @@ class TestSweep:
             assert [row[0], *map(int, row[1:5])] == key
             assert (int(row[6]), int(row[7])) == (rank, ceiling)
             if gap is None:
-                assert 0 <= float(row[8]) <= 1e-20
+                assert float(row[8]) == 0.0
             else:
                 assert float(row[8]) == pytest.approx(gap, rel=1e-9)
+
+    def test_one_trial_decomposition_budget(self, workdir, capsys, count_decompositions):
+        """One trial decomposes the weight (its plan), the anchor stack (the
+        ceiling), the dense LoRA update, the witness blocks (the gap) and the
+        block update, in that order; the exact fit and its residual none."""
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps({"dims": [8], "ks": [2], "rs": [4], "trials": 1, "seed": 3}))
+        code, _ = count_decompositions(main, ["sweep", "--spec", str(spec), "--quiet"])
+        assert code == 0
+        assert count_decompositions.shapes == [
+            ("svd", (8, 8)), ("svdvals", (2, 4, 4)), ("svdvals", (8, 8)), ("svdvals", (2, 4, 4)),
+            ("svdvals", (2, 4, 4))]
 
     def test_sweep_is_deterministic(self, workdir, capsys):
         spec = workdir / "spec.json"

@@ -20,7 +20,6 @@ from smoa import (
     numerical_rank,
     save_matrix,
     singular_values,
-    smoa_exact_fit,
     svd,
     tail_energy,
     truncated_svd,
@@ -417,21 +416,6 @@ class TestBalancedFactors:
         c = random_matrix(rng, 7, 5)
         a, b = balanced_factors(c, 2)
         assert_allclose(b @ a, truncated_svd(c, 2).data, atol=1e-12)
-
-    def test_exact_fit_uses_the_split(self, rng):
-        plan = build_plan(random_matrix(rng, 8, 8), 2)
-        witness = make_witness(plan, rho=2, seed=4)
-        exact = smoa_exact_fit(witness)
-        for (a, b), c in zip(exact.factors, witness.coefficients):
-            ref_a, ref_b = balanced_factors(c, 2)
-            assert np.array_equal(a.data, ref_a) and np.array_equal(b.data, ref_b)
-
-    @pytest.mark.parametrize("k", [1, 2, 4, 8])
-    def test_exact_fit_is_one_stacked_svd(self, rng, count_decompositions, k):
-        witness = make_witness(build_plan(random_matrix(rng, 16, 16), k), rho=1, seed=k)
-        exact, calls = count_decompositions(smoa_exact_fit, witness)
-        assert calls == {"svd": 1}
-        assert_allclose(exact.b @ exact.a, witness.coefficient_stack, atol=1e-10)
 
     def test_rank_out_of_range(self, rng):
         c = random_matrix(rng, 4, 3)
