@@ -89,8 +89,9 @@ def rank_ceiling(plan: BlockPlan, r: int, epsilon: float | None = None) -> RankC
     """Ceiling on the update rank achievable at budget r over ``plan``.
 
     K must divide r, and rho = r / K must fit a block (``RangeError``
-    otherwise); anchor ranks are measured at ``epsilon`` (default
-    tolerance per anchor when omitted).
+    otherwise); every anchor's rank is measured at one cutoff, ``epsilon``,
+    or when omitted the default tolerance of the block shape scaled by the
+    largest singular value over all anchors.
     """
     rho = _block_rank(plan.k, r)
     _check_rho(rho, plan.block_shape)

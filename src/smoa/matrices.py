@@ -105,9 +105,7 @@ class Matrix:
         return float(np.linalg.norm(self._data))
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self._data.astype(dtype)
-        return self._data
+        return np.array(self._data, dtype=dtype, copy=copy)
 
     def __getitem__(self, key):
         return self._data[key]

@@ -4,8 +4,10 @@ The decomposition contract is algorithm-agnostic: orthonormal singular
 vector columns, descending singular values, and reconstruction of the
 input, each to 1e-10. LAPACK provides the factorization through numpy:
 ``gesdd`` for full SVDs, with scipy's ``gesvd`` as the fallback when it
-does not converge, and ``gesdd`` without vectors for values only. A
-deterministic sign convention on top makes repeated runs bit-comparable.
+does not converge, and ``gesdd`` without vectors for values only. The
+singular vectors keep LAPACK's signs, which are deterministic for one input
+and one LAPACK build; of the files the CLI writes, only a spectral fit's
+factor files carry them.
 The spectrum of a permuted block-diagonal matrix is read off its K blocks
 in one batched values-only call, never off the scattered matrix.
 """
@@ -58,22 +60,9 @@ class SpectralDecomposition:
         return Matrix((u * self.singular_values) @ v.T)
 
 
-# an entry leads its triplet's sign once its magnitude exceeds this fraction
-# of the triplet's largest: roundoff where the exact value is zero stays below
-_SIGN_FLOOR = float(np.sqrt(np.finfo(np.float64).eps))
-
-
 def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin ``(U, s, V^T)`` of a matrix or a ``(K, m, n)`` stack in one
-    LAPACK call, with deterministic signs. Each triplet is read as one row,
-    its left vector then its right vector, and flipped so that the first
-    entry of that row whose magnitude exceeds ``sqrt(eps)`` times the row's
-    largest magnitude is nonnegative; an all-zero triplet keeps its signs.
-    The floor makes the sign independent of the LAPACK driver where the
-    exact entries are zero, as outside a block of a block-diagonal input,
-    since those entries come out as driver-dependent roundoff. Repeated
-    singular values leave the singular subspace itself ambiguous, so
-    their vectors can still differ between drivers; no sign rule fixes that.
+    LAPACK call, returned as LAPACK gives it.
 
     The driver is numpy's ``gesdd`` (divide and conquer). Only when it does
     not converge is the input retried with scipy's ``gesvd`` (QR iteration),
@@ -85,24 +74,19 @@ def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         If neither driver converges; the message carries the input shape.
     """
     try:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        return np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError:
         import scipy.linalg  # numpy offers no gesvd driver; loaded only for this retry
 
         try:
-            u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
+            return scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge for shape {x.shape}") from exc
-    rows = np.concatenate([np.swapaxes(u, -1, -2), vt], axis=-1)
-    magnitude = np.abs(rows)
-    leads = magnitude > _SIGN_FLOOR * magnitude.max(axis=-1, keepdims=True)
-    lead = np.take_along_axis(rows, leads.argmax(axis=-1)[..., None], axis=-1)
-    sign = np.where(lead < 0, -1.0, 1.0)  # (..., triplets, 1); an all-zero triplet keeps +1
-    return u * np.swapaxes(sign, -1, -2), s, vt * sign
 
 
 def svd(w: Matrix) -> SpectralDecomposition:
-    """Thin SVD with deterministic signs (see :func:`_thin_svd`)."""
+    """Thin SVD (see :func:`_thin_svd`). The vectors carry LAPACK's signs:
+    deterministic for one input and one LAPACK build."""
     u, s, vt = _thin_svd(w.data)
     return SpectralDecomposition(Matrix(u), s, Matrix(vt.T))
 
@@ -154,7 +138,8 @@ def truncated_svd(w: Matrix, r: int) -> Matrix:
     """Best rank-``r`` approximation in the Frobenius norm.
 
     ``r = 0`` gives the zero matrix; ``r`` above ``min(rows, cols)`` is a
-    range error.
+    range error. Each left vector meets its own right vector, so the
+    signs LAPACK gives them cancel.
     """
     m = min(w.shape)
     if not 0 <= r <= m:
@@ -187,7 +172,9 @@ def balanced_factors(c: Matrix | np.ndarray, r: int) -> tuple[np.ndarray, np.nda
     """Square-root split ``(a, b)`` of the rank-``r`` truncated SVD:
     ``b = U_r sqrt(s_r)`` and ``a = sqrt(s_r) V_r^T``, so ``b @ a`` is
     the best rank-r approximation of ``c``. A ``(K, m, n)`` stack is
-    split in one decomposition into ``(K, r, n)`` and ``(K, m, r)`` stacks."""
+    split in one decomposition into ``(K, r, n)`` and ``(K, m, r)`` stacks.
+    The factors carry LAPACK's signs, deterministic for one input and one
+    LAPACK build; ``b @ a`` does not depend on them."""
     x = np.asarray(c)
     if not 1 <= r <= min(x.shape[-2:]):
         raise RangeError(f"rank {r} out of range 1..{min(x.shape[-2:])} for shape {x.shape}")

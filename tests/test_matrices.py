@@ -48,6 +48,16 @@ class TestMatrixConstruction:
         src[0, 0] = 7.0
         assert m[0, 0] == 1.0
 
+    def test_array_copies_unless_asked_not_to(self, rng):
+        m = random_matrix(rng, 3, 4)
+        for copied in (np.array(m), np.array(m, copy=True)):
+            assert copied.flags.writeable
+            assert not np.shares_memory(copied, m.data)
+            assert_array_equal(copied, m.data)
+        assert np.shares_memory(np.asarray(m), m.data)
+        with pytest.raises(ValueError):
+            np.array(m, dtype=np.float32, copy=False)
+
     def test_diagonal_factory(self):
         m = Matrix.diagonal([3.0, 2.0], rows=3, cols=4)
         expected = np.zeros((3, 4))

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from smoa import (
+    ActivationSample,
+    AdapterInit,
+    FitConfig,
+    FitProblem,
     Matrix,
     NumericalError,
     RangeError,
@@ -16,6 +20,9 @@ from smoa import (
     block_diagonal,
     build_plan,
     default_tolerance,
+    fit,
+    full_report,
+    lora_update,
     make_witness,
     numerical_rank,
     save_matrix,
@@ -30,32 +37,14 @@ from smoa.spectrum import _thin_svd
 from conftest import random_matrix
 
 
-def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    """Reference sign rule, one triplet at a time: read the left vector then
-    the right vector as one row, and flip the triplet so that the first entry
-    whose magnitude exceeds sqrt(eps) times the row's largest magnitude is
-    nonnegative; an all-zero triplet keeps its signs."""
-    floor = np.sqrt(np.finfo(np.float64).eps)
-    for i in range(u.shape[1]):
-        row = np.concatenate([u[:, i], vt[i]])
-        above = np.nonzero(np.abs(row) > floor * np.abs(row).max())[0]
-        if above.size and row[above[0]] < 0:
-            u[:, i] = -u[:, i]
-            vt[i] = -vt[i]
-
-
 def reference_thin_svd(x: np.ndarray):
-    """One matrix through its own ``gesdd`` call and the per-triplet sign rule."""
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    _normalize_signs(u, vt)
-    return u, s, vt
+    """One matrix through its own ``gesdd`` call."""
+    return np.linalg.svd(x, full_matrices=False)
 
 
 def reference_gesvd(x: np.ndarray):
-    """One matrix through the fallback driver, ``gesvd``, and the per-triplet sign rule."""
-    u, s, vt = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
-    _normalize_signs(u, vt)
-    return u, s, vt
+    """One matrix through the fallback driver, ``gesvd``."""
+    return scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
 
 
 def reference_balanced_factors(c: np.ndarray, r: int, reference=reference_thin_svd):
@@ -86,13 +75,6 @@ class TestSvd:
         second = svd(Matrix(w.data.copy()))
         assert np.array_equal(first.left_vectors, second.left_vectors)
         assert np.array_equal(first.right_vectors, second.right_vectors)
-
-    def test_sign_convention_leading_entries(self, rng):
-        dec = svd(random_matrix(rng, 6, 6))
-        for j in range(6):
-            col = dec.left_vectors[:, j]
-            lead = col[np.nonzero(col)[0][0]]
-            assert lead > 0
 
     def test_orthonormal_factors(self, rng):
         dec = svd(random_matrix(rng, 5, 8))
@@ -140,9 +122,74 @@ stacks = st.builds(
 )
 
 
+class TestLapackOutput:
+    """The decomposition is numpy's own: no sign rule or copy on top."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (3, 5, 7), (4, 6, 6)])
+    def test_thin_svd_is_numpy_svd_bitwise(self, rng, shape):
+        x = rng.standard_normal(shape)
+        for ours, numpys in zip(_thin_svd(x), np.linalg.svd(x, full_matrices=False)):
+            assert ours.shape == numpys.shape
+            assert ours.tobytes() == numpys.tobytes()
+
+
+class TestSignInvariance:
+    """No output reads a singular vector's sign: negating a seeded subset of
+    the triplets LAPACK returns leaves every consumer's bits unchanged."""
+
+    @staticmethod
+    def plain_and_flipped(monkeypatch, compute):
+        """``compute()`` as LAPACK signs the vectors, then again with
+        a random subset of the triplets negated."""
+        plain = compute()
+        lapack = np.linalg.svd
+        flips = np.random.default_rng(7)
+
+        def svd_with_flipped_signs(x, *args, **kwargs):
+            result = lapack(x, *args, **kwargs)
+            if not kwargs.get("compute_uv", True):
+                return result
+            u, s, vt = result
+            sign = np.where(flips.random(s.shape) < 0.5, -1.0, 1.0)
+            return u * sign[..., None, :], s, vt * sign[..., :, None]
+
+        monkeypatch.setattr(np.linalg, "svd", svd_with_flipped_signs)
+        return plain, compute()
+
+    def test_build_plan(self, rng, monkeypatch):
+        w = random_matrix(rng, 64, 48)
+        plain, flipped = self.plain_and_flipped(monkeypatch, lambda: build_plan(w, 4))
+        assert plain.p_out.indices.tobytes() == flipped.p_out.indices.tobytes()
+        assert plain.p_in.indices.tobytes() == flipped.p_in.indices.tobytes()
+        assert plain.anchor_stack.tobytes() == flipped.anchor_stack.tobytes()
+
+    def test_full_report_with_activations(self, rng, monkeypatch):
+        w = random_matrix(rng, 24, 32)
+        sample = ActivationSample(random_matrix(rng, 32, 80))
+        plain, flipped = self.plain_and_flipped(monkeypatch, lambda: full_report(w, sample, seed=3))
+        assert plain.overlaps
+        assert plain == flipped
+
+    def test_truncated_svd(self, rng, monkeypatch):
+        w = random_matrix(rng, 9, 7)
+        plain, flipped = self.plain_and_flipped(
+            monkeypatch, lambda: [truncated_svd(w, r).data.tobytes() for r in range(8)])
+        assert plain == flipped
+
+    def test_spectral_lora_fit(self, rng, monkeypatch):
+        problem = FitProblem(random_matrix(rng, 16, 12), "lora", 4)
+        config = FitConfig(max_steps=50, grad_tol=0.0)
+        plain, flipped = self.plain_and_flipped(
+            monkeypatch, lambda: fit(problem, AdapterInit("spectral"), config))
+        assert not np.array_equal(plain.adapter.b.data, flipped.adapter.b.data)  # signs did flip
+        assert plain.step_count == 50
+        assert plain.steps == flipped.steps
+        assert lora_update(plain.adapter).data.tobytes() == lora_update(flipped.adapter).data.tobytes()
+
+
 class TestStackedSvd:
     """One stacked decomposition gives, slice by slice, the bits of one
-    decomposition per matrix under the per-triplet sign rule."""
+    decomposition per matrix."""
 
     @settings(deadline=None, max_examples=150)
     @given(stacks)
@@ -181,7 +228,7 @@ class TestStackedSvd:
 
 class TestGesvdFallback:
     """A full SVD that ``gesdd`` cannot converge on is retried with ``gesvd``:
-    the bits of one ``gesvd`` call per matrix under the same sign rule."""
+    the bits of one ``gesvd`` call per matrix."""
 
     @staticmethod
     def fail(*args, **kwargs):
@@ -228,17 +275,15 @@ class TestGesvdFallback:
 
     @pytest.mark.parametrize("d,k,rho,seed", [(64, 4, 4, 0), (256, 4, 4, 1), (256, 8, 2, 2)])
     def test_witness_target_signs_do_not_depend_on_driver(self, monkeypatch, d, k, rho, seed):
-        """A witness target is block diagonal up to a permutation, so most
-        entries of each singular vector are zero in exact arithmetic and
-        driver-dependent roundoff in floating point; the sign floor skips
-        them, and both drivers give the same signed factors."""
+        """The drivers may sign a factor pair differently, but the product
+        ``b @ a`` pairs each left vector with its right one, so the signs
+        cancel and both drivers give the same rank-r update."""
         plan = build_plan(random_matrix(np.random.default_rng(seed), d, d), k)
         target = make_witness(plan, rho, seed).target.data
-        by_gesdd = balanced_factors(target, k * rho)
+        a, b = balanced_factors(target, k * rho)
         self.fail_gesdd(monkeypatch)
-        by_gesvd = balanced_factors(target, k * rho)
-        for factor, reference in zip(by_gesdd, by_gesvd):
-            assert_allclose(factor, reference, rtol=0, atol=1e-8)
+        gesvd_a, gesvd_b = balanced_factors(target, k * rho)
+        assert_allclose(b @ a, gesvd_b @ gesvd_a, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("call,shape", [
         (lambda x: svd(Matrix(x)), (5, 3)),
