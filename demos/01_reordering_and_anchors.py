@@ -33,9 +33,9 @@ print(f"row permutation (new position -> original row): {plan.p_out.indices.toli
 print(f"row intervals (0-based, half-open): {plan.row_intervals}")
 
 reordered = reordered_weight(plan, w0)
-for g, anchor in enumerate(plan.anchors):
-    print(f"anchor {g}: {anchor.rows}x{anchor.cols}, "
-          f"|entries| mean {np.abs(anchor.data).mean():.3f}")
+for g, anchor in enumerate(plan.anchor_stack):
+    print(f"anchor {g}: {anchor.shape[0]}x{anchor.shape[1]}, "
+          f"|entries| mean {np.abs(anchor).mean():.3f}")
 
 sv_before = singular_values(w0)
 sv_after = singular_values(reordered)

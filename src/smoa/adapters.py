@@ -89,7 +89,7 @@ class SmoaAdapter:
     """K local factor pairs of rank 1 <= ``rho`` <= min(block_shape) over a plan.
 
     Read-only stacks ``a: (K, rho, d_in/K)`` and ``b: (K, d_out/K, rho)``
-    hold the pairs; ``factors[k]`` views pair k as ``(a_k, b_k)`` matrices.
+    hold the pairs: pair k is ``(a[k], b[k])``.
     """
 
     plan: BlockPlan
@@ -104,10 +104,6 @@ class SmoaAdapter:
         k, (s_out, s_in) = self.plan.k, self.plan.block_shape
         object.__setattr__(self, "a", _frozen_stack(self.a, (k, self.rho, s_in), "factor stack a"))
         object.__setattr__(self, "b", _frozen_stack(self.b, (k, s_out, self.rho), "factor stack b"))
-
-    @property
-    def factors(self) -> tuple[tuple[Matrix, Matrix], ...]:
-        return tuple((Matrix(a), Matrix(b)) for a, b in zip(self.a, self.b))
 
     @property
     def r(self) -> int:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .adapters import Adapter, SmoaAdapter, _update_blocks, lora_update
 from .errors import ConfigurationError, FormatError
-from .fileutil import (atomic_write_bytes, envelope_fields, field, pin, read_envelope, read_json,
-                       read_pinned, sha256_bytes, write_json)
+from .fileutil import (atomic_write_bytes, atomic_write_text, envelope_fields, field, json_text,
+                       pin, read_envelope, read_json, read_pinned, sha256_bytes)
 from .gen import _check_seed, _rng
 from .matio import encode_matrix
 from .matrices import Matrix
@@ -155,11 +155,11 @@ class WitnessInstance:
     A witness is its plan, ``rho`` and ``seed``; all else is derived on each
     use. ``coefficient_stack``, the read-only (K, s_out, s_in) rank-rho C_k =
     L_k R_k, is the batched product of the factor stacks ``_factors`` draws,
-    and ``coefficients`` views it as matrices; the exact fit's factors are
-    those stacks. The target is blkdiag(C_k * anchor_k) (entrywise) carried
-    back through the plan's inverse permutations. Its singular values are
-    those of the K blocks C_k * anchor_k, derived once in one batched call and
-    kept; ``reordered_target_rank`` is their numerical rank.
+    and the exact fit's factors are those stacks. The target is
+    blkdiag(C_k * anchor_k) (entrywise) carried back through the plan's
+    inverse permutations. Its singular values are those of the K blocks
+    C_k * anchor_k, derived once in one batched call and kept;
+    ``reordered_target_rank`` is their numerical rank.
     ``rho`` lies in 0..min(block_shape) and ``seed`` >= 0, else :class:`RangeError`.
     """
 
@@ -185,10 +185,6 @@ class WitnessInstance:
         stack = left @ right  # rho = 0 is the empty product: zeros
         stack.setflags(write=False)
         return stack
-
-    @property
-    def coefficients(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix(c) for c in self.coefficient_stack)
 
     @property
     def _blocks(self) -> np.ndarray:
@@ -256,8 +252,9 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     :mod:`smoa.fileutil`) and records seed, rho, the target rank and the gap
     ``lora_gap(witness, r)`` at every budget r = 1..min(d_out, d_in), all read
     off the witness's one batched decomposition of its K blocks. Nothing is
-    written until the manifest is complete, so a numerical failure or a plan
-    with no file (:class:`ConfigurationError`) leaves no partial bundle. The
+    written until the manifest is rendered, so a numerical failure (a
+    non-finite gap among them) or a plan with no file
+    (:class:`ConfigurationError`) leaves no partial bundle. The
     ``coefficients.mat`` that an older (v4) bundle's ``witness.json`` in
     ``directory`` pins is removed once the new bundle is written.
     """
@@ -266,7 +263,7 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
     superseded = _superseded_coefficients(base, Path(witness.plan.file[0]))
     values = witness._values
     target = encode_matrix(witness.target)
-    manifest = {
+    manifest = json_text({
         "format": WITNESS_FORMAT,
         "version": WITNESS_VERSION,
         "seed": witness.seed,
@@ -275,9 +272,9 @@ def save_witness(witness: WitnessInstance, directory: str | os.PathLike) -> Path
         "gaps": {str(r): _tail_from_values(values, r) for r in range(1, values.size + 1)},
         "plan": plan_pin,
         "target": pin(base / "target.mat", sha256_bytes(target), base),
-    }
+    }, f"witness manifest {base / 'witness.json'}", indent=1)
     atomic_write_bytes(base / "target.mat", target)
-    write_json(base / "witness.json", manifest)
+    atomic_write_text(base / "witness.json", manifest)
     if superseded is not None:
         superseded.unlink(missing_ok=True)
     return base / "witness.json"

@@ -8,13 +8,13 @@ writes are atomic (temp file plus rename).
 
 Exit codes: 0 success, 1 usage, 2 validation (shapes, divisibility,
 malformed or stale artifacts, sizes too large to address), 3 file I/O or
-memory exhausted, 4 numerical failure.
+memory exhausted, 4 numerical failure, a NaN or infinity bound for a file
+or stdout included.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,7 +26,7 @@ from .capacity import (_exact_fit_residual, _update_rank, _update_spectrum, load
                        make_witness, rank_ceiling, save_witness)
 from .diagnostics import ActivationSample, full_report, save_report
 from .errors import ConfigurationError, DimensionError, FormatError, NumericalError, RangeError
-from .fileutil import field, read_json, sha256_bytes, write_csv, write_json
+from .fileutil import field, json_text, read_json, sha256_bytes, write_csv, write_json
 from .gen import (_check_seed, _check_shape, diagonal_matrix, gaussian_matrix,
                   low_rank_plus_noise, spiked_matrix)
 from .matio import decode_matrix, load_matrix, save_matrix
@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        line = json_text(args.handler(args), f"the {args.command} result line")
     except (ConfigurationError, DimensionError, RangeError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
-    print(json.dumps(payload, sort_keys=True))
+    sys.stdout.write(line)
     return 0
 
 

@@ -341,7 +341,8 @@ def save_report(
         centers = (edges[:-1] + edges[1:]) / 2
         density = mp_singular_density(centers, _aspect_ratio(report.rows, report.cols))
         panels.append((histogram_path, csv_text([["bin_left", "bin_right", "count", "mp_density"],
-                                                 *zip(edges[:-1], edges[1:], counts, density)])))
+                                                 *zip(edges[:-1], edges[1:], counts, density)],
+                                                f"CSV file {histogram_path}")))
     if overlaps_path is not None:
         rows = []
         if report.overlaps and report.bulk_overlap_mean is not None:
@@ -351,7 +352,7 @@ def save_report(
             rows = [[k, report.normalized_values[k - 1], score, mean, lo, hi]
                     for k, score in report.overlaps]
         panels.append((overlaps_path, csv_text([["k", "nu_k", "score", "bulk_mean", "bulk_lo",
-                                                 "bulk_hi"], *rows])))
+                                                 "bulk_hi"], *rows], f"CSV file {overlaps_path}")))
     write_json(json_path, doc)
     for path, text in panels:
         atomic_write_text(path, text)

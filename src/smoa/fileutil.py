@@ -3,7 +3,10 @@ one exact-type reader for their fields and the one pin rule.
 
 Every JSON artifact is written with indent 1 and sorted keys, and every
 CSV float cell is the shortest decimal that parses back to the same
-double.
+double. No NaN or infinity is ever rendered: JSON allows neither, so a
+non-finite number bound for a file or stdout is a :class:`NumericalError`
+and nothing is written, and a JSON document holding ``NaN`` or
+``Infinity`` is a :class:`FormatError` on read.
 
 The pin rule: an artifact names each file it depends on by ``{"path": <relative
 to the artifact>, "hash": <sha256 of the bytes>}``, hashed from the bytes written or
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from collections.abc import Iterator
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, NumericalError
 
 
 def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
@@ -46,25 +50,43 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def json_text(doc, what: str, indent: int | None = None) -> str:
+    """``doc`` as JSON with sorted keys and a final newline, the one JSON
+    renderer of files and the CLI's stdout line; a NaN or infinity in it is
+    a :class:`NumericalError` naming ``what``, the text being written."""
+    try:
+        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{what} would hold a non-finite number: {exc}") from exc
+
+
 def write_json(path: str | os.PathLike, doc) -> bytes:
     """Write ``doc`` and return the bytes written, for the caller to hash."""
-    payload = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    payload = json_text(doc, f"JSON file {path}", indent=1).encode("utf-8")
     atomic_write_bytes(path, payload)
     return payload
 
 
-def csv_text(rows) -> str:
+def csv_text(rows, what: str = "CSV text") -> str:
     """One comma-joined line per row; floats (numpy scalars included)
-    render as ``repr(float(x))``, anything else as ``str(x)``."""
+    render as ``repr(float(x))``, anything else as ``str(x)``. A NaN or
+    infinite float is a :class:`NumericalError` naming ``what``."""
     return "".join(
-        ",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-                 for x in row) + "\n"
+        ",".join(repr(float(x)) if isinstance(x, (float, np.floating)) and math.isfinite(x)
+                 else _other_cell(x, what) for x in row) + "\n"
         for row in rows
     )
 
 
+def _other_cell(x, what: str) -> str:
+    """``str(x)`` for a CSV cell that is not a float; a non-finite float is refused."""
+    if isinstance(x, (float, np.floating)):
+        raise NumericalError(f"{what} would hold the non-finite number {float(x)!r}")
+    return str(x)
+
+
 def write_csv(path: str | os.PathLike, header, rows) -> None:
-    atomic_write_text(path, csv_text([header, *rows]))
+    atomic_write_text(path, csv_text([header, *rows], f"CSV file {path}"))
 
 
 def sha256_bytes(payload: bytes) -> str:
@@ -77,14 +99,19 @@ def sha256_file(path: str | os.PathLike) -> str:
 
 def read_json(payload: bytes, what: str) -> dict:
     """Parse strict UTF-8 bytes holding one JSON object; ``what`` names them
-    in error messages. Anything else raises :class:`FormatError`."""
+    in error messages. Anything else, ``NaN`` and ``Infinity`` included,
+    raises :class:`FormatError`."""
     try:
-        doc = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        doc = json.loads(payload.decode("utf-8"), parse_constant=_refuse_constant)
+    except ValueError as exc:  # JSONDecodeError, a non-finite literal, or bytes that are not UTF-8
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def field(doc: dict, key: str, kind: type, what: str, item: type | None = None):

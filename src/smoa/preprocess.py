@@ -47,9 +47,10 @@ class BlockPlan:
     Diagonal block k of the reordered weight is made of the original rows
     ``p_out[k*s_out:(k+1)*s_out]`` and columns ``p_in[k*s_in:(k+1)*s_in]``
     with ``(s_out, s_in) = block_shape``. The read-only ``(K, s_out, s_in)``
-    ``anchor_stack`` holds a copy of each block; ``anchors`` views it as
-    matrices. ``row_intervals`` and ``col_intervals`` state the layout as
-    0-based half-open ``(start, stop)`` pairs on the reordered axes.
+    ``anchor_stack`` holds a copy of each block; its ``anchors`` view, read
+    only by the benchmark's plan round-trip check, goes with plan v2, whose
+    files store no anchors. ``row_intervals`` and ``col_intervals`` state the
+    layout as 0-based half-open ``(start, stop)`` pairs on the reordered axes.
 
     ``file`` is ``(path, sha256)`` of the SMOA-PLAN file the plan was saved to
     or read from, the file an adapter or witness over it pins; ``None`` for a
@@ -196,7 +197,7 @@ def save_plan(plan: BlockPlan, path: str | os.PathLike,
         "p_in": plan.p_in.to_one_based(),
         "row_intervals": _intervals_to_file(plan.row_intervals),
         "col_intervals": _intervals_to_file(plan.col_intervals),
-        "anchors": [{"csv": matrix_to_csv(anchor)} for anchor in plan.anchors],
+        "anchors": [{"csv": matrix_to_csv(Matrix(anchor))} for anchor in plan.anchor_stack],
         "source_hash": source_hash,
     }
     return replace(plan, file=(os.path.abspath(path), sha256_bytes(write_json(path, doc))))

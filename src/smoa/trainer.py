@@ -177,7 +177,7 @@ class FitTrace:
 class _Objective:
     """Stacked evaluation core shared by loss, gradients, and descent.
 
-    ``t`` holds the K target blocks and ``anchors`` the K anchors, both
+    ``t`` holds the K target blocks T and ``m`` the K anchors M, both
     ``(K, s_out, s_in)``; the global family has K = 1 and no anchors.
     The objective owns its residual, square and masked buffers and fills
     them in place, so an evaluation allocates nothing.
@@ -186,18 +186,18 @@ class _Objective:
     def __init__(self, problem: FitProblem):
         if problem.kind == "lora":
             self.t = problem.target.data[np.newaxis]
-            self.anchors = None
+            self.m = None
         else:
             plan = problem.plan
             self.t = _gather_blocks(problem.target.data, plan.k, plan.p_out, plan.p_in)
-            self.anchors = plan.anchor_stack
+            self.m = plan.anchor_stack
             self._masked = np.empty_like(self.t)
         self._residual = np.empty_like(self.t)
         self._square = np.empty_like(self.t)
         self._square_rows = self._square.reshape(len(self.t), -1)
         self._sums = np.empty(len(self.t))
         self.constant = 0.0
-        if self.anchors is not None:
+        if self.m is not None:
             in_block = 0.0
             for energy in self._block_sums(self.t):
                 in_block += energy
@@ -218,8 +218,8 @@ class _Objective:
         the next ``evaluate``, which overwrites it.
         """
         residual = np.matmul(b, a, self._residual)
-        if self.anchors is not None:
-            np.multiply(residual, self.anchors, residual)
+        if self.m is not None:
+            np.multiply(residual, self.m, residual)
         np.subtract(residual, self.t, residual)
         value = self.constant
         for energy in self._block_sums(residual):
@@ -230,7 +230,7 @@ class _Objective:
                   da: np.ndarray, db: np.ndarray) -> None:
         """Write the ``dA`` and ``dB`` stacks into ``da`` and ``db``, from
         the residual that ``evaluate`` gave at (a, b)."""
-        masked = residual if self.anchors is None else np.multiply(residual, self.anchors, self._masked)
+        masked = residual if self.m is None else np.multiply(residual, self.m, self._masked)
         np.matmul(b.transpose(0, 2, 1), masked, da)
         np.matmul(masked, a.transpose(0, 2, 1), db)
 
@@ -266,8 +266,9 @@ def loss(problem: FitProblem, adapter: Adapter) -> float:
         return _Objective(problem).evaluate(*_factor_stacks(adapter))[0]
 
 
-def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matrix], ...]:
-    """Analytic gradients, one ``(dA, dB)`` pair per factor pair.
+def gradient(problem: FitProblem, adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients as fresh read-only stacks shaped as the factor
+    stacks, ``dA: (K, rho, s_in)`` and ``dB: (K, s_out, rho)``, K = 1 globally.
 
     Global family: dA = B^T R, dB = R A^T with R = B A - T. Block
     family: dA_k = B_k^T (R_k * M_k), dB_k = (R_k * M_k) A_k^T with
@@ -278,7 +279,9 @@ def gradient(problem: FitProblem, adapter: Adapter) -> tuple[tuple[Matrix, Matri
     a, b = _factor_stacks(adapter)
     da, db = np.empty_like(a), np.empty_like(b)
     objective.gradients(a, b, objective.evaluate(a, b)[1], da, db)
-    return tuple((Matrix(da_k), Matrix(db_k)) for da_k, db_k in zip(da, db))
+    da.setflags(write=False)
+    db.setflags(write=False)
+    return da, db
 
 
 def _initial_factors(problem: FitProblem, init: AdapterInit) -> tuple[np.ndarray, np.ndarray]:
@@ -308,9 +311,8 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
     down to ``step_size * 2**-max_halvings`` lowers the loss;
     ``FitTrace.stop_reason`` records which. Raises
     :class:`NumericalError` with the step index if the loss leaves the
-    finite range.
+    finite range, step 0 when the starting loss is already not finite.
     """
-    objective = _Objective(problem)
     a, b = _initial_factors(problem, init)
     shapes = a.shape, b.shape
     # three flat vectors, each an a stack then a b stack: the iterate, the
@@ -324,10 +326,13 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
     stop_reason = "grad_tol"
     step = halvings = 0
     steps = []
-    # a candidate step may overflow; the loop detects non-finite losses,
-    # so the warning is suppressed rather than surfaced
+    # the target's energy or a candidate step may overflow; non-finite
+    # losses are detected, so the warning is suppressed rather than surfaced
     with np.errstate(over="ignore", invalid="ignore"):
+        objective = _Objective(problem)
         current_loss, residual = objective.evaluate(a, b)
+        if not math.isfinite(current_loss):
+            raise NumericalError("loss is non-finite at step 0, the starting point")
         while True:
             x, a, b, _, _ = iterate
             y, candidate_a, candidate_b, square_a, square_b = candidate

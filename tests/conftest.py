@@ -61,13 +61,13 @@ def count_decompositions(monkeypatch):
     """``run(fn, *args)`` returns ``fn``'s result and how many full and
     values-only decompositions it ran, by name: ``numpy.linalg.svd`` with
     vectors counts as ``"svd"``, as does ``scipy.linalg.svd`` (the fallback
-    driver), and ``numpy.linalg.svd(..., compute_uv=False)`` as
-    ``"svdvals"``. A stacked call counts once, however many matrices its
-    ``(K, m, n)`` input holds. ``run.shapes`` lists each call of the last
-    run in order as ``(name, input shape)``, so a test can tell a
-    ``(K, m, n)`` stack from a dense matrix."""
+    driver), ``numpy.linalg.svd(..., compute_uv=False)`` as ``"svdvals"``
+    and ``numpy.linalg.eigh`` as ``"eigh"``. A stacked call counts once,
+    however many matrices its ``(K, m, n)`` input holds. ``run.shapes``
+    lists each call of the last run in order as ``(name, input shape)``, so
+    a test can tell a ``(K, m, n)`` stack from a dense matrix."""
     counts: Counter[str] = Counter()
-    real_svd, real_np_svd = scipy.linalg.svd, np.linalg.svd
+    real_svd, real_np_svd, real_eigh = scipy.linalg.svd, np.linalg.svd, np.linalg.eigh
 
     def record(name, args, kwargs):
         counts[name] += 1
@@ -81,8 +81,13 @@ def count_decompositions(monkeypatch):
         record("svd" if kwargs.get("compute_uv", True) else "svdvals", args, kwargs)
         return real_np_svd(*args, **kwargs)
 
+    def counting_eigh(*args, **kwargs):
+        record("eigh", args, kwargs)
+        return real_eigh(*args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "svd", counting_np_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
 
     def run(fn, *args, **kwargs):
         counts.clear()

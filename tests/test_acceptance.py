@@ -103,8 +103,7 @@ def test_criterion_03_full_rank_separation():
     for seed in range(10):
         plan = build_plan(gaussian_matrix(16, 16, seed=300 + seed), 2)
         adapter = init_smoa(plan, 2, AdapterInit("gaussian", seed=seed, scale=1.0))
-        for a, b in adapter.factors:
-            assert np.all(a.data != 0.0) and np.all(b.data != 0.0)
+        assert np.all(adapter.a != 0.0) and np.all(adapter.b != 0.0)
         assert achieved_rank(smoa_update(adapter)) == 16
     assert time.perf_counter() - started < 5.0
 

@@ -1,5 +1,6 @@
 """Rank ceilings, separation witnesses, and the spectral gap bound."""
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from smoa import (
     load_matrix,
     load_witness,
     lora_gap,
+    low_rank_plus_noise,
     make_witness,
     numerical_rank,
     rank_ceiling,
@@ -246,12 +248,12 @@ class TestWitness:
         for g in range(plan.k):
             r0, r1 = plan.row_intervals[g]
             c0, c1 = plan.col_intervals[g]
-            expected = witness.coefficients[g].data * plan.anchors[g].data
+            expected = witness.coefficient_stack[g] * plan.anchor_stack[g]
             assert_array_equal(reordered.data[r0:r1, c0:c1], expected)
 
     def test_coefficients_have_rank_rho(self, witness):
-        for c in witness.coefficients:
-            assert numerical_rank(c) == 2
+        for c in witness.coefficient_stack:
+            assert numerical_rank(Matrix(c)) == 2
 
     def test_reordered_rank_recorded(self, witness):
         assert witness.reordered_target_rank == numerical_rank(witness.target)
@@ -344,7 +346,7 @@ class TestWitness:
 
         witness = make_witness(plan, rho, seed=31)
         assert witness.target.data.tobytes() == expected.data.tobytes()
-        assert [c.data.tobytes() for c in witness.coefficients] == [c.tobytes() for c in coefficients]
+        assert [c.tobytes() for c in witness.coefficient_stack] == [c.tobytes() for c in coefficients]
         assert witness.reordered_target_rank == numerical_rank(reordered)
 
     @pytest.mark.parametrize("rows,cols,k", [(8, 8, 2), (12, 18, 3), (16, 8, 4), (64, 64, 8),
@@ -471,9 +473,9 @@ class TestAchievedRank:
 def _stores(rng):
     """One of each stacked store over an 8x12 plan with K = 2. Each comes
     with a constructor taking the stacks as keywords, its valid stacks,
-    and its tuple view as a list of ``(field, index, matrix)``. A witness
-    draws its one stack from its seed, so its constructor takes no stack and
-    its valid stack is the one it draws."""
+    and its blocks, the rows of its held stacks, as a list of
+    ``(field, index, block)``. A witness draws its one stack from its seed,
+    so its constructor takes no stack and its valid stack is the one it draws."""
     plan = build_plan(random_matrix(rng, 8, 12), 2)
     adapter = init_smoa(plan, 4, AdapterInit("gaussian", seed=3))
     witness = make_witness(plan, rho=2, seed=5)
@@ -481,16 +483,15 @@ def _stores(rng):
         (plan,
          lambda **s: BlockPlan(plan.k, plan.p_out, plan.p_in, **s),
          {"anchor_stack": plan.anchor_stack},
-         lambda p: [("anchor_stack", g, m) for g, m in enumerate(p.anchors)]),
+         lambda p: [("anchor_stack", g, m) for g, m in enumerate(p.anchor_stack)]),
         (adapter,
          lambda **s: SmoaAdapter(plan, 2, **s),
          {"a": adapter.a, "b": adapter.b},
-         lambda ad: [(f, g, m) for g, pair in enumerate(ad.factors)
-                     for f, m in zip("ab", pair)]),
+         lambda ad: [(f, g, m) for f in "ab" for g, m in enumerate(getattr(ad, f))]),
         (witness,
          lambda **_: WitnessInstance(plan, rho=2, seed=5),
          {"coefficient_stack": witness.coefficient_stack},
-         lambda w: [("coefficient_stack", g, m) for g, m in enumerate(w.coefficients)]),
+         lambda w: [("coefficient_stack", g, m) for g, m in enumerate(w.coefficient_stack)]),
     ]
 
 
@@ -498,21 +499,44 @@ STORES = ["plan", "adapter", "witness"]
 BUILT = STORES[:2]  # the stores whose constructor takes their stacks
 
 
+class TestCeilingAttained:
+    """The ceiling where the Hadamard bound binds: w0 of exact rank q makes
+    every anchor rank at most q, so a block's term is min(s, rho * q) and the
+    ceiling falls below d in most cells (in 162 of these 216). A Gaussian-init
+    block adapter and a witness both reach it, and the exact fit is exact."""
+
+    @pytest.mark.parametrize("d", [32, 64])
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_update_ceiling_and_witness_ranks_agree(self, d, k):
+        failures, binding = [], 0
+        for q, seed in itertools.product((1, 2, 3, 5), range(3)):
+            plan = build_plan(low_rank_plus_noise(d, d, q, 0.0, seed), k)
+            for r in (k, 2 * k, 4 * k):
+                ceiling = rank_ceiling(plan, r)
+                achieved = smoa.capacity._update_rank(
+                    init_smoa(plan, r, AdapterInit("gaussian", seed=seed + 1000)))
+                witness = make_witness(plan, r // k, seed + 2000)
+                binding += ceiling.total_ceiling < d
+                if not (achieved == ceiling.total_ceiling == witness.reordered_target_rank
+                        and ceiling.separated == (achieved > r)
+                        and smoa.capacity._exact_fit_residual(witness) == 0.0):
+                    failures.append((q, seed, r, achieved, ceiling.total_ceiling,
+                                     witness.reordered_target_rank))
+        assert failures == []
+        assert binding > 0
+
+
 class TestStackedStores:
     """BlockPlan and SmoaAdapter hold their K blocks, and WitnessInstance
-    draws its K blocks, as read-only (K, ., .) arrays viewed as tuples of
-    matrices."""
+    draws its K blocks, as read-only (K, ., .) arrays: block k is row k."""
 
     @pytest.mark.parametrize("which", range(3), ids=STORES)
     def test_views_equal_stack_slices(self, rng, which):
-        _, make, stacks, view = _stores(rng)[which]
-        store = make(**stacks)
-        entries = view(store)
+        _, make, stacks, blocks = _stores(rng)[which]
+        entries = blocks(make(**stacks))
         assert len(entries) == 2 * len(stacks)
-        for field, g, matrix in entries:
-            assert isinstance(matrix, Matrix)
-            assert_array_equal(matrix.data, getattr(store, field)[g])
-            assert_array_equal(matrix.data, stacks[field][g])
+        for field, g, block in entries:
+            assert_array_equal(Matrix(block).data, stacks[field][g])
 
     @pytest.mark.parametrize("which", range(3), ids=STORES)
     def test_stacks_are_read_only_copies(self, rng, which):
@@ -580,8 +604,7 @@ class TestWitnessFiles:
         assert np.array_equal(loaded.target.data, witness.target.data)
         assert loaded.rho == 2 and loaded.seed == 19
         assert loaded.reordered_target_rank == witness.reordered_target_rank
-        for a, b in zip(loaded.coefficients, witness.coefficients):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(loaded.coefficient_stack, witness.coefficient_stack)
 
     def test_manifest_gaps_cover_all_budgets(self, rng, tmp_path):
         plan = build_plan(random_matrix(rng, 6, 6), 2)

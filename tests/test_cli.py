@@ -15,7 +15,7 @@ from smoa import (AdapterInit, Matrix, NumericalError, build_plan, gaussian_matr
                   init_smoa, load_adapter, load_matrix, load_plan, load_witness, lora_update,
                   make_witness, numerical_rank, rank_ceiling, save_matrix, smoa_update, tail_energy)
 from smoa.cli import _COMMANDS, build_parser, main
-from smoa.fileutil import sha256_file
+from smoa.fileutil import sha256_bytes, sha256_file
 
 
 def run(capsys, *argv):
@@ -1153,6 +1153,131 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "wrote" in captured.err
         json.loads(captured.out)  # stdout still a single JSON document
+
+
+class TestNonFiniteOutput:
+    """A NaN or infinity never reaches a file or stdout: the command exits 4
+    with a one-line error naming what it was writing, and writes nothing.
+    Each command runs in a subprocess, since the overflow behind it also
+    raises numpy's RuntimeWarning, which this suite turns into an error."""
+
+    @pytest.fixture
+    def big(self, workdir, capsys):
+        """A 1e200-scale weight, its plan and a witness bundle over it whose
+        manifest is written by hand (``save_witness`` refuses its infinite
+        gaps), plus an ordinary weight ``w.mat``."""
+        for name, scale in (("big.mat", "1e200"), ("w.mat", "1")):
+            assert main(["gen", "--rows", "16", "--cols", "16", "--kind", "gaussian",
+                         "--scale", scale, "--name", name, "--quiet"]) == 0
+        assert main(["plan", "--w0", "big.mat", "--k", "2", "--quiet"]) == 0
+        capsys.readouterr()
+        plan = load_plan(workdir / "plan.json")
+        bundle = workdir / "witness"
+        target = save_matrix(make_witness(plan, 2, 0).target, bundle / "target.mat")
+        (bundle / "witness.json").write_text(json.dumps({
+            "format": "SMOA-WITNESS", "version": 5, "seed": 0, "rho": 2,
+            "plan": {"path": "../plan.json", "hash": plan.file[1]},
+            "target": {"path": "target.mat", "hash": sha256_bytes(target)},
+        }))
+        return workdir
+
+    @pytest.mark.parametrize("argv,names", [
+        (["diagnose", "--matrix", "big.mat"], "JSON file report.json"),
+        (["witness", "--plan", "plan.json", "--rho", "2", "--dir", "w2"],
+         "witness manifest w2/witness.json"),
+        (["gap", "--witness", "witness", "--r", "2"], "JSON file gap.json"),
+        (["gap", "--witness", "witness", "--r", "2", "--format", "csv"], "CSV file gap.csv"),
+        (["diagnose", "--matrix", "w.mat", "--noise-scale", "1e-320"],
+         "CSV file nu_histogram.csv"),
+        (["fit", "--target", "witness/target.mat", "--kind", "smoa", "--r", "4",
+          "--plan", "plan.json"], "loss is non-finite at step 0"),
+    ], ids=["diagnose", "witness", "gap", "gap-csv", "diagnose-subnormal-noise", "fit"])
+    def test_refused_and_nothing_written(self, big, argv, names):
+        before = sorted(big.rglob("*"))
+        env = {**os.environ, "PYTHONPATH": str(Path(smoa.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "smoa.cli", *argv, "--quiet"],
+                                capture_output=True, text=True, env=env, cwd=big)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("numerical error: ")]
+        assert len(errors) == 1 and names in errors[0]
+        assert sorted(big.rglob("*")) == before
+
+    def test_stdout_line_refused(self, workdir, seeded_plan, capsys, monkeypatch):
+        """The result line goes through the same renderer as the files."""
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
+        monkeypatch.setattr(smoa.cli, "lora_gap", lambda *_: float("inf"))
+        monkeypatch.setattr(smoa.cli, "_write_report_artifact", lambda *_: "unwritten")
+        code = main(["gap", "--witness", witness["dir"], "--r", "2", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.startswith(
+            "numerical error: the gap result line would hold a non-finite")
+        assert captured.err.count("\n") == 1
+
+
+class TestDecompositionBudgets:
+    """Every command's LAPACK calls, in order, as ``(kind, input shape)``, at
+    d = 16 and K = 2: a values-only call on a (2, 8, 8) stack reads the K
+    blocks of a plan, a witness or a block update, and a (16, 16) one a dense
+    matrix."""
+
+    @pytest.fixture
+    def inputs(self, workdir, capsys):
+        steps = [
+            ["gen", "--rows", "16", "--cols", "16", "--kind", "gaussian", "--seed", "7",
+             "--name", "w0.mat"],
+            ["gen", "--rows", "16", "--cols", "32", "--kind", "gaussian", "--seed", "8",
+             "--name", "acts.mat"],
+            ["plan", "--w0", "w0.mat", "--k", "2"],
+            ["adapter", "--plan", "plan.json", "--r", "4", "--kind", "smoa", "--init", "gaussian",
+             "--name", "smoa.json"],
+            ["adapter", "--plan", "plan.json", "--r", "4", "--kind", "lora", "--init", "gaussian",
+             "--name", "lora.json"],
+            ["witness", "--plan", "plan.json", "--rho", "2"],
+        ]
+        for step in steps:
+            assert main([*step, "--quiet"]) == 0
+        (workdir / "spec.json").write_text(
+            json.dumps({"dims": [16], "ks": [2], "rs": [4], "trials": 1, "seed": 3}))
+        capsys.readouterr()
+        return workdir
+
+    BLOCKS, DENSE = ("svdvals", (2, 8, 8)), ("svdvals", (16, 16))
+    SVD = ("svd", (16, 16))
+    FIT = ["--max-steps", "5"]
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["gen", "--rows", "16", "--cols", "16", "--kind", "gaussian", "--name", "g.mat"], []),
+        (["plan", "--w0", "w0.mat", "--k", "2", "--name", "p.json"], [SVD]),
+        (["adapter", "--plan", "plan.json", "--r", "4", "--kind", "smoa"], []),
+        (["adapter", "--plan", "plan.json", "--r", "4", "--kind", "lora"], []),
+        (["update", "--adapter", "smoa.json"], [BLOCKS]),
+        (["update", "--adapter", "lora.json"], [DENSE]),
+        (["rank", "--matrix", "w0.mat"], [DENSE]),
+        (["rank", "--adapter", "smoa.json"], [BLOCKS]),
+        (["rank", "--adapter", "lora.json"], [DENSE]),
+        (["ceiling", "--plan", "plan.json", "--r", "4"], [BLOCKS]),
+        (["witness", "--plan", "plan.json", "--rho", "2", "--dir", "w2"], [BLOCKS]),
+        (["gap", "--witness", "witness", "--r", "4"], [BLOCKS]),
+        (["fit", "--target", "witness/target.mat", "--kind", "smoa", "--r", "4",
+          "--plan", "plan.json", *FIT], []),
+        (["fit", "--target", "w0.mat", "--kind", "lora", "--r", "4", *FIT], [DENSE]),
+        (["fit", "--target", "w0.mat", "--kind", "lora", "--r", "4", "--init", "spectral", *FIT],
+         [SVD, DENSE]),
+        (["diagnose", "--matrix", "w0.mat"], [SVD]),
+        (["diagnose", "--matrix", "w0.mat", "--activations", "acts.mat"],
+         [SVD, ("eigh", (16, 16))]),
+        (["sweep", "--spec", "spec.json"], [SVD, BLOCKS, DENSE, BLOCKS, BLOCKS]),
+    ], ids=["gen", "plan", "adapter-smoa", "adapter-lora", "update-smoa", "update-lora",
+            "rank-matrix", "rank-adapter-smoa", "rank-adapter-lora", "ceiling", "witness", "gap",
+            "fit-smoa", "fit-lora", "fit-lora-spectral", "diagnose", "diagnose-activations",
+            "sweep"])
+    def test_command_budget(self, inputs, capsys, count_decompositions, argv, calls):
+        code, _ = count_decompositions(main, [*argv, "--quiet"])
+        assert code == 0
+        assert count_decompositions.shapes == calls
 
 
 def _parse_only(parser, argv, capsys):

@@ -300,7 +300,7 @@ class TestFullReport:
         w = random_matrix(rng, 10, 6)
         sample = ActivationSample(random_matrix(rng, 6, 40))
         report, calls = count_decompositions(full_report, w, sample)
-        assert calls == {"svd": 1}
+        assert calls == {"svd": 1, "eigh": 1}
         assert report.overlaps == tuple(overlap_scores(w, sample))
 
     def test_mismatched_activations_rejected(self, rng):

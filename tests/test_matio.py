@@ -1,4 +1,5 @@
 """Binary and CSV matrix serialization: roundtrips, errors, determinism."""
+import json
 import os
 import struct
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from smoa import FormatError, Matrix
-from smoa.fileutil import atomic_write_bytes, csv_text, read_json, write_csv, write_json
+from smoa import FormatError, Matrix, NumericalError
+from smoa.fileutil import (atomic_write_bytes, csv_text, json_text, read_json, write_csv,
+                           write_json)
 from smoa.matio import (
     decode_matrix,
     encode_matrix,
@@ -185,10 +187,43 @@ class TestTextCodec:
         assert read_json(path.read_bytes(), "doc") == {"a": {"x": True, "y": None}, "b": [1, 0.1]}
 
     @pytest.mark.parametrize("payload", [b"[1, 2]", b"{", b"\xff\xfe{", b'"\xed\xa0\x80"',
-                                         '{"a": 1}'.encode("utf-16")],
+                                         '{"a": 1}'.encode("utf-16"), b'{"a": NaN}',
+                                         b'{"a": [Infinity]}', b'{"a": {"b": -Infinity}}'],
                              ids=["json-list", "truncated", "not-utf8", "lone-surrogate",
-                                  "utf-16"])
+                                  "utf-16", "nan", "infinity", "minus-infinity"])
     def test_read_json_rejects(self, payload):
-        """Bytes are strict UTF-8: no UTF-16 or UTF-32 guess, no encoded surrogate."""
+        """Bytes are strict UTF-8: no UTF-16 or UTF-32 guess, no encoded surrogate;
+        and JSON has no NaN or Infinity literal."""
         with pytest.raises(FormatError, match="^doc "):
             read_json(payload, "doc")
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")]
+
+
+class TestNonFiniteRefused:
+    """No writer renders a NaN or infinity: each raises NumericalError naming
+    what it was writing, and writes no file."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_csv_cell(self, tmp_path, bad):
+        with pytest.raises(NumericalError, match="^CSV text would hold the non-finite number"):
+            csv_text([["x"], [1.0, bad]])
+        path = tmp_path / "t.csv"
+        with pytest.raises(NumericalError, match=f"^CSV file {path} "):
+            write_csv(path, ["x", "y"], [[0.5, bad]])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_json_value(self, tmp_path, bad):
+        path = tmp_path / "d.json"
+        with pytest.raises(NumericalError, match=f"^JSON file {path} would hold a non-finite"):
+            write_json(path, {"a": [1, {"b": bad}]})
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(NumericalError, match="^the line would hold a non-finite"):
+            json_text({"gap": bad}, "the line")
+
+    def test_finite_json_keeps_its_bytes(self):
+        doc = {"b": [1, 0.1, -2.5e-300, 1.7976931348623157e308], "a": None}
+        assert json_text(doc, "doc") == json.dumps(doc, sort_keys=True) + "\n"
+        assert json_text(doc, "doc", indent=1) == json.dumps(doc, indent=1, sort_keys=True) + "\n"

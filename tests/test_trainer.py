@@ -19,6 +19,7 @@ from smoa import (
     FitProblem,
     Matrix,
     NumericalError,
+    SmoaAdapter,
     TraceStep,
     apply_permutations,
     build_plan,
@@ -107,10 +108,12 @@ class TestLossAndGradient:
         target = random_matrix(rng, 5, 6)
         problem = FitProblem(target, "lora", 3)
         adapter = init_lora(5, 6, 3, AdapterInit("gaussian", seed=9))
-        (da, db), = gradient(problem, adapter)
+        da, db = gradient(problem, adapter)
+        assert (da.shape, db.shape) == ((1, 3, 6), (1, 5, 3))
+        assert not (da.flags.writeable or db.flags.writeable)
         residual = adapter.b.data @ adapter.a.data - target.data
-        assert_allclose(da.data, adapter.b.data.T @ residual, rtol=1e-12)
-        assert_allclose(db.data, residual @ adapter.a.data.T, rtol=1e-12)
+        assert_allclose(da[0], adapter.b.data.T @ residual, rtol=1e-12)
+        assert_allclose(db[0], residual @ adapter.a.data.T, rtol=1e-12)
 
     def test_gradient_matches_finite_differences_lora(self, rng):
         problem = FitProblem(random_matrix(rng, 6, 5), "lora", 2)
@@ -132,8 +135,9 @@ class TestLossAndGradient:
         witness = make_witness(plan, rho=2, seed=17)
         problem = FitProblem(witness.target, "smoa", 4, plan)
         adapter = smoa_exact_fit(witness)
-        grads = gradient(problem, adapter)
-        total = sum(da.norm() ** 2 + db.norm() ** 2 for da, db in grads)
+        da, db = gradient(problem, adapter)
+        assert (da.shape, db.shape) == (adapter.a.shape, adapter.b.shape)
+        total = float(np.sum(da**2) + np.sum(db**2))
         assert total < 1e-18 * witness.target.norm() ** 2
 
     def test_adapter_kind_mismatch(self, rng):
@@ -241,6 +245,16 @@ class TestFit:
         config = FitConfig(step_size=1e160, max_steps=10, max_halvings=0)
         with pytest.raises(NumericalError, match="step"):
             fit(problem, AdapterInit("gaussian", seed=3), config)
+
+    @pytest.mark.parametrize("kind", ["smoa", "lora"])
+    def test_non_finite_start_is_step_zero(self, rng, kind):
+        """A target whose energy overflows makes the starting loss infinite;
+        that is step 0, and the overflow raises no numpy warning."""
+        target = Matrix(random_matrix(rng, 8, 8).data * 1e200)
+        plan = build_plan(target, 2) if kind == "smoa" else None
+        problem = FitProblem(target, kind, 2, plan)
+        with pytest.raises(NumericalError, match="at step 0"):
+            fit(problem, AdapterInit("gaussian", seed=3), FitConfig(max_steps=5))
 
     def test_halvings_rescue_oversized_steps(self, rng):
         """With backtracking enabled the same oversized step is halved
@@ -434,7 +448,7 @@ def _reference_objective(problem):
         return loss_fn, grad_fn
     plan = problem.plan
     reordered = apply_permutations(problem.target, plan.p_out, plan.p_in).data
-    anchors = [anchor.data for anchor in plan.anchors]
+    anchors = list(plan.anchor_stack)
     blocks = [
         reordered[r0:r1, c0:c1].copy()
         for (r0, r1), (c0, c1) in zip(plan.row_intervals, plan.col_intervals)
@@ -503,8 +517,8 @@ def _reference_descent(problem, factors, config):
 
 
 def _pairs(adapter):
-    if hasattr(adapter, "factors"):
-        return [(a.data, b.data) for a, b in adapter.factors]
+    if isinstance(adapter, SmoaAdapter):
+        return list(zip(adapter.a, adapter.b))
     return [(adapter.a.data, adapter.b.data)]
 
 
@@ -636,7 +650,7 @@ class TestResultsOwnTheirMemory:
         problem = self._problem(rng, kind)
         init = init_smoa if kind == "smoa" else (lambda plan, r, i: init_lora(8, 8, r, i))
         first = gradient(problem, init(problem.plan, 4, AdapterInit("gaussian", seed=1)))
-        grads = [m.data for pair in first for m in pair]
+        grads = list(first)
         kept = [g.copy() for g in grads]
         assert all(not np.shares_memory(g, buffer) for g in grads for buffer in _buffers(built[0]))
         gradient(problem, init(problem.plan, 4, AdapterInit("gaussian", seed=2)))
