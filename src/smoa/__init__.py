@@ -84,7 +84,6 @@ from .preprocess import (
     save_plan,
 )
 from .spectrum import (
-    SpectralDecomposition,
     balanced_factors,
     default_tolerance,
     numerical_rank,

@@ -8,8 +8,9 @@ writes are atomic (temp file plus rename).
 
 Exit codes: 0 success, 1 usage, 2 validation (shapes, divisibility,
 malformed or stale artifacts, sizes too large to address), 3 file I/O or
-memory exhausted, 4 numerical failure, a NaN or infinity bound for a file
-or stdout included.
+memory exhausted, 4 numerical failure: a NaN or infinity bound for a file
+or stdout, or a floating-point overflow, division by zero or invalid
+operation, which every command raises where it happens.
 """
 from __future__ import annotations
 
@@ -242,8 +243,9 @@ def cmd_gap(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
-    """Fit, then write the adapter before the trace and summary; an I/O
-    failure on the second write leaves the adapter file in place."""
+    """Fit, then write the trace and summary, both rendered before either
+    is written, and then the adapter: a non-finite number in the trace or
+    summary leaves no file."""
     if args.kind == "lora" and args.plan is not None:
         raise ConfigurationError("--plan applies to --kind smoa only")
     target = load_matrix(args.target)
@@ -256,8 +258,8 @@ def cmd_fit(args) -> dict:
     trace_path = out / f"{args.prefix}.trace.csv"
     summary_path = out / f"{args.prefix}.summary.json"
     adapter_path = out / f"{args.prefix}.adapter.json"
-    save_adapter(trace.adapter, adapter_path, init=init)
     save_trace(trace, trace_path, summary_path)
+    save_adapter(trace.adapter, adapter_path, init=init)
     _note(args, f"fit finished after {trace.step_count} steps")
     return {
         "kind": args.kind,
@@ -498,11 +500,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        line = json_text(args.handler(args), f"the {args.command} result line")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            line = json_text(args.handler(args), f"the {args.command} result line")
     except (ConfigurationError, DimensionError, RangeError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -34,7 +34,7 @@ from .errors import ConfigurationError, DimensionError, EstimationError, RangeEr
 from .fileutil import atomic_write_text, csv_text, write_json
 from .gen import _check_shape, _rng
 from .matrices import Matrix
-from .spectrum import SpectralDecomposition, _rank_from_values, singular_values, svd
+from .spectrum import _rank_from_values, singular_values, svd
 
 __all__ = [
     "ActivationSample",
@@ -66,7 +66,8 @@ def mp_singular_density(nu, ratio: float):
     nu_arr = np.asarray(nu, dtype=np.float64)
     a = (1 - math.sqrt(ratio)) ** 2
     b = (1 + math.sqrt(ratio)) ** 2
-    sq = nu_arr**2
+    with np.errstate(over="ignore"):  # a nu past 1.3e154 squares to inf, outside the support
+        sq = nu_arr**2
     inside = (sq > a) & (sq < b)
     safe = np.where(inside, nu_arr, 1.0)
     radicand = np.maximum((b - safe**2) * (safe**2 - a), 0.0)
@@ -197,14 +198,14 @@ class ActivationSample:
         return self._eigensystem[1]
 
 
-def _overlaps(dec: SpectralDecomposition, activations: ActivationSample) -> list[tuple[int, float]]:
-    """Overlap scores from a decomposition the caller already holds."""
-    right = dec.right_vectors.data
-    if activations.d_in != right.shape[0]:
+def _overlaps(vt: np.ndarray, activations: ActivationSample) -> list[tuple[int, float]]:
+    """Overlap scores from the right singular vectors ``vt`` (one per row)
+    of a decomposition the caller already holds."""
+    if activations.d_in != vt.shape[1]:
         raise DimensionError(
-            f"activations live in dimension {activations.d_in}, weight columns are {right.shape[0]}"
+            f"activations live in dimension {activations.d_in}, weight columns are {vt.shape[1]}"
         )
-    projections = (right.T @ activations.eigenvectors) ** 2
+    projections = (vt @ activations.eigenvectors) ** 2
     best = np.minimum(projections.max(axis=1), 1.0)
     return [(k + 1, float(score)) for k, score in enumerate(best)]
 
@@ -212,7 +213,7 @@ def _overlaps(dec: SpectralDecomposition, activations: ActivationSample) -> list
 def overlap_scores(w: Matrix, activations: ActivationSample) -> list[tuple[int, float]]:
     """Squared best alignment of each right singular vector of ``w``
     against the activation eigenbasis; ``(k, score)`` with k 1-based."""
-    return _overlaps(svd(w), activations)
+    return _overlaps(svd(w)[2], activations)
 
 
 _BAND_DRAWS = 200  # random unit vectors behind the Monte Carlo overlap band
@@ -266,15 +267,14 @@ def full_report(
     Monte Carlo bulk band (200 random unit vectors).
     """
     rng = _rng(seed)
-    dec = svd(w)
-    values = dec.singular_values
+    _, values, vt = svd(w)
     nu, noise_scale = _normalize(values, w.shape, noise_scale)
     edge = mp_bulk_edge(w.rows, w.cols)
     rank, epsilon = _rank_from_values(values, w.shape, epsilon)
     tail = np.concatenate([np.cumsum((values**2)[::-1])[::-1], [0.0]])
     curve = tuple((r, float(tail[r])) for r in range(values.size + 1))
     if activations is not None:
-        pairs = _overlaps(dec, activations)
+        pairs = _overlaps(vt, activations)
         mean, sigma = _bulk_band(activations.eigenvectors, rng)
     else:
         pairs, mean, sigma = [], None, None

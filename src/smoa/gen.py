@@ -7,6 +7,7 @@ and a low-rank signal buried in noise. All draws go through
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -70,13 +71,17 @@ def spiked_matrix(
         raise RangeError(f"spikes={spikes} out of range 0..{min(rows, cols)}")
     if not 0 <= strength < np.inf:
         raise ConfigurationError(f"strength must be nonnegative and finite, got {strength}")
+    c = strength * math.sqrt(max(rows, cols))
+    if not math.isfinite(c):
+        raise ConfigurationError(
+            f"strength {strength} overflows: the spike size strength * sqrt({max(rows, cols)}) "
+            "is not finite")
     rng = _rng(seed)
     noise = rng.standard_normal((rows, cols))
     if spikes == 0:
         return Matrix(noise)
     u, _ = np.linalg.qr(rng.standard_normal((rows, spikes)))
     v, _ = np.linalg.qr(rng.standard_normal((cols, spikes)))
-    c = strength * np.sqrt(max(rows, cols))
     return Matrix(noise + c * (u @ v.T))
 
 

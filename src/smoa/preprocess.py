@@ -25,7 +25,7 @@ from .errors import ConfigurationError, FormatError, RangeError
 from .fileutil import envelope_fields, field, pin, read_envelope, sha256_bytes, write_json
 from .matio import matrix_from_csv, matrix_to_csv
 from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
-from .spectrum import SpectralDecomposition, svd
+from .spectrum import svd
 
 __all__ = [
     "BlockPlan",
@@ -136,15 +136,18 @@ def _scatter_blocks(blocks: np.ndarray, p_out: Permutation, p_in: Permutation) -
     return out
 
 
-def coordinate_scores(decomposition: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral centroid score per output and input coordinate.
+def coordinate_scores(
+    decomposition: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral centroid score per output and input coordinate, from the
+    ``(u, s, vt)`` that :func:`~smoa.spectrum.svd` gives.
 
     Returns ``(out_scores, in_scores)``; entry i of ``out_scores`` is
     the weighted mean position (1-based) of the singular directions row
     i loads on, weighted by ``sigma_j * U[i, j]^2``. Zero-energy
     coordinates score ``m + 1``.
     """
-    s = decomposition.singular_values
+    u, s, vt = decomposition
     positions = np.arange(1, s.size + 1, dtype=np.float64)
 
     def scores(vectors: np.ndarray) -> np.ndarray:
@@ -155,7 +158,9 @@ def coordinate_scores(decomposition: SpectralDecomposition) -> tuple[np.ndarray,
         np.divide(centroid, energy, out=out, where=energy > 0)
         return out
 
-    return scores(decomposition.left_vectors.data), scores(decomposition.right_vectors.data)
+    # row-major U and V: the row sums' order, and so the scores' last bits,
+    # follows the memory layout, which differs between the two drivers
+    return scores(np.ascontiguousarray(u)), scores(np.ascontiguousarray(vt.T))
 
 
 def build_plan(w0: Matrix, k: int) -> BlockPlan:

@@ -13,15 +13,12 @@ in one batched values-only call, never off the scattered matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, RangeError
 from .matrices import Matrix
 
 __all__ = [
-    "SpectralDecomposition",
     "svd",
     "singular_values",
     "default_tolerance",
@@ -32,37 +29,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Thin SVD ``w = U diag(s) V^T`` with ``m = min(rows, cols)`` triplets.
-
-    ``left_vectors`` is d_out x m, ``right_vectors`` is d_in x m, both
-    with orthonormal columns; ``singular_values`` is descending and
-    nonnegative.
-    """
-
-    left_vectors: Matrix
-    singular_values: np.ndarray
-    right_vectors: Matrix
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.singular_values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "singular_values", vals)
-
-    @property
-    def m(self) -> int:
-        return self.singular_values.size
-
-    def reconstruct(self) -> Matrix:
-        u = self.left_vectors.data
-        v = self.right_vectors.data
-        return Matrix((u * self.singular_values) @ v.T)
-
-
-def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin ``(U, s, V^T)`` of a matrix or a ``(K, m, n)`` stack in one
-    LAPACK call, returned as LAPACK gives it.
+def svd(w: Matrix | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin ``(u, s, vt)`` of a matrix or a ``(K, m, n)`` stack in one
+    LAPACK call, read-only and otherwise as LAPACK gives it: for a d_out x
+    d_in matrix, ``u`` is d_out x m with orthonormal columns, ``s`` holds m
+    descending values and ``vt`` is m x d_in with orthonormal rows, m =
+    min(d_out, d_in). The vectors carry LAPACK's signs, deterministic for
+    one input and one LAPACK build.
 
     The driver is numpy's ``gesdd`` (divide and conquer). Only when it does
     not converge is the input retried with scipy's ``gesvd`` (QR iteration),
@@ -73,22 +46,19 @@ def _thin_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     NumericalError
         If neither driver converges; the message carries the input shape.
     """
+    x = np.asarray(w)
     try:
-        return np.linalg.svd(x, full_matrices=False)
+        factors = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError:
         import scipy.linalg  # numpy offers no gesvd driver; loaded only for this retry
 
         try:
-            return scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
+            factors = scipy.linalg.svd(x, full_matrices=False, lapack_driver="gesvd")
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge for shape {x.shape}") from exc
-
-
-def svd(w: Matrix) -> SpectralDecomposition:
-    """Thin SVD (see :func:`_thin_svd`). The vectors carry LAPACK's signs:
-    deterministic for one input and one LAPACK build."""
-    u, s, vt = _thin_svd(w.data)
-    return SpectralDecomposition(Matrix(u), s, Matrix(vt.T))
+    for array in factors:
+        array.setflags(write=False)
+    return tuple(factors)
 
 
 def singular_values(w: Matrix | np.ndarray) -> np.ndarray:
@@ -146,7 +116,7 @@ def truncated_svd(w: Matrix, r: int) -> Matrix:
         raise RangeError(f"rank {r} out of range 0..{m} for shape {w.shape}")
     if r == 0:
         return Matrix.zeros(w.rows, w.cols)
-    u, s, vt = _thin_svd(w.data)
+    u, s, vt = svd(w)
     return Matrix((u[:, :r] * s[:r]) @ vt[:r])
 
 
@@ -178,6 +148,6 @@ def balanced_factors(c: Matrix | np.ndarray, r: int) -> tuple[np.ndarray, np.nda
     x = np.asarray(c)
     if not 1 <= r <= min(x.shape[-2:]):
         raise RangeError(f"rank {r} out of range 1..{min(x.shape[-2:])} for shape {x.shape}")
-    u, s, vt = _thin_svd(x)
+    u, s, vt = svd(x)
     root = np.sqrt(s[..., :r])
     return vt[..., :r, :] * root[..., :, None], u[..., :, :r] * root[..., None, :]

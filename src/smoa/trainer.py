@@ -39,7 +39,7 @@ import numpy as np
 from .adapters import Adapter, AdapterInit, LoraAdapter, SmoaAdapter, init_lora, init_smoa
 from .adapters import _factor_stacks
 from .errors import ConfigurationError, DimensionError, NumericalError
-from .fileutil import write_csv, write_json
+from .fileutil import atomic_write_text, csv_text, json_text
 from .matrices import Matrix
 from .preprocess import BlockPlan, _block_rank, _gather_blocks
 from .spectrum import balanced_factors, tail_energy
@@ -310,8 +310,9 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
     below ``grad_tol``, when ``max_steps`` is exhausted, or when no eta
     down to ``step_size * 2**-max_halvings`` lowers the loss;
     ``FitTrace.stop_reason`` records which. Raises
-    :class:`NumericalError` with the step index if the loss leaves the
-    finite range, step 0 when the starting loss is already not finite.
+    :class:`NumericalError` with the step index if the loss or the gradient
+    norm leaves the finite range, step 0 when the starting loss is already
+    not finite.
     """
     a, b = _initial_factors(problem, init)
     shapes = a.shape, b.shape
@@ -343,6 +344,8 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
             np.add.reduce(square_a, 1, None, sums_a)
             np.add.reduce(square_b, 1, None, sums_b)
             gnorm = math.sqrt(sum(np.add(sums_a, sums_b, sums_a).tolist()))
+            if not math.isfinite(gnorm):
+                raise NumericalError(f"gradient norm is non-finite at step {step}")
             steps.append(TraceStep(step, current_loss, gnorm, taken, halvings))
             if gnorm < config.grad_tol:
                 break
@@ -414,10 +417,11 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
 
 
 def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str | os.PathLike) -> None:
-    """Write the per-step CSV and the JSON summary for one fit."""
-    write_csv(csv_path, ["step", "loss", "grad_norm", "step_size", "halvings"],
-              [[entry.step, entry.loss, entry.grad_norm, entry.step_size, entry.halvings]
-               for entry in trace.steps])
+    """Write the per-step CSV and the JSON summary for one fit. Both are
+    rendered before either is written, so a failure writes neither."""
+    table = csv_text([["step", "loss", "grad_norm", "step_size", "halvings"],
+                      *([entry.step, entry.loss, entry.grad_norm, entry.step_size, entry.halvings]
+                        for entry in trace.steps)], f"CSV file {csv_path}")
     summary = {
         "final_loss": trace.final_loss,
         "relative_loss": trace.relative_loss,
@@ -436,4 +440,6 @@ def save_trace(trace: FitTrace, csv_path: str | os.PathLike, summary_path: str |
             "init_scale": trace.init.scale,
         },
     }
-    write_json(summary_path, summary)
+    summary_text = json_text(summary, f"JSON file {summary_path}", indent=1)
+    atomic_write_text(csv_path, table)
+    atomic_write_text(summary_path, summary_text)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import builtins
 import io
+import json
 import os
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from smoa import Matrix
+from smoa import Matrix, load_plan, make_witness, save_matrix
+from smoa.fileutil import sha256_bytes
 
 _CRITERIA: dict[int, tuple[str, str]] = {}
 
@@ -54,6 +56,19 @@ def rng():
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
     return Matrix(rng.standard_normal((rows, cols)))
+
+
+def write_witness_bundle(directory: Path, plan_path: Path, rho: int, seed: int) -> None:
+    """A witness bundle over the plan file ``plan_path``, its manifest written
+    by hand: ``save_witness`` refuses a plan whose gaps overflow, and a
+    manifest's recorded gaps and rank are not read back."""
+    plan = load_plan(plan_path)
+    target = save_matrix(make_witness(plan, rho, seed).target, directory / "target.mat")
+    (directory / "witness.json").write_text(json.dumps({
+        "format": "SMOA-WITNESS", "version": 5, "seed": seed, "rho": rho,
+        "plan": {"path": os.path.relpath(plan_path, directory), "hash": plan.file[1]},
+        "target": {"path": "target.mat", "hash": sha256_bytes(target)},
+    }))
 
 
 @pytest.fixture

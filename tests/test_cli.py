@@ -15,7 +15,9 @@ from smoa import (AdapterInit, Matrix, NumericalError, build_plan, gaussian_matr
                   init_smoa, load_adapter, load_matrix, load_plan, load_witness, lora_update,
                   make_witness, numerical_rank, rank_ceiling, save_matrix, smoa_update, tail_energy)
 from smoa.cli import _COMMANDS, build_parser, main
-from smoa.fileutil import sha256_bytes, sha256_file
+from smoa.fileutil import sha256_file
+
+from conftest import write_witness_bundle
 
 
 def run(capsys, *argv):
@@ -560,6 +562,17 @@ class TestDiagnose:
         overlaps = (workdir / "overlaps.csv").read_text().strip().splitlines()
         assert len(overlaps) == 17
 
+    def test_far_out_spectrum(self, workdir, capsys):
+        """A tiny noise scale puts every normalized value past 1e154, whose
+        square overflows: the density there is 0.0, not an error."""
+        _, gen = run(capsys, "gen", "--rows", "8", "--cols", "8", "--kind", "gaussian", "--quiet")
+        code, payload = run(capsys, "diagnose", "--matrix", gen["path"],
+                            "--noise-scale", "1e-160", "--quiet")
+        assert (code, payload["outlier_count"]) == (0, 8)
+        rows = (workdir / "nu_histogram.csv").read_text().strip().splitlines()[1:]
+        assert float(rows[-1].split(",")[1]) > 1e154
+        assert {row.split(",")[3] for row in rows} == {"0.0"}
+
 
 class TestSweep:
     def test_grid_csv(self, workdir, capsys):
@@ -993,6 +1006,17 @@ class TestMalformedInput:
         )
         assert not (workdir / "matrix.mat").exists()
 
+    def test_spike_strength_past_float_range(self, workdir, capsys):
+        """strength * sqrt(max(rows, cols)) is no float: a bad flag value,
+        like ``--values 1e400``, refused before anything is drawn."""
+        code = main(["gen", "--rows", "16", "--cols", "16", "--kind", "spiked", "--spikes", "1",
+                     "--strength", "1e308", "--quiet"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: strength 1e+308 overflows")
+        assert captured.err.count("\n") == 1
+        assert not (workdir / "matrix.mat").exists()
+
     @pytest.mark.parametrize("values", ["1,x", "one"])
     def test_non_numeric_values_list(self, workdir, capsys, values):
         code = main(["gen", "--rows", "4", "--cols", "4", "--kind", "diagonal",
@@ -1157,51 +1181,53 @@ class TestExitCodes:
 
 class TestNonFiniteOutput:
     """A NaN or infinity never reaches a file or stdout: the command exits 4
-    with a one-line error naming what it was writing, and writes nothing.
-    Each command runs in a subprocess, since the overflow behind it also
-    raises numpy's RuntimeWarning, which this suite turns into an error."""
+    with a one-line error naming the floating-point operation that overflowed,
+    or what it was writing, prints nothing else on stderr (no numpy warning),
+    and writes nothing. Each command runs in a subprocess, as a user runs it."""
 
     @pytest.fixture
     def big(self, workdir, capsys):
         """A 1e200-scale weight, its plan and a witness bundle over it whose
         manifest is written by hand (``save_witness`` refuses its infinite
-        gaps), plus an ordinary weight ``w.mat``."""
-        for name, scale in (("big.mat", "1e200"), ("w.mat", "1")):
+        gaps), plus an ordinary weight ``w.mat``, and a 1e10-scale weight with its
+        plan ``plan10.json`` and a 1e150-scale target, whose fit has a finite
+        loss but an overflowing gradient norm."""
+        for name, scale, seed in (("big.mat", "1e200", "0"), ("w.mat", "1", "0"),
+                                  ("w10.mat", "1e10", "0"), ("t150.mat", "1e150", "3")):
             assert main(["gen", "--rows", "16", "--cols", "16", "--kind", "gaussian",
-                         "--scale", scale, "--name", name, "--quiet"]) == 0
+                         "--scale", scale, "--seed", seed, "--name", name, "--quiet"]) == 0
         assert main(["plan", "--w0", "big.mat", "--k", "2", "--quiet"]) == 0
+        assert main(["plan", "--w0", "w10.mat", "--k", "2", "--name", "plan10.json",
+                     "--quiet"]) == 0
         capsys.readouterr()
-        plan = load_plan(workdir / "plan.json")
-        bundle = workdir / "witness"
-        target = save_matrix(make_witness(plan, 2, 0).target, bundle / "target.mat")
-        (bundle / "witness.json").write_text(json.dumps({
-            "format": "SMOA-WITNESS", "version": 5, "seed": 0, "rho": 2,
-            "plan": {"path": "../plan.json", "hash": plan.file[1]},
-            "target": {"path": "target.mat", "hash": sha256_bytes(target)},
-        }))
+        write_witness_bundle(workdir / "witness", workdir / "plan.json", 2, 0)
         return workdir
 
+    # squared singular values above about 1.3e154 overflow in the tail curve
+    # and the gaps, and a subnormal noise scale overflows the normalization
     @pytest.mark.parametrize("argv,names", [
-        (["diagnose", "--matrix", "big.mat"], "JSON file report.json"),
+        (["diagnose", "--matrix", "big.mat"], "overflow encountered in square"),
         (["witness", "--plan", "plan.json", "--rho", "2", "--dir", "w2"],
-         "witness manifest w2/witness.json"),
-        (["gap", "--witness", "witness", "--r", "2"], "JSON file gap.json"),
-        (["gap", "--witness", "witness", "--r", "2", "--format", "csv"], "CSV file gap.csv"),
+         "overflow encountered in square"),
+        (["gap", "--witness", "witness", "--r", "2"], "overflow encountered in square"),
+        (["gap", "--witness", "witness", "--r", "2", "--format", "csv"],
+         "overflow encountered in square"),
         (["diagnose", "--matrix", "w.mat", "--noise-scale", "1e-320"],
-         "CSV file nu_histogram.csv"),
+         "overflow encountered in divide"),
         (["fit", "--target", "witness/target.mat", "--kind", "smoa", "--r", "4",
           "--plan", "plan.json"], "loss is non-finite at step 0"),
-    ], ids=["diagnose", "witness", "gap", "gap-csv", "diagnose-subnormal-noise", "fit"])
+        (["fit", "--target", "t150.mat", "--kind", "smoa", "--r", "4", "--plan", "plan10.json",
+          "--init", "gaussian", "--max-steps", "0"], "gradient norm is non-finite at step 0"),
+    ], ids=["diagnose", "witness", "gap", "gap-csv", "diagnose-subnormal-noise", "fit",
+            "fit-gradient-norm"])
     def test_refused_and_nothing_written(self, big, argv, names):
         before = sorted(big.rglob("*"))
         env = {**os.environ, "PYTHONPATH": str(Path(smoa.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-m", "smoa.cli", *argv, "--quiet"],
                                 capture_output=True, text=True, env=env, cwd=big)
         assert (result.returncode, result.stdout) == (4, "")
-        assert "Traceback" not in result.stderr
-        errors = [line for line in result.stderr.splitlines()
-                  if line.startswith("numerical error: ")]
-        assert len(errors) == 1 and names in errors[0]
+        assert result.stderr.startswith("numerical error: ") and result.stderr.count("\n") == 1
+        assert names in result.stderr
         assert sorted(big.rglob("*")) == before
 
     def test_stdout_line_refused(self, workdir, seeded_plan, capsys, monkeypatch):

@@ -32,7 +32,6 @@ from smoa import (
     truncated_svd,
 )
 from smoa.cli import main
-from smoa.spectrum import _thin_svd
 
 from conftest import random_matrix
 
@@ -56,41 +55,41 @@ def reference_balanced_factors(c: np.ndarray, r: int, reference=reference_thin_s
 class TestSvd:
     def test_reconstruction(self, rng):
         w = random_matrix(rng, 7, 5)
-        dec = svd(w)
-        assert_allclose(dec.reconstruct().data, w.data, atol=1e-12)
+        u, s, vt = svd(w)
+        assert_allclose((u * s) @ vt, w.data, atol=1e-12)
 
     def test_values_descending_and_nonnegative(self, rng):
-        dec = svd(random_matrix(rng, 6, 9))
-        vals = dec.singular_values
+        _, vals, _ = svd(random_matrix(rng, 6, 9))
         assert np.all(vals[:-1] >= vals[1:])
         assert np.all(vals >= 0)
 
     def test_m_is_min_dimension(self, rng):
-        assert svd(random_matrix(rng, 3, 8)).m == 3
-        assert svd(random_matrix(rng, 8, 3)).m == 3
+        """A thin SVD: m = min(rows, cols) triplets."""
+        assert [x.shape for x in svd(random_matrix(rng, 3, 8))] == [(3, 3), (3,), (3, 8)]
+        assert [x.shape for x in svd(random_matrix(rng, 8, 3))] == [(8, 3), (3,), (3, 3)]
 
     def test_sign_convention_deterministic(self, rng):
         w = random_matrix(rng, 5, 5)
         first = svd(w)
         second = svd(Matrix(w.data.copy()))
-        assert np.array_equal(first.left_vectors, second.left_vectors)
-        assert np.array_equal(first.right_vectors, second.right_vectors)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[2], second[2])
 
     def test_orthonormal_factors(self, rng):
-        dec = svd(random_matrix(rng, 5, 8))
-        assert dec.left_vectors.shape == (5, 5)
-        assert dec.right_vectors.shape == (8, 5)
-        assert_allclose((dec.left_vectors.T @ dec.left_vectors).data, np.eye(5), atol=1e-12)
-        assert_allclose((dec.right_vectors.T @ dec.right_vectors).data, np.eye(5), atol=1e-12)
+        u, _, vt = svd(random_matrix(rng, 5, 8))
+        assert u.shape == (5, 5)
+        assert vt.shape == (5, 8)
+        assert_allclose(u.T @ u, np.eye(5), atol=1e-12)
+        assert_allclose(vt @ vt.T, np.eye(5), atol=1e-12)
 
     def test_values_match_svdvals_path(self, rng):
         w = random_matrix(rng, 6, 4)
-        assert_allclose(svd(w).singular_values, singular_values(w), atol=1e-12)
+        assert_allclose(svd(w)[1], singular_values(w), atol=1e-12)
 
     def test_decomposition_is_frozen(self, rng):
-        dec = svd(random_matrix(rng, 3, 3))
-        with pytest.raises(ValueError):
-            dec.singular_values[0] = 99.0
+        for array in svd(random_matrix(rng, 3, 3)):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
 
 
 def _stack(seed: int, k: int, m: int, n: int, pattern: str) -> np.ndarray:
@@ -123,14 +122,19 @@ stacks = st.builds(
 
 
 class TestLapackOutput:
-    """The decomposition is numpy's own: no sign rule or copy on top."""
+    """The decomposition is numpy's own, read-only: no sign rule or copy on
+    top, for a matrix, a ``Matrix`` and a stack."""
 
     @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (3, 5, 7), (4, 6, 6)])
     def test_thin_svd_is_numpy_svd_bitwise(self, rng, shape):
         x = rng.standard_normal(shape)
-        for ours, numpys in zip(_thin_svd(x), np.linalg.svd(x, full_matrices=False)):
-            assert ours.shape == numpys.shape
-            assert ours.tobytes() == numpys.tobytes()
+        inputs = [x, Matrix(x)] if x.ndim == 2 else [x]
+        for ours in map(svd, inputs):
+            assert type(ours) is tuple and len(ours) == 3
+            for array, numpys in zip(ours, np.linalg.svd(x, full_matrices=False)):
+                assert array.shape == numpys.shape
+                assert array.tobytes() == numpys.tobytes()
+                assert not array.flags.writeable
 
 
 class TestSignInvariance:
@@ -194,7 +198,7 @@ class TestStackedSvd:
     @settings(deadline=None, max_examples=150)
     @given(stacks)
     def test_stack_matches_per_slice_reference_bitwise(self, stack):
-        u, s, vt = _thin_svd(stack)
+        u, s, vt = svd(stack)
         for k, block in enumerate(stack):
             ref_u, ref_s, ref_vt = reference_thin_svd(block)
             assert u[k].tobytes() == ref_u.tobytes()
@@ -216,11 +220,9 @@ class TestStackedSvd:
     @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (1, 3)])
     def test_matrix_matches_reference_bitwise(self, rng, shape):
         w = random_matrix(rng, *shape)
-        dec = svd(w)
         ref_u, ref_s, ref_vt = reference_thin_svd(w.data)
-        assert dec.left_vectors.data.tobytes() == ref_u.tobytes()
-        assert dec.singular_values.tobytes() == ref_s.tobytes()
-        assert dec.right_vectors.data.tobytes() == np.ascontiguousarray(ref_vt.T).tobytes()
+        for array, ref in zip(svd(w), (ref_u, ref_s, ref_vt)):
+            assert array.tobytes() == ref.tobytes()
         for r in range(min(shape) + 1):
             u, s, vt = ref_u[:, :r], ref_s[:r], ref_vt[:r]
             assert truncated_svd(w, r).data.tobytes() == ((u * s) @ vt).tobytes()
@@ -253,11 +255,10 @@ class TestGesvdFallback:
     @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4), (1, 3)])
     def test_svd_and_truncation_match_gesvd_bitwise(self, rng, gesdd_fails, shape):
         w = random_matrix(rng, *shape)
-        dec = svd(w)
         ref_u, ref_s, ref_vt = reference_gesvd(w.data)
-        assert dec.left_vectors.data.tobytes() == ref_u.tobytes()
-        assert dec.singular_values.tobytes() == ref_s.tobytes()
-        assert dec.right_vectors.data.tobytes() == np.ascontiguousarray(ref_vt.T).tobytes()
+        for array, ref in zip(svd(w), (ref_u, ref_s, ref_vt)):
+            assert array.tobytes() == ref.tobytes()
+            assert not array.flags.writeable
         for r in range(min(shape) + 1):
             u, s, vt = ref_u[:, :r], ref_s[:r], ref_vt[:r]
             assert truncated_svd(w, r).data.tobytes() == ((u * s) @ vt).tobytes()
@@ -451,11 +452,11 @@ class TestBalancedFactors:
     @pytest.mark.parametrize("shape", [(6, 6), (5, 8), (9, 4)])
     def test_square_root_split_bits(self, rng, shape):
         c = random_matrix(rng, *shape)
-        dec = svd(c)
-        root = np.sqrt(dec.singular_values[:3])
+        u, s, vt = svd(c)
+        root = np.sqrt(s[:3])
         a, b = balanced_factors(c, 3)
-        assert np.array_equal(b, dec.left_vectors.data[:, :3] * root)
-        assert np.array_equal(a, (dec.right_vectors.data[:, :3] * root).T)
+        assert np.array_equal(b, u[:, :3] * root)
+        assert np.array_equal(a, (vt.T[:, :3] * root).T)
 
     def test_product_is_truncation(self, rng):
         c = random_matrix(rng, 7, 5)

@@ -256,6 +256,14 @@ class TestFit:
         with pytest.raises(NumericalError, match="at step 0"):
             fit(problem, AdapterInit("gaussian", seed=3), FitConfig(max_steps=5))
 
+    def test_non_finite_gradient_norm_names_its_step(self, rng):
+        """A finite starting loss whose gradient norm overflows (1e150 target
+        entries against 1e10 anchors) is refused at step 0, where it arises."""
+        plan = build_plan(Matrix(random_matrix(rng, 16, 16).data * 1e10), 2)
+        problem = FitProblem(Matrix(random_matrix(rng, 16, 16).data * 1e150), "smoa", 4, plan)
+        with pytest.raises(NumericalError, match="gradient norm is non-finite at step 0"):
+            fit(problem, AdapterInit("gaussian", seed=3), FitConfig(max_steps=0))
+
     def test_halvings_rescue_oversized_steps(self, rng):
         """With backtracking enabled the same oversized step is halved
         into an accepted one instead of diverging."""
@@ -524,10 +532,9 @@ def _pairs(adapter):
 
 def _assert_matches_reference(problem, init, config):
     if init.scheme == "spectral":
-        dec = svd(problem.target)
-        root = np.sqrt(dec.singular_values[:problem.r])
-        start = [((dec.right_vectors.data[:, :problem.r] * root).T,
-                  dec.left_vectors.data[:, :problem.r] * root)]
+        u, s, vt = svd(problem.target)
+        root = np.sqrt(s[:problem.r])
+        start = [((vt.T[:, :problem.r] * root).T, u[:, :problem.r] * root)]
     elif problem.kind == "lora":
         start = _pairs(init_lora(problem.target.rows, problem.target.cols, problem.r, init))
     else:
