@@ -61,12 +61,10 @@ from .errors import (
 from .gen import diagonal_matrix, gaussian_matrix, low_rank_plus_noise, spiked_matrix
 from .matio import (
     load_matrix,
-    load_matrix_csv,
     matrix_digest,
     matrix_from_csv,
     matrix_to_csv,
     save_matrix,
-    save_matrix_csv,
 )
 from .matrices import (
     Matrix,

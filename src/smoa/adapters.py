@@ -1,9 +1,11 @@
 """Trainable low-rank adapters over a frozen weight.
 
-Two families share one parameter-budget axis. A global adapter (LoRA
-style) holds a single factor pair (A: r x d_in, B: d_out x r) and its
-update is B A. A block adapter (SMoA style) holds K local pairs of rank
-rho = r / K over a :class:`~smoa.preprocess.BlockPlan`; block k produces
+Two families share one parameter-budget axis and one representation:
+read-only factor stacks ``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``.
+A global adapter (LoRA style) is the one-block stack, a single pair
+(A: r x d_in, B: d_out x r), and its update is B A. A block adapter (SMoA
+style) holds K local pairs of rank rho = r / K over a
+:class:`~smoa.preprocess.BlockPlan`; block k produces
 (B_k A_k) entrywise-times anchor_k, the blocks sit on the diagonal in
 reordered coordinates, and the inverse permutations carry the update
 back. At equal nominal rank r the block family trains exactly K times
@@ -54,34 +56,38 @@ ADAPTER_VERSION = 4
 Scheme = Literal["zero-update", "gaussian", "spectral"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoraAdapter:
-    """Global factor pair; update is ``b @ a`` of shape d_out x d_in."""
+    """Global factor pair, the one-block stack: read-only ``a: (1, r, d_in)``
+    and ``b: (1, d_out, r)``, so ``a[0]`` is A and ``b[0]`` is B, and the
+    update is ``b[0] @ a[0]`` of shape d_out x d_in."""
 
-    a: Matrix
-    b: Matrix
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.a.rows != self.b.cols:
-            raise DimensionError(
-                f"factor shapes {self.b.shape} @ {self.a.shape} do not chain"
-            )
+        a = _frozen_stack(self.a, (1, None, None), "factor stack a")
+        b = _frozen_stack(self.b, (1, None, None), "factor stack b")
+        if a.shape[1] != b.shape[2]:
+            raise DimensionError(f"factor shapes {b.shape[1:]} @ {a.shape[1:]} do not chain")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def r(self) -> int:
-        return self.a.rows
+        return self.a.shape[1]
 
     @property
     def d_in(self) -> int:
-        return self.a.cols
+        return self.a.shape[2]
 
     @property
     def d_out(self) -> int:
-        return self.b.rows
+        return self.b.shape[1]
 
     @property
     def trainable_parameters(self) -> int:
-        return self.a.rows * self.a.cols + self.b.rows * self.b.cols
+        return self.a.size + self.b.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +169,7 @@ def _init_stacks(k: int, s_out: int, s_in: int, rho: int,
 def init_lora(d_out: int, d_in: int, r: int, init: AdapterInit) -> LoraAdapter:
     """Seeded LoRA factors, the one-block draw; ``zero-update`` gives b = 0 exactly."""
     _check_split(1, d_out, d_in)
-    a, b = _init_stacks(1, d_out, d_in, _block_rank(1, r), init)
-    return LoraAdapter(Matrix(a[0]), Matrix(b[0]))
+    return LoraAdapter(*_init_stacks(1, d_out, d_in, _block_rank(1, r), init))
 
 
 def init_smoa(plan: BlockPlan, r: int, init: AdapterInit) -> SmoaAdapter:
@@ -176,16 +181,8 @@ def init_smoa(plan: BlockPlan, r: int, init: AdapterInit) -> SmoaAdapter:
 
 
 def lora_update(adapter: LoraAdapter) -> Matrix:
-    """Global update ``b @ a``."""
-    return adapter.b @ adapter.a
-
-
-def _factor_stacks(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only factor stacks ``a: (K, rho, s_in)`` and ``b: (K, s_out, rho)``
-    of either family; a global adapter is the K = 1 stack."""
-    if isinstance(adapter, LoraAdapter):
-        return adapter.a.data[np.newaxis], adapter.b.data[np.newaxis]
-    return adapter.a, adapter.b
+    """Global update ``B A``, the product of the one-block stacks' matrices."""
+    return Matrix(adapter.b[0] @ adapter.a[0])
 
 
 def _update_blocks(adapter: SmoaAdapter) -> np.ndarray:
@@ -251,7 +248,8 @@ def save_adapter(adapter: Adapter, path: str | os.PathLike, *,
 
     The factor files sit next to the envelope: ``<stem>.a.mat`` holds the
     A stack and ``<stem>.b.mat`` the B stack, each one K-block stack file
-    (see :mod:`smoa.matio`); a global adapter's are its two matrices. The
+    (see :mod:`smoa.matio`) written from ``adapter.a`` and ``adapter.b``, so
+    a global adapter's hold its one-block stacks as two matrices. The
     envelope holds its format and version, the pins (see
     :mod:`smoa.fileutil`) of both stacks (``a``, ``b``) and of a block
     adapter's plan by its ``file`` (``plan``, null for a global adapter),
@@ -263,7 +261,7 @@ def save_adapter(adapter: Adapter, path: str | os.PathLike, *,
     plan_pin = _plan_pin(adapter.plan, target.parent) if isinstance(adapter, SmoaAdapter) else None
     init = init or AdapterInit()
     written = [target, *(target.with_name(f"{target.stem}.{side}.mat") for side in "ab")]
-    payloads = [_encode_stack(stack) for stack in _factor_stacks(adapter)]
+    payloads = [_encode_stack(adapter.a), _encode_stack(adapter.b)]
     doc = {
         "format": ADAPTER_FORMAT,
         "version": ADAPTER_VERSION,
@@ -300,5 +298,5 @@ def load_adapter(path: str | os.PathLike) -> Adapter:
         a, b = (_decode_stack(*read_pinned(doc, side, target.parent, what)[:2],
                               1 if plan is None else plan.k) for side in "ab")
     if plan is None:
-        return LoraAdapter(Matrix(a[0]), Matrix(b[0]))
+        return LoraAdapter(a, b)
     return SmoaAdapter(plan, a.shape[1], a, b)

@@ -152,10 +152,11 @@ def _update_rank(adapter: Adapter, epsilon: float | None = None,
 class WitnessInstance:
     """A target the block family fits exactly at rank budget rho * K.
 
-    A witness is its plan, ``rho`` and ``seed``; all else is derived on each
-    use. ``coefficient_stack``, the read-only (K, s_out, s_in) rank-rho C_k =
-    L_k R_k, is the batched product of the factor stacks ``_factors`` draws,
-    and the exact fit's factors are those stacks. The target is
+    A witness is its plan, ``rho`` and ``seed``. The factor stacks
+    ``_factors`` are drawn once, on first use, and kept; all else is derived
+    from them on each use. ``coefficient_stack``, the read-only (K, s_out,
+    s_in) rank-rho C_k = L_k R_k, is their batched product, and the exact
+    fit's factors are those stacks. The target is
     blkdiag(C_k * anchor_k) (entrywise) carried back through the plan's
     inverse permutations. Its singular values are those of the K blocks
     C_k * anchor_k, derived once in one batched call and kept;
@@ -171,12 +172,14 @@ class WitnessInstance:
         _check_rho(self.rho, self.plan.block_shape)
         _check_seed(self.seed)
 
-    @property
+    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (K, s_out, rho) L and (K, rho, s_in) R stacks: views of one
-        (K, rho (s_out + s_in)) standard-normal draw from ``seed``, row k L_k then R_k."""
+        """The (K, s_out, rho) L and (K, rho, s_in) R stacks: read-only views
+        of one (K, rho (s_out + s_in)) standard-normal draw from ``seed``, row
+        k L_k then R_k, drawn on first use and kept."""
         k, (s_out, s_in), rho = self.plan.k, self.plan.block_shape, self.rho
         draws = _rng(self.seed).standard_normal((k, rho * (s_out + s_in)))
+        draws.setflags(write=False)
         return draws[:, :s_out * rho].reshape(k, s_out, rho), draws[:, s_out * rho:].reshape(k, rho, s_in)
 
     @property

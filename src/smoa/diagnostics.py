@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, EstimationError, RangeError
+from .errors import ConfigurationError, DimensionError, EstimationError, NumericalError, RangeError
 from .fileutil import atomic_write_text, csv_text, write_json
 from .gen import _check_shape, _rng
 from .matrices import Matrix
@@ -184,6 +184,11 @@ class ActivationSample:
 
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalue-descending ``(values, vectors)`` of the covariance; a
+        covariance that overflowed to Inf or NaN is a :class:`NumericalError`,
+        refused before LAPACK sees it."""
+        if not np.isfinite(self.covariance).all():
+            raise NumericalError("activation second-moment matrix is not finite (overflow)")
         vals, vecs = np.linalg.eigh(self.covariance)
         order = np.argsort(vals, kind="stable")[::-1]
         return vals[order], vecs[:, order]

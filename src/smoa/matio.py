@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .fileutil import atomic_write_bytes, atomic_write_text, csv_text, sha256_bytes
+from .fileutil import atomic_write_bytes, csv_text, sha256_bytes
 from .matrices import Matrix
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "load_matrix",
     "matrix_to_csv",
     "matrix_from_csv",
-    "save_matrix_csv",
-    "load_matrix_csv",
     "matrix_digest",
 ]
 
@@ -124,15 +122,6 @@ def matrix_from_csv(text: str) -> Matrix:
             raise FormatError(f"row {i} holds a non-numeric entry") from exc
     _check_finite(data)
     return Matrix(data)
-
-
-def save_matrix_csv(m: Matrix, path: str | os.PathLike) -> None:
-    atomic_write_text(path, matrix_to_csv(m))
-
-
-def load_matrix_csv(path: str | os.PathLike) -> Matrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return matrix_from_csv(handle.read())
 
 
 def matrix_digest(m: Matrix) -> str:

@@ -142,15 +142,18 @@ def _check_same_shape(op: str, a: Matrix, b: Matrix) -> None:
         raise DimensionError(f"cannot {op} {a.shape} and {b.shape}")
 
 
-def _frozen_stack(entries, shape: tuple[int, int, int], what: str) -> np.ndarray:
+def _frozen_stack(entries, shape: tuple[int | None, int | None, int | None],
+                  what: str) -> np.ndarray:
     """Read-only float64 copy of ``entries``, a stack or a sequence of
     matrices, checked as :class:`Matrix` checks: a shape other than
-    ``shape`` or ragged input is a DimensionError, NaN or Inf a NumericalError."""
+    ``shape`` (a ``None`` side is any positive size) or ragged input is a
+    DimensionError, NaN or Inf a NumericalError."""
     try:
         data = np.array(entries, dtype=np.float64, order="C")
     except ValueError as exc:
         raise DimensionError(f"{what} is not a {shape} stack: {exc}") from exc
-    if data.shape != shape:
+    if data.ndim != 3 or 0 in data.shape or any(
+            want not in (None, got) for want, got in zip(shape, data.shape)):
         raise DimensionError(f"{what} has shape {data.shape}, expected {shape}")
     if not np.isfinite(data).all():
         raise NumericalError(f"{what} entries must be finite, got NaN or Inf")

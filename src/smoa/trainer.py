@@ -37,7 +37,6 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .adapters import Adapter, AdapterInit, LoraAdapter, SmoaAdapter, init_lora, init_smoa
-from .adapters import _factor_stacks
 from .errors import ConfigurationError, DimensionError, NumericalError
 from .fileutil import atomic_write_text, csv_text, json_text
 from .matrices import Matrix
@@ -263,7 +262,7 @@ def loss(problem: FitProblem, adapter: Adapter) -> float:
     """Objective value 0.5 * ||Delta - T||_F^2 for this adapter."""
     _check_adapter(problem, adapter)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _Objective(problem).evaluate(*_factor_stacks(adapter))[0]
+        return _Objective(problem).evaluate(adapter.a, adapter.b)[0]
 
 
 def gradient(problem: FitProblem, adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +275,7 @@ def gradient(problem: FitProblem, adapter: Adapter) -> tuple[np.ndarray, np.ndar
     """
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
-    a, b = _factor_stacks(adapter)
+    a, b = adapter.a, adapter.b
     da, db = np.empty_like(a), np.empty_like(b)
     objective.gradients(a, b, objective.evaluate(a, b)[1], da, db)
     da.setflags(write=False)
@@ -291,12 +290,13 @@ def _initial_factors(problem: FitProblem, init: AdapterInit) -> tuple[np.ndarray
         m = min(problem.target.shape)
         if problem.r > m:
             raise ConfigurationError(f"spectral init needs r <= {m}, got {problem.r}")
-        adapter: Adapter = LoraAdapter(*map(Matrix, balanced_factors(problem.target, problem.r)))
+        factors = balanced_factors(problem.target, problem.r)
+        adapter: Adapter = LoraAdapter(*(factor[np.newaxis] for factor in factors))
     elif problem.kind == "lora":
         adapter = init_lora(problem.target.rows, problem.target.cols, problem.r, init)
     else:
         adapter = init_smoa(problem.plan, problem.r, init)
-    return _factor_stacks(adapter)
+    return adapter.a, adapter.b
 
 
 def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig()) -> FitTrace:
@@ -370,7 +370,7 @@ def fit(problem: FitProblem, init: AdapterInit, config: FitConfig = FitConfig())
             taken, eta = eta, min(_STEP_GROWTH * eta, eta_max)
     if problem.kind == "lora":
         floor = 0.5 * tail_energy(problem.target, min(problem.r, min(problem.target.shape)))
-        adapter: Adapter = LoraAdapter(Matrix(a[0]), Matrix(b[0]))
+        adapter: Adapter = LoraAdapter(a, b)
     else:
         floor, adapter = None, SmoaAdapter(problem.plan, a.shape[1], a, b)
     return FitTrace(
@@ -395,7 +395,7 @@ def finite_difference_check(problem: FitProblem, adapter: Adapter, step: float =
         raise ConfigurationError(f"step must be positive and finite, got {step}")
     _check_adapter(problem, adapter)
     objective = _Objective(problem)
-    a, b = (factor.copy() for factor in _factor_stacks(adapter))
+    a, b = adapter.a.copy(), adapter.b.copy()
     analytic = np.empty_like(a), np.empty_like(b)
     objective.gradients(a, b, objective.evaluate(a, b)[1], *analytic)
     worst = 0.0

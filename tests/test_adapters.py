@@ -12,6 +12,7 @@ from smoa import (
     FormatError,
     LoraAdapter,
     Matrix,
+    NumericalError,
     RangeError,
     SmoaAdapter,
     apply_forward,
@@ -58,7 +59,7 @@ class TestUpdates:
     def test_lora_update_is_factor_product(self, rng):
         a = random_matrix(rng, 3, 8)
         b = random_matrix(rng, 6, 3)
-        assert_array_equal(lora_update(LoraAdapter(a, b)).data, b.data @ a.data)
+        assert_array_equal(lora_update(LoraAdapter([a], [b])).data, b.data @ a.data)
 
     def test_smoa_update_matches_scatter_oracle(self, rng):
         w = random_matrix(rng, 8, 12)
@@ -115,7 +116,7 @@ class TestUpdates:
         b = random_matrix(rng, 5, 2)
         block = SmoaAdapter(plan, 2, a.data[np.newaxis], b.data[np.newaxis])
         moved = apply_permutations(smoa_update(block), plan.p_out, plan.p_in)
-        assert_array_equal(moved.data, lora_update(LoraAdapter(a, b)).data)
+        assert_array_equal(moved.data, lora_update(LoraAdapter(block.a, block.b)).data)
 
     def test_update_dispatch(self, rng):
         plan = build_plan(random_matrix(rng, 4, 4), 2)
@@ -151,7 +152,7 @@ class TestInit:
             assert (block.a.tobytes(), block.b.tobytes()) == (a.tobytes(), b.tobytes())
             a, b = reference_draw(1, d_out, d_in, rho * k, init)
             lora = init_lora(d_out, d_in, rho * k, init)
-            assert (lora.a.data.tobytes(), lora.b.data.tobytes()) == (a.tobytes(), b.tobytes())
+            assert (lora.a.tobytes(), lora.b.tobytes()) == (a.tobytes(), b.tobytes())
 
     def test_zero_update_scheme_gives_zero_update(self, rng):
         plan = build_plan(random_matrix(rng, 6, 6), 2)
@@ -161,7 +162,7 @@ class TestInit:
         assert np.all(lora_update(lora).data == 0.0)
         # A carries entropy even when B is zeroed
         assert np.any(block.a[0] != 0.0)
-        assert np.any(lora.a.data != 0.0)
+        assert np.any(lora.a != 0.0)
 
     def test_same_seed_reproduces(self, rng):
         plan = build_plan(random_matrix(rng, 4, 8), 2)
@@ -173,17 +174,17 @@ class TestInit:
     def test_different_seeds_differ(self, rng):
         lora1 = init_lora(4, 4, 2, AdapterInit("gaussian", seed=1))
         lora2 = init_lora(4, 4, 2, AdapterInit("gaussian", seed=2))
-        assert not np.array_equal(lora1.a.data, lora2.a.data)
+        assert not np.array_equal(lora1.a, lora2.a)
 
     def test_scale_is_linear_in_draws(self):
         small = init_lora(8, 8, 2, AdapterInit("gaussian", seed=5, scale=1.0))
         big = init_lora(8, 8, 2, AdapterInit("gaussian", seed=5, scale=3.0))
-        assert_allclose(big.a.data, 3.0 * small.a.data, rtol=1e-15)
+        assert_allclose(big.a, 3.0 * small.a, rtol=1e-15)
 
     def test_draw_variance_tracks_fan_in(self):
         """std scale/sqrt(cols): empirical check on a wide factor."""
         lora = init_lora(4, 4096, 64, AdapterInit("gaussian", seed=9))
-        observed = float(lora.a.data.std())
+        observed = float(lora.a.std())
         assert observed == pytest.approx(1.0 / np.sqrt(4096), rel=0.05)
 
     def test_spectral_rejected_outside_trainer(self, rng):
@@ -210,7 +211,42 @@ class TestInit:
 
     def test_lora_factors_must_chain(self):
         with pytest.raises(DimensionError, match=r"factor shapes \(4, 3\) @ \(2, 4\) do not chain"):
-            LoraAdapter(Matrix.ones(2, 4), Matrix.ones(4, 3))
+            LoraAdapter([Matrix.ones(2, 4)], [Matrix.ones(4, 3)])
+
+    @pytest.mark.parametrize("a,b", [
+        ([[[1.0, 2.0], [3.0]]], np.ones((1, 3, 2))),
+        (np.ones((2, 4)), np.ones((1, 3, 2))),
+        (np.ones((1, 2, 4)), np.ones((3, 2))),
+        (np.ones((2, 2, 4)), np.ones((2, 3, 2))),
+        (np.ones((1, 0, 4)), np.ones((1, 3, 0))),
+        (np.ones((1, 2, 0)), np.ones((1, 3, 2))),
+        (np.ones((1, 2, 4)), np.ones((1, 0, 2))),
+    ], ids=["ragged", "a-not-3d", "b-not-3d", "two-blocks", "rank-0", "d_in-0", "d_out-0"])
+    def test_lora_constructor_refuses_bad_shapes(self, a, b):
+        with pytest.raises(DimensionError):
+            LoraAdapter(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", "ab")
+    def test_lora_constructor_refuses_non_finite(self, side, bad):
+        factors = {"a": np.ones((1, 2, 4)), "b": np.ones((1, 3, 2))}
+        factors[side][0, -1, -1] = bad
+        with pytest.raises(NumericalError, match=f"factor stack {side} entries must be finite"):
+            LoraAdapter(**factors)
+
+    def test_lora_holds_read_only_one_block_stacks(self, rng):
+        """Matrices or stacks in, read-only (1, r, d_in) and (1, d_out, r)
+        copies held, sizes read off them, equal only to itself."""
+        a, b = random_matrix(rng, 2, 5), random_matrix(rng, 4, 2)
+        stack_a, stack_b = a.to_array()[np.newaxis], b.to_array()[np.newaxis]
+        for lora in (LoraAdapter([a], [b]), LoraAdapter(stack_a, stack_b)):
+            assert (lora.a.shape, lora.b.shape) == ((1, 2, 5), (1, 4, 2))
+            assert (lora.r, lora.d_in, lora.d_out, lora.trainable_parameters) == (2, 5, 4, 18)
+            assert not (lora.a.flags.writeable or lora.b.flags.writeable)
+            assert (lora.a[0].tobytes(), lora.b[0].tobytes()) == (a.data.tobytes(), b.data.tobytes())
+        stack_a[...] = 0.0
+        assert lora.a[0].tobytes() == a.data.tobytes()
+        assert lora == lora and lora != LoraAdapter(stack_a, stack_b)
 
     def test_k_must_divide_r(self, rng):
         plan = build_plan(random_matrix(rng, 6, 6), 3)
@@ -287,12 +323,12 @@ class TestAdapterFiles:
         written = save_adapter(lora, path, init=AdapterInit("gaussian", seed=21))
         assert written[0] == path
         assert [p.name for p in written[1:]] == ["adapter.a.mat", "adapter.b.mat"]
-        assert load_matrix(tmp_path / "adapter.a.mat").data.tobytes() == lora.a.data.tobytes()
-        assert load_matrix(tmp_path / "adapter.b.mat").data.tobytes() == lora.b.data.tobytes()
+        assert load_matrix(tmp_path / "adapter.a.mat").data.tobytes() == lora.a.tobytes()
+        assert load_matrix(tmp_path / "adapter.b.mat").data.tobytes() == lora.b.tobytes()
         loaded = load_adapter(path)
         assert isinstance(loaded, LoraAdapter)
-        assert np.array_equal(loaded.a.data, lora.a.data)
-        assert np.array_equal(loaded.b.data, lora.b.data)
+        assert np.array_equal(loaded.a, lora.a)
+        assert np.array_equal(loaded.b, lora.b)
 
     def test_smoa_roundtrip_with_plan(self, rng, tmp_path):
         plan = save_plan(build_plan(random_matrix(rng, 6, 6), 2), tmp_path / "plan.json")
@@ -355,7 +391,7 @@ class TestAdapterFiles:
         with pytest.raises(ConfigurationError, match="stale"):
             load_adapter(path)
 
-    def test_missing_hash_skips_staleness_check(self, rng, tmp_path):
+    def test_missing_plan_hash_is_refused(self, rng, tmp_path):
         """No longer skipped: a block adapter without a plan hash is rejected."""
         plan_path = tmp_path / "plan.json"
         plan = save_plan(build_plan(random_matrix(rng, 4, 4), 2), plan_path)
@@ -414,8 +450,8 @@ class TestAdapterFiles:
         path.write_text(json.dumps({**json.loads(path.read_text()), "plan": None}))
         loaded = load_adapter(path)
         assert isinstance(loaded, LoraAdapter)
-        assert loaded.a.data.tobytes() == adapter.a[0].tobytes()
-        assert loaded.b.data.tobytes() == adapter.b[0].tobytes()
+        assert loaded.a.tobytes() == adapter.a.tobytes()
+        assert loaded.b.tobytes() == adapter.b.tobytes()
 
     def test_resave_with_fewer_factors_leaves_no_orphans(self, rng, tmp_path):
         """Whatever K is, a save writes exactly two factor files, so a re-save

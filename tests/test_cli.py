@@ -390,6 +390,19 @@ class TestRankCeilingGap:
         assert code == 0
         assert calls == {"svdvals": 1}
 
+    def test_witness_and_gap_draw_the_witness_once(self, workdir, seeded_plan, capsys,
+                                                   monkeypatch):
+        """``witness`` renders the target and its gaps, and ``gap`` checks the
+        stored target and reads the gap, each from one kept factor draw."""
+        draws = []
+        real = smoa.capacity._rng
+        monkeypatch.setattr(smoa.capacity, "_rng", lambda seed: draws.append(seed) or real(seed))
+        _, witness = run(capsys, "witness", "--plan", seeded_plan, "--rho", "2", "--seed", "4",
+                         "--quiet")
+        assert draws == [4]
+        assert run(capsys, "gap", "--witness", witness["dir"], "--r", "2", "--quiet")[0] == 0
+        assert draws == [4, 4]
+
     def test_gap_decomposes_target_once(self, workdir, seeded_plan, capsys,
                                         count_decompositions):
         """Loading checks the target by its bytes, so the gap's values-only
@@ -640,6 +653,17 @@ class TestSweep:
         assert count_decompositions.shapes == [
             ("svd", (8, 8)), ("svdvals", (2, 4, 4)), ("svdvals", (8, 8)), ("svdvals", (2, 4, 4)),
             ("svdvals", (2, 4, 4))]
+
+    def test_each_trial_draws_its_witness_once(self, workdir, capsys, monkeypatch):
+        """A trial's gap, exact fit and exact-fit residual all read one kept
+        draw of its witness's factor stacks."""
+        draws = Counter()
+        real = smoa.capacity._rng
+        monkeypatch.setattr(smoa.capacity, "_rng", lambda seed: draws.update([seed]) or real(seed))
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps({"dims": [8], "ks": [2], "rs": [2, 4], "trials": 2, "seed": 7}))
+        assert run(capsys, "sweep", "--spec", str(spec), "--quiet")[0] == 0
+        assert list(draws.values()) == [1, 1, 1, 1]  # cells x trials, one draw each
 
     def test_sweep_is_deterministic(self, workdir, capsys):
         spec = workdir / "spec.json"

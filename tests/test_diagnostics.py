@@ -17,6 +17,7 @@ from smoa import (
     DimensionError,
     EstimationError,
     Matrix,
+    NumericalError,
     RangeError,
     count_outliers,
     estimate_noise_scale,
@@ -242,6 +243,16 @@ class TestActivationSample:
         x = random_matrix(rng, 5, 30)
         sample = ActivationSample(x)
         assert_allclose(sample.covariance, x.data @ x.data.T / 30, atol=1e-14)
+
+    def test_overflowing_second_moment_is_numerical_error(self, rng, capfd):
+        """1e200-scale activations overflow their second moment; the report
+        refuses it with a typed error before LAPACK, which would print to
+        stdout and fail untyped, ever sees it."""
+        sample = ActivationSample(Matrix(random_matrix(rng, 8, 20).data * 1e200))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match="second-moment matrix is not finite"):
+            full_report(random_matrix(rng, 8, 8), sample)
+        assert capfd.readouterr().out == ""
 
 
 class TestOverlapScores:

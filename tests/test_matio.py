@@ -16,12 +16,10 @@ from smoa.matio import (
     decode_matrix,
     encode_matrix,
     load_matrix,
-    load_matrix_csv,
     matrix_digest,
     matrix_from_csv,
     matrix_to_csv,
     save_matrix,
-    save_matrix_csv,
 )
 
 from conftest import random_matrix
@@ -104,12 +102,6 @@ class TestCsvFormat:
     def test_roundtrip_bitwise(self, rng):
         m = random_matrix(rng, 6, 2)
         assert np.array_equal(matrix_from_csv(matrix_to_csv(m)).data, m.data)
-
-    def test_file_roundtrip(self, rng, tmp_path):
-        m = random_matrix(rng, 3, 5)
-        path = tmp_path / "w.csv"
-        save_matrix_csv(m, path)
-        assert np.array_equal(load_matrix_csv(path).data, m.data)
 
     def test_row_count_mismatch(self):
         with pytest.raises(FormatError):

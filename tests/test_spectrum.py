@@ -185,7 +185,7 @@ class TestSignInvariance:
         config = FitConfig(max_steps=50, grad_tol=0.0)
         plain, flipped = self.plain_and_flipped(
             monkeypatch, lambda: fit(problem, AdapterInit("spectral"), config))
-        assert not np.array_equal(plain.adapter.b.data, flipped.adapter.b.data)  # signs did flip
+        assert not np.array_equal(plain.adapter.b, flipped.adapter.b)  # signs did flip
         assert plain.step_count == 50
         assert plain.steps == flipped.steps
         assert lora_update(plain.adapter).data.tobytes() == lora_update(flipped.adapter).data.tobytes()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import smoa.trainer
-from smoa.adapters import _factor_stacks
 from smoa import (
     AdapterInit,
     ConfigurationError,
@@ -19,7 +18,6 @@ from smoa import (
     FitProblem,
     Matrix,
     NumericalError,
-    SmoaAdapter,
     TraceStep,
     apply_permutations,
     build_plan,
@@ -111,9 +109,22 @@ class TestLossAndGradient:
         da, db = gradient(problem, adapter)
         assert (da.shape, db.shape) == ((1, 3, 6), (1, 5, 3))
         assert not (da.flags.writeable or db.flags.writeable)
-        residual = adapter.b.data @ adapter.a.data - target.data
-        assert_allclose(da[0], adapter.b.data.T @ residual, rtol=1e-12)
-        assert_allclose(db[0], residual @ adapter.a.data.T, rtol=1e-12)
+        residual = adapter.b[0] @ adapter.a[0] - target.data
+        assert_allclose(da[0], adapter.b[0].T @ residual, rtol=1e-12)
+        assert_allclose(db[0], residual @ adapter.a[0].T, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lora", "smoa"])
+    def test_gradient_has_the_factor_stack_shapes(self, rng, kind):
+        """Either family's gradient stacks have exactly its factor stacks' shapes."""
+        w = random_matrix(rng, 8, 12)
+        init = AdapterInit("gaussian", seed=6)
+        if kind == "lora":
+            problem, adapter = FitProblem(w, "lora", 4), init_lora(8, 12, 4, init)
+        else:
+            plan = build_plan(w, 2)
+            problem, adapter = FitProblem(w, "smoa", 4, plan), init_smoa(plan, 4, init)
+        da, db = gradient(problem, adapter)
+        assert (da.shape, db.shape) == (adapter.a.shape, adapter.b.shape)
 
     def test_gradient_matches_finite_differences_lora(self, rng):
         problem = FitProblem(random_matrix(rng, 6, 5), "lora", 2)
@@ -281,7 +292,7 @@ class TestFit:
         first = fit(problem, AdapterInit("gaussian", seed=8), FitConfig(max_steps=50))
         second = fit(problem, AdapterInit("gaussian", seed=8), FitConfig(max_steps=50))
         assert first.final_loss == second.final_loss
-        assert np.array_equal(first.adapter.a.data, second.adapter.a.data)
+        assert np.array_equal(first.adapter.a, second.adapter.a)
 
     def test_spectral_init_rejected_for_smoa(self, rng):
         w = random_matrix(rng, 4, 4)
@@ -525,9 +536,7 @@ def _reference_descent(problem, factors, config):
 
 
 def _pairs(adapter):
-    if isinstance(adapter, SmoaAdapter):
-        return list(zip(adapter.a, adapter.b))
-    return [(adapter.a.data, adapter.b.data)]
+    return list(zip(adapter.a, adapter.b))
 
 
 def _assert_matches_reference(problem, init, config):
@@ -645,7 +654,7 @@ class TestResultsOwnTheirMemory:
         problem = self._problem(rng, kind)
         config = FitConfig(step_size=0.05, max_steps=50, grad_tol=0.0)
         first = fit(problem, AdapterInit("gaussian", seed=1), config)
-        factors = _factor_stacks(first.adapter)
+        factors = first.adapter.a, first.adapter.b
         kept = [f.copy() for f in factors]
         assert all(not np.shares_memory(f, buffer) for f in factors for buffer in _buffers(built[0]))
         fit(problem, AdapterInit("gaussian", seed=2), config)
