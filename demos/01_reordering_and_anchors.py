@@ -10,9 +10,9 @@ spectrum changes.
 import numpy as np
 
 from smoa import (
+    apply_permutations,
     build_plan,
     coordinate_scores,
-    invert_permutations,
     low_rank_plus_noise,
     reordered_weight,
     singular_values,
@@ -41,5 +41,5 @@ sv_before = singular_values(w0)
 sv_after = singular_values(reordered)
 print(f"\nspectrum drift after reordering: {np.max(np.abs(sv_after - sv_before)):.2e}")
 
-roundtrip = invert_permutations(reordered, plan.p_out, plan.p_in)
+roundtrip = apply_permutations(reordered, plan.p_out.inverse(), plan.p_in.inverse())
 print(f"gather/scatter roundtrip bit-exact: {np.array_equal(roundtrip.data, w0.data)}")

@@ -41,7 +41,7 @@ print(f"\nlive adapters at d=16, r=8, K=2: "
 x = gaussian_matrix(16, 5, seed=9)
 merged = merge(w0, block)
 via_forward = apply_forward(w0, smoa_update(block), x)
-drift = np.max(np.abs((merged @ x).data - via_forward.data))
+drift = np.max(np.abs(merged.data @ x.data - via_forward.data))
 print(f"merge vs forward-with-update drift: {drift:.2e}")
 
 frozen = init_smoa(plan, 8, AdapterInit("zero-update", seed=3, scale=0.3))

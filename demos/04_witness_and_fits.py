@@ -9,6 +9,8 @@ and stays there, and the block fit drives the loss to zero, though its
 objective is nonconvex and an unlucky start can park in a spurious
 basin until restarted.
 """
+import numpy as np
+
 from smoa import (
     AdapterInit,
     FitConfig,
@@ -33,7 +35,7 @@ for r in range(1, 9):
     print(f"  r={r}: {lora_gap(witness, r):10.6f}")
 
 exact = smoa_exact_fit(witness)
-residual = (update(exact) - target).norm() / target.norm()
+residual = np.linalg.norm(update(exact).data - target.data) / np.linalg.norm(target.data)
 print(f"\nclosed-form block fit residual: {residual:.2e} (exact: the witness's own factors)")
 
 floor_cfg = FitConfig(step_size=0.05, max_steps=1000, grad_tol=1e-9, max_halvings=10)

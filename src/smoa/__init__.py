@@ -66,13 +66,7 @@ from .matio import (
     matrix_to_csv,
     save_matrix,
 )
-from .matrices import (
-    Matrix,
-    Permutation,
-    apply_permutations,
-    block_diagonal,
-    invert_permutations,
-)
+from .matrices import Matrix, Permutation, apply_permutations
 from .preprocess import (
     BlockPlan,
     build_plan,

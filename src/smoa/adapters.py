@@ -30,7 +30,7 @@ from .fileutil import (atomic_write_bytes, envelope_fields, pin, read_envelope, 
                        sha256_bytes, write_json)
 from .gen import _check_seed, _check_shape
 from .matio import _decode_stack, _encode_stack
-from .matrices import Matrix, _frozen_stack
+from .matrices import Matrix, _frozen
 from .preprocess import (BlockPlan, _block_rank, _check_rho, _check_split, _decode_plan,
                          _plan_pin, _scatter_blocks)
 
@@ -66,8 +66,8 @@ class LoraAdapter:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _frozen_stack(self.a, (1, None, None), "factor stack a")
-        b = _frozen_stack(self.b, (1, None, None), "factor stack b")
+        a = _frozen(self.a, (1, None, None), "factor stack a")
+        b = _frozen(self.b, (1, None, None), "factor stack b")
         if a.shape[1] != b.shape[2]:
             raise DimensionError(f"factor shapes {b.shape[1:]} @ {a.shape[1:]} do not chain")
         object.__setattr__(self, "a", a)
@@ -108,8 +108,8 @@ class SmoaAdapter:
             raise ConfigurationError(f"rho must be a positive integer, got {self.rho}")
         _check_rho(self.rho, self.plan.block_shape)
         k, (s_out, s_in) = self.plan.k, self.plan.block_shape
-        object.__setattr__(self, "a", _frozen_stack(self.a, (k, self.rho, s_in), "factor stack a"))
-        object.__setattr__(self, "b", _frozen_stack(self.b, (k, s_out, self.rho), "factor stack b"))
+        object.__setattr__(self, "a", _frozen(self.a, (k, self.rho, s_in), "factor stack a"))
+        object.__setattr__(self, "b", _frozen(self.b, (k, s_out, self.rho), "factor stack b"))
 
     @property
     def r(self) -> int:

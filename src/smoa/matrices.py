@@ -23,40 +23,27 @@ __all__ = [
     "Matrix",
     "Permutation",
     "apply_permutations",
-    "invert_permutations",
-    "block_diagonal",
 ]
 
 
 class Matrix:
     """Immutable dense real matrix (float64, row-major).
 
-    Constructors reject empty shapes and non-finite entries, so every
-    Matrix in the system is safe input for decompositions and norms.
-    The backing array is marked read-only; ``data`` exposes it without
-    copying, ``to_array`` returns a writable copy.
+    Constructors reject ragged input, empty shapes and non-finite
+    entries, so every Matrix in the system is safe input for
+    decompositions and norms. The backing array is marked read-only;
+    ``data`` exposes it without copying, ``np.array(m)`` gives a
+    writable copy.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, entries) -> None:
-        data = np.array(entries, dtype=np.float64, order="C")
-        if data.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got {data.ndim}-d")
-        if data.shape[0] == 0 or data.shape[1] == 0:
-            raise DimensionError(f"matrix dimensions must be positive, got {data.shape}")
-        if not np.isfinite(data).all():
-            raise NumericalError("matrix entries must be finite, got NaN or Inf")
-        data.setflags(write=False)
-        self._data = data
+        self._data = _frozen(entries, (None, None), "matrix")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
         return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> Matrix:
-        return cls(np.ones((rows, cols)))
 
     @classmethod
     def diagonal(cls, values, rows: int | None = None, cols: int | None = None) -> Matrix:
@@ -90,69 +77,26 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    def to_array(self) -> np.ndarray:
-        return self._data.copy()
-
-    def transpose(self) -> Matrix:
-        return Matrix(self._data.T)
-
-    @property
-    def T(self) -> Matrix:
-        return self.transpose()
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self._data))
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self._data, dtype=dtype, copy=copy)
 
     def __getitem__(self, key):
         return self._data[key]
 
-    def __add__(self, other: Matrix) -> Matrix:
-        _check_same_shape("add", self, other)
-        return Matrix(self._data + other._data)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        _check_same_shape("subtract", self, other)
-        return Matrix(self._data - other._data)
-
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.shape} by {other.shape}: inner dimensions differ"
-            )
-        return Matrix(self._data @ other._data)
-
-    def __mul__(self, scalar: float) -> Matrix:
-        return Matrix(self._data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Matrix:
-        return Matrix(-self._data)
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _check_same_shape(op: str, a: Matrix, b: Matrix) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"cannot {op} {a.shape} and {b.shape}")
-
-
-def _frozen_stack(entries, shape: tuple[int | None, int | None, int | None],
-                  what: str) -> np.ndarray:
-    """Read-only float64 copy of ``entries``, a stack or a sequence of
-    matrices, checked as :class:`Matrix` checks: a shape other than
-    ``shape`` (a ``None`` side is any positive size) or ragged input is a
+def _frozen(entries, shape: tuple[int | None, ...], what: str) -> np.ndarray:
+    """Read-only float64 copy of ``entries``, an array of ``len(shape)``
+    axes or nested sequences of one: a shape other than ``shape`` (a
+    ``None`` side is any positive size), ragged or non-numeric input is a
     DimensionError, NaN or Inf a NumericalError."""
     try:
         data = np.array(entries, dtype=np.float64, order="C")
     except ValueError as exc:
-        raise DimensionError(f"{what} is not a {shape} stack: {exc}") from exc
-    if data.ndim != 3 or 0 in data.shape or any(
+        raise DimensionError(f"{what} is not a {shape} array: {exc}") from exc
+    if data.ndim != len(shape) or 0 in data.shape or any(
             want not in (None, got) for want, got in zip(shape, data.shape)):
         raise DimensionError(f"{what} has shape {data.shape}, expected {shape}")
     if not np.isfinite(data).all():
@@ -181,10 +125,6 @@ class Permutation:
             )
         idx.setflags(write=False)
         self._indices = idx
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(np.arange(n))
 
     @classmethod
     def from_one_based(cls, indices: Sequence[int]) -> Permutation:
@@ -230,29 +170,3 @@ def apply_permutations(w: Matrix, p_out: Permutation, p_in: Permutation) -> Matr
         )
     return Matrix(w.data[np.ix_(p_out.indices, p_in.indices)])
 
-
-def invert_permutations(w: Matrix, p_out: Permutation, p_in: Permutation) -> Matrix:
-    """Undo :func:`apply_permutations` with the same pair; bitwise exact."""
-    if p_out.size != w.rows or p_in.size != w.cols:
-        raise DimensionError(
-            f"permutation sizes ({p_out.size}, {p_in.size}) do not match matrix {w.shape}"
-        )
-    out = np.empty_like(w.data)
-    out[np.ix_(p_out.indices, p_in.indices)] = w.data
-    return Matrix(out)
-
-
-def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
-    """Assemble blocks on the diagonal, exact zeros elsewhere.
-
-    Result shape is the sum of block shapes; the list must be nonempty.
-    """
-    if len(blocks) == 0:
-        raise ConfigurationError("block_diagonal needs at least one block")
-    out = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)))
-    row = col = 0
-    for b in blocks:
-        out[row:row + b.rows, col:col + b.cols] = b.data
-        row += b.rows
-        col += b.cols
-    return Matrix(out)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, RangeError
 from .fileutil import envelope_fields, field, pin, read_envelope, sha256_bytes, write_json
 from .matio import matrix_from_csv, matrix_to_csv
-from .matrices import Matrix, Permutation, _frozen_stack, apply_permutations
+from .matrices import Matrix, Permutation, _frozen, apply_permutations
 from .spectrum import svd
 
 __all__ = [
@@ -65,7 +65,7 @@ class BlockPlan:
 
     def __post_init__(self) -> None:
         _check_split(self.k, self.d_out, self.d_in)
-        stack = _frozen_stack(self.anchor_stack, (self.k, *self.block_shape), "anchor stack")
+        stack = _frozen(self.anchor_stack, (self.k, *self.block_shape), "anchor stack")
         object.__setattr__(self, "anchor_stack", stack)
 
     @property
@@ -149,9 +149,13 @@ def coordinate_scores(
     """
     u, s, vt = decomposition
     positions = np.arange(1, s.size + 1, dtype=np.float64)
+    # sigma_j / sigma_1 in [0, 1] keeps the sums finite at any scale; the
+    # scores are ratios, so only rounding tells the two weightings apart.
+    # s[0] == 0 is the zero weight, whose weights are all zero already.
+    relative = s / s[0] if s[0] > 0 else s
 
     def scores(vectors: np.ndarray) -> np.ndarray:
-        weights = vectors**2 * s
+        weights = vectors**2 * relative
         energy = weights.sum(axis=1)
         centroid = weights @ positions
         out = np.full(vectors.shape[0], float(s.size + 1))

@@ -832,7 +832,7 @@ class TestMalformedInput:
     def test_stack_rows_not_divisible_by_k(self, workdir, seeded_plan, capsys, stack):
         """A stack file whose row count the plan's K = 2 does not divide."""
         _, adapter = run(capsys, "adapter", "--plan", seeded_plan, "--r", "2", "--quiet")
-        save_matrix(Matrix.ones(3, 4), workdir / stack)
+        save_matrix(Matrix(np.ones((3, 4))), workdir / stack)
         repin(adapter["path"], stack.split(".")[1])
         code = main(["update", "--adapter", adapter["path"], "--quiet"])
         captured = capsys.readouterr()
@@ -843,7 +843,7 @@ class TestMalformedInput:
         """A valid target.mat that is not the target its plan, rho and seed define is refused."""
         _, payload = run(capsys, "witness", "--plan", seeded_plan, "--rho", "1", "--quiet")
         target = Path(payload["dir"]) / "target.mat"
-        save_matrix(load_matrix(target) * 2.0, target)
+        save_matrix(Matrix(load_matrix(target).data * 2.0), target)
         repin(payload["manifest"], "target")
         code = main(["gap", "--witness", payload["dir"], "--r", "2", "--quiet"])
         captured = capsys.readouterr()
@@ -940,8 +940,8 @@ class TestMalformedInput:
         _, plan = run(capsys, "plan", "--w0", w0["path"], "--k", "2", "--quiet")
         _, payload = run(capsys, "adapter", "--plan", plan["path"], "--r", "4", "--quiet")
         # two blocks of A_k (rho x 2) and of B_k (2 x rho), each stacked by rows
-        save_matrix(Matrix.ones(6, 2), workdir / "adapter.a.mat")
-        save_matrix(Matrix.ones(4, 3), workdir / "adapter.b.mat")
+        save_matrix(Matrix(np.ones((6, 2))), workdir / "adapter.a.mat")
+        save_matrix(Matrix(np.ones((4, 3))), workdir / "adapter.b.mat")
         repin(payload["path"], "a")
         repin(payload["path"], "b")
         edit_json(payload["path"], lambda doc: {**doc, "r": 6, "rho": 3})

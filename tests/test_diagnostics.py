@@ -338,7 +338,7 @@ class TestFullReport:
         w = random_matrix(rng, 6, 9)
         report = full_report(w, noise_scale=1.0)
         assert len(report.tail_energy_curve) == 7
-        assert report.tail_energy_curve[0] == (0, pytest.approx(w.norm() ** 2, rel=1e-12))
+        assert report.tail_energy_curve[0] == (0, pytest.approx(np.linalg.norm(w.data) ** 2, rel=1e-12))
         assert report.tail_energy_curve[-1] == (6, 0.0)
         for r, energy in report.tail_energy_curve:
             assert energy == pytest.approx(tail_energy(w, r), rel=1e-12, abs=1e-12)

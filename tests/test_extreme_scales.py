@@ -1,7 +1,7 @@
 """Property test: inputs scaled by 10^e and extreme finite float flags never
 make the CLI warn, crash or write a non-finite number.
 
-For each e in {-300, 0, 150, 200, 300} one set of 16 x 16 inputs is built
+For each e in {-300, 0, 150, 200, 300, 307} one set of 16 x 16 inputs is built
 once: a weight, an activation sample and a fit target drawn at scale 10^e,
 the weight's K = 2 plan, block and global adapters whose factors are drawn
 at scale 10^e, a witness bundle over the plan and a small sweep spec. Each
@@ -31,7 +31,7 @@ from smoa.matio import decode_matrix
 
 from conftest import write_witness_bundle
 
-EXPONENTS = [-300, 0, 150, 200, 300]
+EXPONENTS = [-300, 0, 150, 200, 300, 307]
 MAX = 1.7976931348623157e308
 EXTREMES = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-150, 0.0, 1.0, 1e150, 1e300,
             MAX, -MAX, -1e-300]

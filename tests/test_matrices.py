@@ -1,4 +1,4 @@
-"""Matrix and permutation primitives: constructors, ops, exact moves."""
+"""Matrix and permutation primitives: constructors and exact moves."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +13,6 @@ from smoa import (
     Permutation,
     RangeError,
     apply_permutations,
-    block_diagonal,
-    invert_permutations,
 )
 
 from conftest import random_matrix
@@ -36,6 +34,14 @@ class TestMatrixConstruction:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DimensionError):
             Matrix([1.0, 2.0, 3.0])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(DimensionError):
+            Matrix([[1, 2], [3]])
+
+    def test_rejects_non_numeric(self):
+        with pytest.raises(DimensionError):
+            Matrix("abc")
 
     def test_backing_array_is_read_only(self):
         m = Matrix([[1.0, 2.0]])
@@ -69,24 +75,6 @@ class TestMatrixConstruction:
             Matrix.diagonal([1.0, 2.0, 3.0], rows=2, cols=2)
 
 
-class TestMatrixAlgebra:
-    def test_add_sub_shapes(self):
-        a = Matrix([[1.0, 2.0]])
-        with pytest.raises(DimensionError):
-            a + Matrix([[1.0], [2.0]])
-        with pytest.raises(DimensionError):
-            a - Matrix([[1.0], [2.0]])
-
-    def test_matmul_inner_dims(self):
-        a = Matrix([[1.0, 2.0]])
-        with pytest.raises(DimensionError):
-            a @ a
-
-    def test_norm_matches_numpy(self, rng):
-        m = random_matrix(rng, 5, 7)
-        assert m.norm() == pytest.approx(np.linalg.norm(m.data))
-
-
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ConfigurationError):
@@ -116,7 +104,7 @@ class TestPermutation:
         w = random_matrix(rng, 8, 6)
         p_out = Permutation(rng.permutation(8))
         p_in = Permutation(rng.permutation(6))
-        back = invert_permutations(apply_permutations(w, p_out, p_in), p_out, p_in)
+        back = apply_permutations(apply_permutations(w, p_out, p_in), p_out.inverse(), p_in.inverse())
         assert np.array_equal(back.data, w.data)
 
     def test_entry_multiset_is_preserved_exactly(self, rng):
@@ -124,12 +112,12 @@ class TestPermutation:
         p = Permutation(rng.permutation(7))
         moved = apply_permutations(w, p, p)
         assert np.array_equal(np.sort(moved.data, axis=None), np.sort(w.data, axis=None))
-        assert moved.norm() == pytest.approx(w.norm(), rel=1e-15)
+        assert np.linalg.norm(moved.data) == pytest.approx(np.linalg.norm(w.data), rel=1e-15)
 
     def test_size_mismatch(self, rng):
         w = random_matrix(rng, 4, 5)
         with pytest.raises(DimensionError):
-            apply_permutations(w, Permutation.identity(5), Permutation.identity(5))
+            apply_permutations(w, Permutation(np.arange(5)), Permutation(np.arange(5)))
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10), st.integers(2, 10))
@@ -138,32 +126,6 @@ class TestPermutation:
         w = Matrix(rng.standard_normal((rows, cols)))
         p_out = Permutation(rng.permutation(rows))
         p_in = Permutation(rng.permutation(cols))
-        back = invert_permutations(apply_permutations(w, p_out, p_in), p_out, p_in)
+        back = apply_permutations(apply_permutations(w, p_out, p_in), p_out.inverse(), p_in.inverse())
         assert np.array_equal(back.data, w.data)
 
-
-class TestBlockOps:
-    def test_block_diagonal_placement(self, rng):
-        a = random_matrix(rng, 2, 3)
-        b = random_matrix(rng, 3, 2)
-        assembled = block_diagonal([a, b])
-        assert assembled.shape == (5, 5)
-        assert_array_equal(assembled.data[:2, :3], a.data)
-        assert_array_equal(assembled.data[2:, 3:], b.data)
-        assert_array_equal(assembled.data[:2, 3:], np.zeros((2, 2)))
-        assert_array_equal(assembled.data[2:, :3], np.zeros((3, 3)))
-
-    def test_single_block_is_the_block(self, rng):
-        a = random_matrix(rng, 3, 4)
-        assert_array_equal(block_diagonal([a]).data, a.data)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigurationError):
-            block_diagonal([])
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5))
-    def test_shape_additivity(self, shapes):
-        blocks = [Matrix.ones(r, c) for r, c in shapes]
-        assembled = block_diagonal(blocks)
-        assert assembled.shape == (sum(r for r, _ in shapes), sum(c for _, c in shapes))

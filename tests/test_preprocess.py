@@ -1,6 +1,7 @@
 """Reordering plans: score oracle, block anchors, plan file roundtrips."""
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from smoa import (
     FitProblem,
     FormatError,
     Matrix,
+    Permutation,
     RangeError,
     SmoaAdapter,
     WitnessInstance,
@@ -164,6 +166,24 @@ class TestBuildPlan:
             rtol=1e-10,
         )
 
+    @pytest.mark.parametrize("scale", [1e307, 1e-300])
+    def test_scale_keeps_the_permutations(self, rng, scale):
+        """Scores weight by sigma_j / sigma_1, so no scale overflows or
+        flushes them, under the floating-point rules the CLI runs with."""
+        w = random_matrix(rng, 16, 16)
+        plan = build_plan(w, 2)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scaled = build_plan(Matrix(w.data * scale), 2)
+        assert (scaled.p_out, scaled.p_in) == (plan.p_out, plan.p_in)
+
+    def test_zero_weight_plans_identity_permutations(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                plan = build_plan(Matrix.zeros(16, 16), 2)
+        identity = Permutation(np.arange(16))
+        assert (plan.p_out, plan.p_in) == (identity, identity)
+
     def test_k_must_divide(self, rng):
         with pytest.raises(ConfigurationError):
             build_plan(random_matrix(rng, 6, 6), 4)
@@ -186,8 +206,8 @@ BUDGET_ENTRY_POINTS = {
     "rank_ceiling": (2, lambda r: rank_ceiling(_PLAN, r)),
     "full_rank_ceiling": (1, lambda r: full_rank_ceiling(8, 8, 2, r)),
     "lora_gap": (1, lambda r: lora_gap(make_witness(_PLAN, 1, 0), r)),
-    "FitProblem-lora": (1, lambda r: FitProblem(Matrix.ones(8, 8), "lora", r)),
-    "FitProblem-smoa": (2, lambda r: FitProblem(Matrix.ones(8, 8), "smoa", r, _PLAN)),
+    "FitProblem-lora": (1, lambda r: FitProblem(Matrix(np.ones((8, 8))), "lora", r)),
+    "FitProblem-smoa": (2, lambda r: FitProblem(Matrix(np.ones((8, 8))), "smoa", r, _PLAN)),
 }
 
 
@@ -243,7 +263,7 @@ class TestPlanValidation:
                 k=2,
                 p_out=good.p_out,
                 p_in=good.p_in,
-                anchor_stack=(good.anchors[0], Matrix.ones(3, 3)),
+                anchor_stack=(good.anchors[0], Matrix(np.ones((3, 3)))),
             )
 
 
